@@ -16,15 +16,11 @@
  * the fast-path determinism contract (it fails loudly if simulated
  * cycles per page differ between fast and reference sweeps).
  *
- * Usage: bench_all [--quick] [--out FILE] [--label NAME]
- *                  [--threads N] [--intra-cell-threads M]
+ * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
  *   --quick: small cell set for CI smoke runs.
  *   --label: name recorded for this run's entry (default "local").
  *   --threads: host threads for the parallel e2e leg (default: the
  *     CREV_BENCH_THREADS/affinity-derived benchThreads()).
- *   --intra-cell-threads: lockstep-engine lanes (CREV_PAR_CORES) for
- *     the fast e2e legs and the intra-cell engine comparison
- *     (default 1).
  */
 
 #include <algorithm>
@@ -37,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "base/host_budget.h"
 #include "base/simd.h"
 #include "bench_runner.h"
 #include "bench_util.h"
@@ -127,15 +122,14 @@ addCells(ParallelRunner &runner, bool quick)
 double
 timedRun(bool quick, unsigned threads, bool host_fast_paths,
          unsigned par_cores, const std::string &cost_file,
-         std::vector<CellResult> *results_out,
-         base::HostBudget::Decisions *decisions_out = nullptr)
+         std::vector<CellResult> *results_out)
 {
     // The cells build their MachineConfigs internally; the env knobs
     // are the global defaults they pick up. Set before any worker
     // exists — parallelMap with 1 worker runs inline on this thread.
     // par_cores selects the engine (DESIGN.md §14): 0 pins the serial
-    // token engine (the seed-equivalent reference), >= 1 the lockstep
-    // engine with that many lanes.
+    // token engine (the seed-equivalent reference), any other value
+    // the lockstep engine.
     setenv("CREV_HOST_FAST_PATHS", host_fast_paths ? "1" : "0", 1);
     char par[16];
     std::snprintf(par, sizeof(par), "%u", par_cores);
@@ -151,8 +145,6 @@ timedRun(bool quick, unsigned threads, bool host_fast_paths,
     setenv("CREV_HOST_FAST_PATHS", "1", 1);
     if (results_out != nullptr)
         *results_out = std::move(results);
-    if (decisions_out != nullptr)
-        *decisions_out = runner.lastDecisions();
     return secs;
 }
 
@@ -225,7 +217,6 @@ sameSimResults(const std::vector<CellResult> &a,
 struct IntraCellResult
 {
     std::string cell;
-    unsigned lanes = 1;
     double serial_seconds = 0;
     double lockstep_seconds = 0;
     bool match = true;
@@ -239,10 +230,9 @@ struct IntraCellResult
  * trials of the same engine.
  */
 IntraCellResult
-measureIntraCell(bool quick, unsigned lanes)
+measureIntraCell(bool quick)
 {
     IntraCellResult r;
-    r.lanes = lanes;
     // Full mode takes the heaviest cell of the set (omnetpp/reloaded
     // is handoff- and revocation-dense); quick mode a light one.
     const char *profile = quick ? "hmmer_retro" : "omnetpp";
@@ -267,11 +257,11 @@ measureIntraCell(bool quick, unsigned lanes)
     core::RunMetrics serial_m, lockstep_m;
     for (std::size_t k = 0; k < pairs; ++k) {
         std::fprintf(stderr,
-                     "  intra-cell pair %zu/%zu (%s, %u lanes)...\n",
-                     k + 1, pairs, r.cell.c_str(), lanes);
+                     "  intra-cell pair %zu/%zu (%s)...\n", k + 1,
+                     pairs, r.cell.c_str());
         double ss = 0, ls = 0;
         core::RunMetrics sm = run_once(0, &ss);
-        core::RunMetrics lm = run_once(lanes, &ls);
+        core::RunMetrics lm = run_once(1, &ls);
         if (!sameMetrics(sm, lm)) {
             std::fprintf(stderr,
                          "FAIL: %s simulated results differ between "
@@ -361,7 +351,7 @@ runXcoreCell(unsigned alloc_cores, unsigned par_cores, int iters)
  * legitimately differ — that is the simulated topology changing).
  */
 AllocShardResult
-measureAllocShard(bool quick, unsigned lanes)
+measureAllocShard(bool quick)
 {
     AllocShardResult r;
     // Sized so every timed leg is well clear of host scheduling noise
@@ -391,7 +381,7 @@ measureAllocShard(bool quick, unsigned lanes)
             };
             double ss = 0, ls = 0;
             core::RunMetrics sm = once(0, &ss);
-            core::RunMetrics lm = once(lanes, &ls);
+            core::RunMetrics lm = once(1, &ls);
             if (!sameMetrics(sm, lm) ||
                 sm.quarantine.remote_free_sends !=
                     lm.quarantine.remote_free_sends) {
@@ -452,7 +442,6 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_TRAJECTORY.json";
     std::string label = "local";
     unsigned threads_flag = 0; // 0 = benchThreads()
-    unsigned intra_lanes = 1;
     const auto parseCount = [](const char *s) {
         char *end = nullptr;
         const unsigned long v = std::strtoul(s, &end, 10);
@@ -472,9 +461,6 @@ main(int argc, char **argv)
             label = argv[++i];
         else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc)
             threads_flag = parseCount(argv[++i]);
-        else if (std::strcmp(argv[i], "--intra-cell-threads") == 0 &&
-                 i + 1 < argc)
-            intra_lanes = parseCount(argv[++i]);
     }
 
     benchutil::banner("Host-performance trajectory (bench_all)",
@@ -551,8 +537,8 @@ main(int argc, char **argv)
                         row.fast.host_ns_per_page,
                     row.fast.sim_cycles_per_page);
 
-    // --- kernels A/B: dispatched SIMD + decode memo vs forced
-    // scalar without the memo, same regimes, same noise treatment ---
+    // --- kernels A/B: dispatched SIMD vs forced scalar through the
+    // sweep, same regimes, same noise treatment ---
     std::vector<KernelsRow> kernel_rows;
     bool kernels_ok = true;
     for (SweepRegime r :
@@ -596,8 +582,7 @@ main(int argc, char **argv)
     }
     determinism_ok = determinism_ok && kernels_ok;
 
-    std::printf("\nkernel A/B (%s dispatch + decode memo vs scalar, "
-                "host ns/page):\n",
+    std::printf("\nkernel A/B (%s dispatch vs scalar, host ns/page):\n",
                 simd::levelName(simd::level()));
     std::printf("  %-12s %12s %12s %9s\n", "regime", "kernels",
                 "scalar", "speedup");
@@ -620,7 +605,6 @@ main(int argc, char **argv)
     const std::size_t legs = 2;
     double ref_serial_secs = 0, serial_secs = 0, parallel_secs = 0;
     std::vector<CellResult> ref_cells, cells;
-    base::HostBudget::Decisions arbiter;
     for (std::size_t leg = 0; leg < legs; ++leg) {
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: serial, fast paths off...\n",
@@ -630,14 +614,12 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: serial, fast paths on...\n",
                      leg + 1, legs);
-        const double s =
-            timedRun(quick, 1, true, intra_lanes, out_path, nullptr);
+        const double s = timedRun(quick, 1, true, 1, out_path, nullptr);
         std::fprintf(stderr,
                      "  e2e leg %zu/%zu: %u host threads...\n",
                      leg + 1, legs, threads);
         std::vector<CellResult> pc;
-        const double p = timedRun(quick, threads, true, intra_lanes,
-                                  out_path, &pc, &arbiter);
+        const double p = timedRun(quick, threads, true, 1, out_path, &pc);
         determinism_ok = determinism_ok && sameSimResults(rc, pc);
         if (leg == 0) {
             ref_serial_secs = r;
@@ -663,32 +645,22 @@ main(int argc, char **argv)
                 "vs reference)\n",
                 threads, parallel_secs,
                 ref_serial_secs / parallel_secs);
-    std::printf("  arbiter: %u slots (%u workers pre-charged, lane "
-                "cap %u), %llu/%llu transient slots granted over "
-                "%llu requests (%llu clamped)\n",
-                arbiter.total_slots, arbiter.base_in_use,
-                arbiter.lane_cap,
-                static_cast<unsigned long long>(arbiter.granted),
-                static_cast<unsigned long long>(arbiter.wanted),
-                static_cast<unsigned long long>(arbiter.requests),
-                static_cast<unsigned long long>(arbiter.clamped));
 
     // --- intra-cell engine comparison (DESIGN.md §14) ---
     std::fprintf(stderr, "  intra-cell engine comparison...\n");
-    const IntraCellResult intra = measureIntraCell(quick, intra_lanes);
+    const IntraCellResult intra = measureIntraCell(quick);
     determinism_ok = determinism_ok && intra.match;
     std::printf("\nintra-cell engine comparison (%s):\n",
                 intra.cell.c_str());
     std::printf("  serial token engine:       %.2fs\n",
                 intra.serial_seconds);
-    std::printf("  lockstep engine (%u lane%s): %.2fs (%.2fx)\n",
-                intra.lanes, intra.lanes == 1 ? "" : "s",
+    std::printf("  lockstep engine:           %.2fs (%.2fx)\n",
                 intra.lockstep_seconds,
                 intra.serial_seconds / intra.lockstep_seconds);
 
     // --- sharded-allocator A/B (DESIGN.md §15) ---
     std::fprintf(stderr, "  sharded-allocator comparison...\n");
-    const AllocShardResult ashard = measureAllocShard(quick, intra_lanes);
+    const AllocShardResult ashard = measureAllocShard(quick);
     determinism_ok = determinism_ok && ashard.match;
     std::printf("\nsharded allocator (cross-core producer/consumer, "
                 "alloc_cores 1 vs %u):\n",
@@ -776,20 +748,6 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "      ]},\n");
     std::fprintf(f,
-                 "      \"arbiter\": {\"total_slots\": %u, "
-                 "\"base_in_use\": %u, "
-                 "\"lane_cap\": %u, "
-                 "\"requests\": %llu, "
-                 "\"wanted\": %llu, "
-                 "\"granted\": %llu, "
-                 "\"clamped\": %llu},\n",
-                 arbiter.total_slots, arbiter.base_in_use,
-                 arbiter.lane_cap,
-                 static_cast<unsigned long long>(arbiter.requests),
-                 static_cast<unsigned long long>(arbiter.wanted),
-                 static_cast<unsigned long long>(arbiter.granted),
-                 static_cast<unsigned long long>(arbiter.clamped));
-    std::fprintf(f,
                  "      \"end_to_end\": {\"cells\": %zu, "
                  "\"reference_serial_seconds\": %.3f, "
                  "\"fast_serial_seconds\": %.3f, "
@@ -805,13 +763,12 @@ main(int argc, char **argv)
                  determinism_ok ? "true" : "false");
     std::fprintf(f,
                  "      \"intra_cell\": {\"cell\": \"%s\", "
-                 "\"lanes\": %u, "
                  "\"serial_seconds\": %.3f, "
                  "\"lockstep_seconds\": %.3f, "
                  "\"intra_cell_speedup\": %.3f, "
                  "\"sim_results_match\": %s},\n",
                  benchutil::jsonEscape(intra.cell).c_str(),
-                 intra.lanes, intra.serial_seconds,
+                 intra.serial_seconds,
                  intra.lockstep_seconds,
                  intra.serial_seconds / intra.lockstep_seconds,
                  intra.match ? "true" : "false");

@@ -33,6 +33,12 @@ SnmallocLite::SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu,
 {
     CREV_ASSERT(shards >= 1);
     shards_.resize(shards);
+    constexpr std::size_t kHeapPages = static_cast<std::size_t>(
+        (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
+    constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
+        (vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize);
+    chunk_by_page_.assign(kHeapPages, nullptr);
+    live_bits_.assign(kHeapGranules / 64, 0);
 }
 
 int
@@ -65,29 +71,19 @@ SnmallocLite::carveChunk(sim::SimThread &t, Shard &sh,
 const SnmallocLite::ChunkMeta &
 SnmallocLite::chunkFor(Addr va) const
 {
-    if (fast_index_) {
-        CREV_ASSERT(va >= vm::kHeapBase && va < vm::kHeapCeiling);
-        const ChunkMeta *m =
-            chunk_by_page_[(va - vm::kHeapBase) / kPageSize];
-        CREV_ASSERT(m != nullptr);
-        CREV_ASSERT(va >= m->base && va < m->base + m->length);
-        return *m;
-    }
-    auto it = chunks_.upper_bound(va);
-    CREV_ASSERT(it != chunks_.begin());
-    --it;
-    const ChunkMeta &m = it->second;
-    CREV_ASSERT(va >= m.base && va < m.base + m.length);
-    return m;
+    CREV_ASSERT(va >= vm::kHeapBase && va < vm::kHeapCeiling);
+    const ChunkMeta *m = chunk_by_page_[(va - vm::kHeapBase) / kPageSize];
+    CREV_ASSERT(m != nullptr);
+    CREV_ASSERT(va >= m->base && va < m->base + m->length);
+    return *m;
 }
 
 void
-SnmallocLite::noteChunk(const ChunkMeta &m)
+SnmallocLite::addChunk(const ChunkMeta &m)
 {
-    if (!fast_index_)
-        return;
+    const ChunkMeta &stored = chunks_.emplace_back(m);
     for (Addr va = m.base; va < m.base + m.length; va += kPageSize)
-        chunk_by_page_[(va - vm::kHeapBase) / kPageSize] = &m;
+        chunk_by_page_[(va - vm::kHeapBase) / kPageSize] = &stored;
 }
 
 std::size_t
@@ -125,30 +121,6 @@ SnmallocLite::liveBitClear(Addr base)
     return true;
 }
 
-void
-SnmallocLite::setFastIndex(bool on)
-{
-    fast_index_ = on;
-    if (!on) {
-        chunk_by_page_.clear();
-        live_bits_.clear();
-        return;
-    }
-    constexpr std::size_t kHeapPages = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
-    constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize);
-    chunk_by_page_.assign(kHeapPages, nullptr);
-    live_bits_.assign(kHeapGranules / 64, 0);
-    for (const auto &[base, m] : chunks_)
-        noteChunk(m);
-    // Bit-set migration commutes: the resulting bitmap is independent
-    // of visit order. lint: unordered-ok
-    for (Addr base : live_)
-        liveBitSet(base);
-    live_.clear();
-}
-
 cap::Capability
 SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
                     unsigned shard)
@@ -172,9 +144,7 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
             it->second.pop_back();
         } else {
             result = kernel_.sysMmap(t, bytes);
-            ChunkMeta &m = chunks_[result.base];
-            m = ChunkMeta{result.base, bytes, -1, shard, result};
-            noteChunk(m);
+            addChunk(ChunkMeta{result.base, bytes, -1, shard, result});
         }
     } else {
         const std::size_t csize = kSizeClasses[sc];
@@ -194,9 +164,7 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
                 const cap::Capability ccap = sh.arena_cap.setBounds(
                     chunk, chunk + kChunkSize);
                 CREV_ASSERT(ccap.tag);
-                ChunkMeta &m = chunks_[chunk];
-                m = ChunkMeta{chunk, kChunkSize, sc, shard, ccap};
-                noteChunk(m);
+                addChunk(ChunkMeta{chunk, kChunkSize, sc, shard, ccap});
                 cs.bump = chunk;
                 cs.slab_end = chunk + kChunkSize;
             }
@@ -208,10 +176,7 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
     }
 
     CREV_ASSERT(result.tag);
-    if (fast_index_)
-        liveBitSet(result.base);
-    else
-        live_.insert(result.base);
+    liveBitSet(result.base);
     live_bytes_ += result.length();
     ++stats_.allocs;
     stats_.bytes_allocated_total += result.length();
@@ -283,9 +248,7 @@ SnmallocLite::retire(Addr base)
         throw std::logic_error(
             "free of a pointer whose remote free is still in flight "
             "(double free)");
-    const bool was_live =
-        fast_index_ ? liveBitClear(base) : live_.erase(base) != 0;
-    if (!was_live)
+    if (!liveBitClear(base))
         throw std::logic_error("free of a pointer that is not live "
                                "(double free or invalid free)");
     const std::size_t size = objectSize(base);

@@ -34,6 +34,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <unordered_set>
 #include <vector>
@@ -126,24 +127,7 @@ class SnmallocLite
     std::size_t objectSize(Addr base) const;
 
     /** Whether @p base is a currently-live allocation. */
-    bool
-    isLive(Addr base) const
-    {
-        if (fast_index_)
-            return liveBitTest(base);
-        return live_.count(base) != 0;
-    }
-
-    /**
-     * Lockstep-engine lane-safe lookup structures (DESIGN.md §14.4):
-     * a per-page chunk index replacing chunkFor()'s ordered-map probe
-     * (chunks are page-granular, non-overlapping, and never erased)
-     * and a granule bitmap replacing the live_ hash set (object bases
-     * are 16-byte aligned inside the heap window). Membership is
-     * identical either way; the serial reference engine keeps the
-     * original containers.
-     */
-    void setFastIndex(bool on);
+    bool isLive(Addr base) const { return liveBitTest(base); }
 
     /** Bytes in live allocations (rounded sizes). */
     std::size_t liveBytes() const { return live_bytes_; }
@@ -209,10 +193,10 @@ class SnmallocLite
 
     const ChunkMeta &chunkFor(Addr va) const;
 
-    /** Mirror a chunks_ insertion into the per-page index. */
-    void noteChunk(const ChunkMeta &m);
+    /** Store a new chunk and index its pages. */
+    void addChunk(const ChunkMeta &m);
 
-    // --- live-set granule bitmap (fast_index_) ---
+    // --- live-set granule bitmap ---
     std::size_t liveBitIndex(Addr base) const;
     bool liveBitTest(Addr base) const;
     void liveBitSet(Addr base);
@@ -222,15 +206,20 @@ class SnmallocLite
     kern::Kernel &kernel_;
     vm::Mmu &mmu_;
     std::vector<Shard> shards_; //!< sized once at construction
-    std::map<Addr, ChunkMeta> chunks_; //!< by chunk base
-    std::unordered_set<Addr> live_;    //!< live object bases
+    /** Chunk storage; deque growth never moves elements, so
+     *  chunk_by_page_'s pointers stay valid. */
+    std::deque<ChunkMeta> chunks_;
     /** Bases with a remote free in flight (still live; a second free
      *  is a double free). Membership-only — never iterated. */
     std::unordered_set<Addr> in_flight_;
-    bool fast_index_ = false;
-    /** Heap page -> owning chunk (fast_index_); never invalidated. */
+    /**
+     * Heap page -> owning chunk (DESIGN.md §14.4): chunks are
+     * page-granular, non-overlapping, and never erased, so entries are
+     * never invalidated.
+     */
     std::vector<const ChunkMeta *> chunk_by_page_;
-    /** One bit per heap granule: live object base (fast_index_). */
+    /** One bit per heap granule: set iff a live object starts there
+     *  (object bases are 16-byte aligned inside the heap window). */
     std::vector<std::uint64_t> live_bits_;
     std::size_t live_bytes_ = 0;
     AllocStats stats_;

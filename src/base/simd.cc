@@ -52,59 +52,11 @@ anySetScalar(const std::uint64_t *w, std::size_t n)
     return acc != 0;
 }
 
-bool
-equalWordsScalar(const std::uint64_t *a, const std::uint64_t *b,
-                 std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (a[i] != b[i])
-            return false;
-    return true;
-}
-
 void
 fillWordsScalar(std::uint64_t *w, std::size_t n, std::uint64_t value)
 {
     for (std::size_t i = 0; i < n; ++i)
         w[i] = value;
-}
-
-std::size_t
-expandWordScalar(std::uint64_t word, std::uint32_t base,
-                 std::uint32_t *out)
-{
-    std::size_t k = 0;
-    while (word != 0) {
-        const unsigned bit =
-            static_cast<unsigned>(std::countr_zero(word));
-        word &= word - 1;
-        out[k++] = base + bit;
-    }
-    return k;
-}
-
-std::size_t
-expandSetBitsScalar(const std::uint64_t *w, std::size_t n,
-                    std::uint32_t base, std::uint32_t *out)
-{
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        k += expandWordScalar(w[i],
-                              base + static_cast<std::uint32_t>(i) * 64,
-                              out + k);
-    return k;
-}
-
-void
-gatherGranulesScalar(const std::uint8_t *bytes, const std::uint32_t *idx,
-                     std::size_t n, std::uint64_t *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t *p =
-            bytes + static_cast<std::size_t>(idx[i]) * 16;
-        std::memcpy(&out[2 * i], p, 8);
-        std::memcpy(&out[2 * i + 1], p + 8, 8);
-    }
 }
 
 #if defined(__x86_64__)
@@ -157,23 +109,6 @@ anySetAvx2(const std::uint64_t *w, std::size_t n)
     return anySetScalar(w + i, n - i);
 }
 
-__attribute__((target("avx2"))) bool
-equalWordsAvx2(const std::uint64_t *a, const std::uint64_t *b,
-               std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i va = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(a + i));
-        const __m256i vb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(b + i));
-        const __m256i x = _mm256_xor_si256(va, vb);
-        if (!_mm256_testz_si256(x, x))
-            return false;
-    }
-    return equalWordsScalar(a + i, b + i, n - i);
-}
-
 __attribute__((target("avx2"))) void
 fillWordsAvx2(std::uint64_t *w, std::size_t n, std::uint64_t value)
 {
@@ -184,44 +119,6 @@ fillWordsAvx2(std::uint64_t *w, std::size_t n, std::uint64_t value)
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(w + i), v);
     for (; i < n; ++i)
         w[i] = value;
-}
-
-__attribute__((target("avx2"))) std::size_t
-expandSetBitsAvx2(const std::uint64_t *w, std::size_t n,
-                  std::uint32_t base, std::uint32_t *out)
-{
-    // Multi-word candidate masking: one 256-bit test skips four
-    // all-clear words (256 granules) at a time — the common case on
-    // sparse pages; dense stretches fall through to the per-word
-    // expansion.
-    std::size_t k = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(w + i));
-        if (_mm256_testz_si256(v, v))
-            continue;
-        for (std::size_t j = i; j < i + 4; ++j)
-            k += expandWordScalar(
-                w[j], base + static_cast<std::uint32_t>(j) * 64,
-                out + k);
-    }
-    for (; i < n; ++i)
-        k += expandWordScalar(
-            w[i], base + static_cast<std::uint32_t>(i) * 64, out + k);
-    return k;
-}
-
-__attribute__((target("avx2"))) void
-gatherGranulesAvx2(const std::uint8_t *bytes, const std::uint32_t *idx,
-                   std::size_t n, std::uint64_t *out)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        const __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(
-                bytes + static_cast<std::size_t>(idx[i]) * 16));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(&out[2 * i]), v);
-    }
 }
 
 #endif // __x86_64__
@@ -290,17 +187,6 @@ anySet(const std::uint64_t *w, std::size_t n)
     return anySetScalar(w, n);
 }
 
-bool
-equalWords(const std::uint64_t *a, const std::uint64_t *b,
-           std::size_t n)
-{
-#if defined(__x86_64__)
-    if (n >= kMinVectorWords && level() == Level::kAvx2)
-        return equalWordsAvx2(a, b, n);
-#endif
-    return equalWordsScalar(a, b, n);
-}
-
 void
 fillWords(std::uint64_t *w, std::size_t n, std::uint64_t value)
 {
@@ -311,30 +197,6 @@ fillWords(std::uint64_t *w, std::size_t n, std::uint64_t value)
     }
 #endif
     fillWordsScalar(w, n, value);
-}
-
-std::size_t
-expandSetBits(const std::uint64_t *w, std::size_t n, std::uint32_t base,
-              std::uint32_t *out)
-{
-#if defined(__x86_64__)
-    if (level() == Level::kAvx2)
-        return expandSetBitsAvx2(w, n, base, out);
-#endif
-    return expandSetBitsScalar(w, n, base, out);
-}
-
-void
-gatherGranules(const std::uint8_t *bytes, const std::uint32_t *idx,
-               std::size_t n, std::uint64_t *out)
-{
-#if defined(__x86_64__)
-    if (level() == Level::kAvx2) {
-        gatherGranulesAvx2(bytes, idx, n, out);
-        return;
-    }
-#endif
-    gatherGranulesScalar(bytes, idx, n, out);
 }
 
 } // namespace crev::simd

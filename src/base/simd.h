@@ -2,15 +2,14 @@
  * @file
  * Runtime-dispatched SIMD batch kernels for the host-side hot loops.
  *
- * The sweep, pre-scan, and shadow-summary paths all reduce to a small
- * set of word-granularity batch operations over packed bitmaps and
- * 16-byte capability granules: population counts, span fills,
- * equality scans, set-bit expansion, and granule gathers. This header
- * is the single dispatch point: every kernel has a portable scalar
- * implementation and (on x86-64) an AVX2 variant selected once at
- * runtime, so the simulated results are bit-identical by construction
- * — the kernels are pure functions of their inputs and the two
- * variants are differential-tested against each other (simd_test).
+ * The tag-word and shadow-summary paths reduce to a small set of
+ * word-granularity batch operations over packed bitmaps: population
+ * counts, any-set tests, and span fills. This header is the single
+ * dispatch point: every kernel has a portable scalar implementation
+ * and (on x86-64) an AVX2 variant selected once at runtime, so the
+ * simulated results are bit-identical by construction — the kernels
+ * are pure functions of their inputs and the two variants are
+ * differential-tested against each other (simd_test).
  *
  * Dispatch honours the CREV_SIMD environment variable: unset or any
  * value other than "0" enables the best level the host supports;
@@ -54,46 +53,8 @@ std::uint64_t popcountWords(const std::uint64_t *w, std::size_t n);
 /** Whether any of @p n words is non-zero (OR-reduction). */
 bool anySet(const std::uint64_t *w, std::size_t n);
 
-/** Word-wise equality of two @p n-word arrays. */
-bool equalWords(const std::uint64_t *a, const std::uint64_t *b,
-                std::size_t n);
-
-/**
- * 16-byte equality (capability granule / CapBits comparison). Inline
- * and branch-free on purpose: it sits inside the sweep's per-granule
- * candidate-validation loop, where a cross-TU call (and the dispatch
- * level load it would imply) costs more than the comparison itself.
- * Two 64-bit compares are already optimal — no wide variant exists.
- */
-inline bool
-equal128(const void *a, const void *b)
-{
-    std::uint64_t a0, a1, b0, b1;
-    __builtin_memcpy(&a0, a, 8);
-    __builtin_memcpy(&a1, static_cast<const char *>(a) + 8, 8);
-    __builtin_memcpy(&b0, b, 8);
-    __builtin_memcpy(&b1, static_cast<const char *>(b) + 8, 8);
-    return ((a0 ^ b0) | (a1 ^ b1)) == 0;
-}
-
 /** Store @p value into all @p n words (span paint/clear). */
 void fillWords(std::uint64_t *w, std::size_t n, std::uint64_t value);
-
-/**
- * Expand the set bits of an @p n-word bitmap into indices. Bit b of
- * word k appends `base + k*64 + b` to @p out, ascending. Returns the
- * number of indices written; @p out must hold at least 64*n entries.
- */
-std::size_t expandSetBits(const std::uint64_t *w, std::size_t n,
-                          std::uint32_t base, std::uint32_t *out);
-
-/**
- * Gather @p n 16-byte granules: for each index i, copy the 16 bytes
- * at `bytes + idx[i]*16` into `out[2*i]` (low word) and `out[2*i+1]`
- * (high word) — the CapBits memory layout.
- */
-void gatherGranules(const std::uint8_t *bytes, const std::uint32_t *idx,
-                    std::size_t n, std::uint64_t *out);
 
 } // namespace crev::simd
 

@@ -62,21 +62,10 @@ bool defaultCheck();
  * Default for MachineConfig::sweep_accel: true unless the
  * CREV_SWEEP_ACCEL environment variable is set to "0". Like
  * host_fast_paths this is a pure host-side lever: the cap-dirty page
- * index and the speculative pre-scan pipeline change which host code
- * selects and decodes sweep work, never the simulated charges, so
- * RunMetrics are byte-identical either way.
+ * index changes which host code selects sweep work, never the
+ * simulated charges, so RunMetrics are byte-identical either way.
  */
 bool defaultSweepAccel();
-
-/**
- * Default for MachineConfig::memo: true unless the CREV_MEMO
- * environment variable is set to "0". The cross-epoch decode memo
- * (DESIGN.md §17.2) is a pure host-side cache layered on the pre-scan
- * pipeline's bits-validation discipline: reused decodes are validated
- * against the live capability bits at the virtual instant of use, so
- * RunMetrics are byte-identical with the memo on or off.
- */
-bool defaultMemo();
 
 /**
  * Default for MachineConfig::oracle: false unless the CREV_ORACLE
@@ -88,11 +77,10 @@ bool defaultOracle();
 
 /**
  * Default for MachineConfig::par_cores: the CREV_PAR_CORES
- * environment variable when set, otherwise the host's hardware
- * concurrency clamped to [1, 8] — i.e. the lockstep engine is on by
- * default. 0 selects the serial token engine (the reference
- * implementation); RunMetrics are bit-identical between the engines
- * (tests/determinism_test.cpp), so this is a pure host-side lever
+ * environment variable when set, otherwise 1 — i.e. the lockstep
+ * engine is on by default. 0 selects the serial token engine (the
+ * reference implementation); RunMetrics are bit-identical between the
+ * engines (tests/golden_test.cpp), so this is a pure host-side lever
  * like host_fast_paths.
  */
 unsigned defaultParCores();
@@ -141,25 +129,14 @@ struct MachineConfig
     bool host_fast_paths = defaultHostFastPaths();
 
     /** Hierarchical sweep acceleration (DESIGN.md §12): page-index
-     *  driven sweep candidate selection plus the speculative host
-     *  pre-scan pipeline. Pure host optimisation, like
+     *  driven sweep candidate selection. Pure host optimisation, like
      *  host_fast_paths: results are byte-identical either way. */
     bool sweep_accel = defaultSweepAccel();
 
-    /** Cross-epoch decode memoisation (DESIGN.md §17.2): pages whose
-     *  store generation is unchanged since their last swept epoch
-     *  reuse the cached decode/classification, validated against the
-     *  live capability bits exactly like the pre-scan pipeline. Pure
-     *  host optimisation: results are byte-identical either way. Only
-     *  effective when host_fast_paths is also on. */
-    bool memo = defaultMemo();
-
-    /** Lockstep virtual-time engine (DESIGN.md §14): host lanes for
-     *  intra-cell simulation. 0 = serial token engine (the reference);
-     *  >= 1 = lockstep engine with that many host lanes and its
-     *  lane-safe flat lookup structures. Multi-core simulated machines
-     *  default to the lockstep engine; RunMetrics are bit-identical
-     *  between the engines. */
+    /** Scheduler engine selector (DESIGN.md §14): 0 = serial token
+     *  engine (the reference); any other value = lockstep engine with
+     *  fibers. Single-core machines always use the token engine.
+     *  RunMetrics are bit-identical between the engines. */
     unsigned par_cores = defaultParCores();
 
     /** Per-core allocator sharding (DESIGN.md §15): number of

@@ -4,9 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-#include <thread> // hardware_concurrency probe for the lane default
 
-#include "base/host_budget.h"
 #include "base/logging.h"
 #include "core/mutator.h"
 #include "revoker/cheriot_filter.h"
@@ -66,13 +64,6 @@ defaultSweepAccel()
 }
 
 bool
-defaultMemo()
-{
-    const char *env = std::getenv("CREV_MEMO");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
 defaultOracle()
 {
     const char *env = std::getenv("CREV_ORACLE");
@@ -85,25 +76,11 @@ defaultParCores()
     if (const char *env = std::getenv("CREV_PAR_CORES")) {
         char *end = nullptr;
         const unsigned long v = std::strtoul(env, &end, 10);
-        // An explicit operator setting always wins — the host budget
-        // arbiter only clamps the probed default below.
         if (end != env && *end == '\0' && v <= 64)
             return static_cast<unsigned>(v);
         warn("ignoring malformed CREV_PAR_CORES=%s", env);
     }
-    // lint: threading-ok (host-capacity probe, not a thread)
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
-    unsigned lanes = std::min(hw, 8u);
-    // Under a parallel bench run the arbiter hands each cell a lane
-    // budget so workers × lanes never oversubscribe the cpuset
-    // (base/host_budget.h); a standalone process has no budget
-    // configured and keeps the probed default.
-    const unsigned cap = base::HostBudget::instance().laneCap();
-    if (cap != 0)
-        lanes = std::min(lanes, cap);
-    return lanes;
+    return 1;
 }
 
 unsigned
@@ -132,7 +109,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     // there is no cross-core interaction to resolve, so the lockstep
     // machinery would be pure overhead.
     sched_ = std::make_unique<sim::Scheduler>(
-        cfg.cores, cfg.costs, cfg.cores > 1 ? cfg.par_cores : 0);
+        cfg.cores, cfg.costs, cfg.cores > 1 && cfg.par_cores != 0);
     sched_->setTracer(tracer_.get());
     if (cfg.check)
         checker_ = std::make_unique<check::RaceChecker>();
@@ -140,19 +117,10 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     sched_->setChecker(checker_.get());
     as_ = std::make_unique<vm::AddressSpace>(pm_);
     as_->setChecker(checker_.get());
-    // Lane-safe flat lookup structures ride with the lockstep engine
-    // (DESIGN.md §14.4); the serial reference engine keeps the
-    // original map-based code paths untouched.
-    const bool lockstep = sched_->lockstep();
-    pm_.setDenseIndex(lockstep);
-    as_->setFastIndex(lockstep);
-    ms_->setFastIndex(lockstep);
     mmu_ = std::make_unique<vm::Mmu>(pm_, *ms_, *as_, sched_->costs());
     mmu_->setHostFastPaths(cfg.host_fast_paths);
-    mmu_->setFastTlb(lockstep);
     mmu_->setTracer(tracer_.get());
     kernel_ = std::make_unique<kern::Kernel>(*mmu_, sched_->costs());
-    kernel_->setFastReap(lockstep);
     kernel_->epoch().setChecker(checker_.get());
 
     if (cfg.faults.enabled) {
@@ -197,7 +165,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     if (cfg.strategy == Strategy::kBaseline) {
         snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
                                                      alloc_shards);
-        snm_->setFastIndex(lockstep);
         shim_ = std::make_unique<alloc::QuarantineShim>(
             *snm_, *kernel_, nullptr, nullptr, cfg.policy);
         shim_->setTracer(tracer_.get());
@@ -215,7 +182,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     opts.audit = cfg.audit;
     opts.host_fast_paths = cfg.host_fast_paths;
     opts.sweep_accel = cfg.sweep_accel;
-    opts.memo = cfg.memo;
     opts.injector = injector_.get();
     opts.tracer = tracer_.get();
 
@@ -303,7 +269,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 
     snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
                                                  alloc_shards);
-    snm_->setFastIndex(lockstep);
     shim_ = std::make_unique<alloc::QuarantineShim>(
         *snm_, *kernel_, revoker_.get(), bitmap_.get(), cfg.policy);
     shim_->setTracer(tracer_.get());
@@ -420,8 +385,6 @@ Machine::metrics() const
     if (revoker_) {
         m.epochs = revoker_->timings();
         m.sweep = revoker_->sweepStats();
-        m.prescan = revoker_->prescanStats();
-        m.memo = revoker_->memoStats();
     }
     m.quarantine = shim_->stats();
     m.allocator = snm_->stats();

@@ -33,6 +33,24 @@ class MetricsRegistry;
 
 namespace crev::core {
 
+/**
+ * Always-zero stand-ins for the counters of the deleted sweep pre-scan
+ * pipeline and decode memo. Only perfbench/ still reads them; they are
+ * not exported and go once it stops.
+ */
+struct PrescanStats
+{
+    std::uint64_t validated_hits = 0;
+    std::uint64_t mismatches = 0;
+};
+struct MemoStats
+{
+    std::uint64_t page_hits = 0;
+    std::uint64_t cand_hits = 0;
+    std::uint64_t cand_misses = 0;
+    std::uint64_t stale_pages = 0;
+};
+
 /** Everything a bench needs from a finished run. */
 struct RunMetrics
 {
@@ -54,14 +72,10 @@ struct RunMetrics
     /** Revocation epoch timings (empty for baseline). */
     std::vector<revoker::EpochTiming> epochs;
     revoker::SweepStats sweep;
-    /** Host-side pre-scan pipeline counters (not a simulated
-     *  observable: all-zero with sweep acceleration off, and excluded
-     *  from the determinism fingerprint). */
-    revoker::PrescanStats prescan;
-    /** Host-side cross-epoch decode-memo counters (DESIGN.md §17.2):
-     *  like prescan, never a simulated observable — all-zero with the
-     *  memo off and excluded from the determinism fingerprint. */
-    revoker::MemoStats memo;
+    /** Always zero (see PrescanStats). */
+    PrescanStats prescan;
+    /** Always zero (see MemoStats). */
+    MemoStats memo;
     alloc::QuarantineStats quarantine;
     alloc::AllocStats allocator;
     /** Per-shard allocator activity ("alloc.shardN.*"); size 1 in the

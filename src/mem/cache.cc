@@ -11,22 +11,13 @@ Cache::Cache(const CacheConfig &cfg) : assoc_(cfg.assoc)
     CREV_ASSERT(num_sets_ > 0);
     CREV_ASSERT((num_sets_ & (num_sets_ - 1)) == 0);
     lines_.resize(num_sets_ * assoc_);
+    mru_.assign(num_sets_, 0);
 }
 
 std::size_t
 Cache::setIndex(Addr line_addr) const
 {
     return static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
-}
-
-void
-Cache::setFastIndex(bool on)
-{
-    fast_ = on;
-    if (on)
-        mru_.assign(num_sets_, 0);
-    else
-        mru_.clear();
 }
 
 CacheResult

@@ -62,13 +62,13 @@ class MemorySystem
     Cycles
     access(unsigned core, Addr paddr, std::size_t len, bool write)
     {
-        // Gated single-line fast path (DESIGN.md §14.4): the common
-        // L1 MRU-way hit skips the per-line loop and cross-TU calls.
+        // Single-line fast path (DESIGN.md §14.4): the common L1
+        // MRU-way hit skips the per-line loop and cross-TU calls.
         // Counter and cache transitions are identical to accessSlow's
         // (tryHintAccess performs exactly the scan's hit updates).
         // `len - 1 < kLineSize` also routes len == 0 to the slow
         // path's assert.
-        if (fast_ && len - 1 < kLineSize &&
+        if (len - 1 < kLineSize &&
             (paddr & ~Addr{kLineSize - 1}) ==
                 ((paddr + len - 1) & ~Addr{kLineSize - 1})) {
             if (l1_[core].tryHintAccess(paddr, write)) {
@@ -77,19 +77,14 @@ class MemorySystem
             }
             // The hint already missed: take the fused line path with
             // the redundant L1 hint probe skipped.
-            return accessLineFast(core, paddr & ~Addr{kLineSize - 1},
-                                  write, false);
+            return accessLine(core, paddr & ~Addr{kLineSize - 1},
+                              write, false);
         }
         return accessSlow(core, paddr, len, write);
     }
 
     /** Invalidate all cached copies of a frame (on frame reuse). */
     void invalidateFrame(Addr pfn);
-
-    /** Packed fast backing + MRU-way hints in every cache (lockstep
-     *  engine's host fast structures, DESIGN.md §14.4); hit/miss and
-     *  writeback sequences are identical either way. */
-    void setFastIndex(bool on);
 
     const MemCounters &counters(unsigned core) const;
     /** Aggregate over all cores. */
@@ -100,18 +95,16 @@ class MemorySystem
   private:
     Cycles accessSlow(unsigned core, Addr paddr, std::size_t len,
                       bool write);
-    Cycles accessLine(unsigned core, Addr line_paddr, bool write);
-    /** Gated twin of accessLine built on Cache::accessInline.
+    /** One line through L1 and LLC, built on Cache::accessInline.
      *  @p l1_hint: probe the L1 MRU hint (false when the caller
      *  already did). */
-    Cycles accessLineFast(unsigned core, Addr line_paddr, bool write,
-                          bool l1_hint = true);
+    Cycles accessLine(unsigned core, Addr line_paddr, bool write,
+                      bool l1_hint = true);
 
     std::vector<Cache> l1_;
     Cache llc_;
     MemLatency lat_;
     std::vector<MemCounters> counters_;
-    bool fast_ = false;
 };
 
 } // namespace crev::mem

@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/logging.h"
@@ -70,12 +69,6 @@ class TagWords
         return static_cast<std::size_t>(
             simd::popcountWords(w_.data(), kWords));
     }
-
-    /** Raw word @p k (64 granule bits), for ctz-driven scans. */
-    std::uint64_t word(std::size_t k) const { return w_[k]; }
-
-    /** All packed words, for the batch kernels (base/simd.h). */
-    const std::uint64_t *words() const { return w_.data(); }
 
     /** The 4 tag bits of intra-page cache line @p line. */
     unsigned
@@ -126,9 +119,6 @@ class Frame
     /** Tagged-granule count (audit/debug). */
     std::size_t tagCount() const { return tags_.count(); }
 
-    /** The packed tag words (read-only; mutate via set/clearTag). */
-    const TagWords &tagWords() const { return tags_; }
-
     /** One bit per cache line: set iff the line holds a tagged
      *  granule. The sweep's clean-line skip reads this. */
     std::uint64_t lineTagSummary() const { return line_summary_; }
@@ -166,7 +156,11 @@ class Frame
 
 /**
  * The machine's physical memory. Frame numbers (pfns) are dense
- * indices; a free list recycles released frames.
+ * indices into a frame table; a free list recycles released frames.
+ * Frame storage is never deallocated (freed frames stay in the table
+ * for reuse), so a Frame reference never dangles. Lookups perform no
+ * mutation, and the accessors are inline so the MMU's hot cap/data
+ * paths pay no function-call or hash-lookup cost.
  */
 class PhysMem
 {
@@ -185,133 +179,90 @@ class PhysMem
     /** High-water mark of allocated frames (peak RSS proxy). */
     std::size_t peakFrames() const { return peak_; }
 
-    /** Direct access to a frame (must be allocated). */
-    Frame &frame(Addr pfn);
-    const Frame &frame(Addr pfn) const;
+    /** Direct access to a frame (must have been allocated). */
+    Frame &
+    frame(Addr pfn)
+    {
+        CREV_ASSERT(pfn != 0 && pfn < frames_.size());
+        return *frames_[pfn];
+    }
 
-    /**
-     * Cache-free frame lookup for concurrent host readers (the
-     * pre-scan workers). frame() mutates the one-entry frame cache
-     * even through the const overload, so it must never be called
-     * from more than one host thread at a time; this accessor touches
-     * no shared mutable state.
-     */
-    const Frame &frameUncached(Addr pfn) const;
+    const Frame &
+    frame(Addr pfn) const
+    {
+        CREV_ASSERT(pfn != 0 && pfn < frames_.size());
+        return *frames_[pfn];
+    }
 
     /** Read @p len bytes at physical address @p paddr (intra-page). */
-    void read(Addr paddr, void *out, std::size_t len) const;
+    void
+    read(Addr paddr, void *out, std::size_t len) const
+    {
+        CREV_ASSERT(pageOffset(paddr) + len <= kPageSize);
+        const Frame &f = frame(pageOf(paddr));
+        std::memcpy(out, f.bytes.data() + pageOffset(paddr), len);
+    }
 
     /**
      * Write @p len bytes at @p paddr (intra-page). Clears the tags of
      * every granule the write overlaps: ordinary data stores always
      * invalidate capabilities (CHERI tag semantics).
      */
-    void write(Addr paddr, const void *data, std::size_t len);
-
-    /** Tag bit of the granule containing @p paddr. */
-    bool tagAt(Addr paddr) const;
-
-    /** Clear the tag of the granule containing @p paddr. */
-    void clearTag(Addr paddr);
-
-    /** Whether any granule of frame @p pfn is tagged. */
-    bool frameHasTags(Addr pfn) const;
-
-    /** Tag nibble of the cache line containing @p paddr. */
-    unsigned lineTagNibble(Addr paddr) const;
-
-    /** Store a capability (16-byte aligned @p paddr) with its tag. */
-    void storeCap(Addr paddr, const cap::CapBits &bits, bool tag);
-
-    /** Load a capability; returns the tag bit. */
-    bool loadCap(Addr paddr, cap::CapBits &bits) const;
-
-    /**
-     * Lockstep-engine lane-safe lookup (DESIGN.md §14.4): route frame
-     * lookups through the dense pfn-indexed pointer vector instead of
-     * the hash table + one-entry mutable cache. Pfns are dense from 1
-     * and frames are never erased, so the vector is an exact mirror;
-     * unlike the one-entry cache it performs no mutation on lookup.
-     * Pure host-side switch: no simulated observable changes.
-     */
-    void setDenseIndex(bool on) { dense_index_ = on; }
-
-    // ----------------------------------------------------------------
-    // Inline dense variants (lockstep engine fast paths, DESIGN.md
-    // §14.4). Each replicates its cross-TU twin above exactly — same
-    // asserts, same tag transitions — but resolves the frame through
-    // the dense pfn vector inline at the call site, so the MMU's hot
-    // cap/data paths pay no function-call or hash-lookup cost. Callers
-    // gate on the lockstep engine; the twins above stay the serial
-    // reference. Simulated observables are identical either way.
-    // ----------------------------------------------------------------
-
-    Frame &
-    frameDense(Addr pfn)
-    {
-        CREV_ASSERT(dense_index_ && pfn < by_pfn_.size());
-        Frame *f = by_pfn_[pfn];
-        CREV_ASSERT(f != nullptr);
-        return *f;
-    }
-
-    const Frame &
-    frameDense(Addr pfn) const
-    {
-        CREV_ASSERT(dense_index_ && pfn < by_pfn_.size());
-        const Frame *f = by_pfn_[pfn];
-        CREV_ASSERT(f != nullptr);
-        return *f;
-    }
-
-    bool
-    tagAtDense(Addr paddr) const
-    {
-        return frameDense(pageOf(paddr)).testTag(granuleIndex(paddr));
-    }
-
     void
-    clearTagDense(Addr paddr)
-    {
-        frameDense(pageOf(paddr)).clearTag(granuleIndex(paddr));
-    }
-
-    void
-    readDense(Addr paddr, void *out, std::size_t len) const
+    write(Addr paddr, const void *data, std::size_t len)
     {
         CREV_ASSERT(pageOffset(paddr) + len <= kPageSize);
-        const Frame &f = frameDense(pageOf(paddr));
-        std::memcpy(out, f.bytes.data() + pageOffset(paddr), len);
-    }
-
-    void
-    writeDense(Addr paddr, const void *data, std::size_t len)
-    {
-        CREV_ASSERT(pageOffset(paddr) + len <= kPageSize);
-        Frame &f = frameDense(pageOf(paddr));
+        Frame &f = frame(pageOf(paddr));
         std::memcpy(f.bytes.data() + pageOffset(paddr), data, len);
-        // Data stores clear the tags of all granules they touch.
         const std::size_t first = granuleIndex(paddr);
         const std::size_t last = granuleIndex(paddr + len - 1);
         for (std::size_t g = first; g <= last; ++g)
             f.clearTag(g);
     }
 
+    /** Tag bit of the granule containing @p paddr. */
+    bool
+    tagAt(Addr paddr) const
+    {
+        return frame(pageOf(paddr)).testTag(granuleIndex(paddr));
+    }
+
+    /** Clear the tag of the granule containing @p paddr. */
     void
-    storeCapDense(Addr paddr, const cap::CapBits &bits, bool tag)
+    clearTag(Addr paddr)
+    {
+        frame(pageOf(paddr)).clearTag(granuleIndex(paddr));
+    }
+
+    /** Whether any granule of frame @p pfn is tagged. */
+    bool frameHasTags(Addr pfn) const { return frame(pfn).anyTags(); }
+
+    /** Tag nibble of the cache line containing @p paddr. */
+    unsigned
+    lineTagNibble(Addr paddr) const
+    {
+        return frame(pageOf(paddr))
+            .lineNibble(static_cast<std::size_t>(pageOffset(paddr)) >>
+                        kLineBits);
+    }
+
+    /** Store a capability (16-byte aligned @p paddr) with its tag. */
+    void
+    storeCap(Addr paddr, const cap::CapBits &bits, bool tag)
     {
         CREV_ASSERT(pageOffset(paddr) % kGranuleSize == 0);
-        Frame &f = frameDense(pageOf(paddr));
+        Frame &f = frame(pageOf(paddr));
         std::memcpy(f.bytes.data() + pageOffset(paddr), &bits.lo, 8);
         std::memcpy(f.bytes.data() + pageOffset(paddr) + 8, &bits.hi, 8);
         f.setTag(granuleIndex(paddr), tag);
     }
 
+    /** Load a capability; returns the tag bit. */
     bool
-    loadCapDense(Addr paddr, cap::CapBits &bits) const
+    loadCap(Addr paddr, cap::CapBits &bits) const
     {
         CREV_ASSERT(pageOffset(paddr) % kGranuleSize == 0);
-        const Frame &f = frameDense(pageOf(paddr));
+        const Frame &f = frame(pageOf(paddr));
         std::memcpy(&bits.lo, f.bytes.data() + pageOffset(paddr), 8);
         std::memcpy(&bits.hi, f.bytes.data() + pageOffset(paddr) + 8, 8);
         return f.testTag(granuleIndex(paddr));
@@ -326,24 +277,12 @@ class PhysMem
     }
 
   private:
-    /**
-     * One-entry host frame-pointer cache. Frame storage is never
-     * erased (freed frames stay in the table for reuse), so a cached
-     * pointer can never dangle; pfn 0 is the invalid sentinel.
-     */
-    Frame *lookupFrame(Addr pfn) const;
-
-    std::unordered_map<Addr, std::unique_ptr<Frame>> frames_;
-    /** Dense pfn → frame pointer mirror of frames_ (pfn 0 = null). */
-    std::vector<Frame *> by_pfn_{nullptr};
+    /** Indexed by pfn; pfn 0 is reserved as "invalid" (null). */
+    std::vector<std::unique_ptr<Frame>> frames_ =
+        std::vector<std::unique_ptr<Frame>>(1);
     std::vector<Addr> free_list_;
-    Addr next_pfn_ = 1; // pfn 0 reserved as "invalid"
     std::size_t in_use_ = 0;
     std::size_t peak_ = 0;
-    bool dense_index_ = false;
-
-    mutable Addr cached_pfn_ = 0;
-    mutable Frame *cached_frame_ = nullptr;
 };
 
 } // namespace crev::mem

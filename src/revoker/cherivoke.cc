@@ -25,7 +25,6 @@ CheriVokeRevoker::doEpoch(sim::SimThread &self)
     const std::vector<Addr> pages = collectPages(
         mmu_.addressSpace().capEverPages(),
         [](const vm::Pte &p) { return p.cap_ever; });
-    prescanPages(pages);
     PublishOptions dirty_clear;
     dirty_clear.set_generation = false;
     dirty_clear.charge_and_shootdown = false;
@@ -36,7 +35,6 @@ CheriVokeRevoker::doEpoch(sim::SimThread &self)
             sweep_.publishPage(self, *p, va, dirty_clear,
                                vm::PteContext::kStw);
     }
-    prescanDone();
 
     timing.stw_duration = self.now() - begin;
     tracePhaseEnd(self, trace::Phase::kStwScan);

@@ -27,7 +27,6 @@ CornucopiaRevoker::doEpoch(sim::SimThread &self)
     const std::vector<Addr> pages =
         collectPages(as.capEverPages(),
                      [](const vm::Pte &p) { return p.cap_ever; });
-    prescanPages(pages);
     PublishOptions dirty_clear;
     dirty_clear.set_generation = false;
     dirty_clear.charge_and_shootdown = false;
@@ -43,7 +42,6 @@ CornucopiaRevoker::doEpoch(sim::SimThread &self)
         pmap.unlock(self);
         sweep_.sweepPage(self, va);
     }
-    prescanDone();
     tracePhaseEnd(self, trace::Phase::kConcurrentSweep);
     timing.concurrent_duration = self.now() - cbegin;
 

@@ -245,9 +245,6 @@ ReloadedRevoker::doEpoch(sim::SimThread &self)
     const Cycles cbegin = self.now();
     tracePhaseBegin(self, trace::Phase::kConcurrentSweep);
     collectStalePages();
-    // Pre-decode the whole work list ahead of the sweep cursor; the
-    // helpers pulling from work_ share the pipeline via sweep_.
-    prescanPages(work_);
 
     epoch_active_ = true;
     helper_event_.notifyAll(self);
@@ -285,7 +282,6 @@ ReloadedRevoker::doEpoch(sim::SimThread &self)
            !recoveryRequested() && !forceCompleted())
         fault_done_event_.wait(self);
     tracePhaseEnd(self, trace::Phase::kDrain);
-    prescanDone();
 
     if (recoveryRequested() || forceCompleted()) {
         // Degradation: a lost fault completion (or similar) wedged the

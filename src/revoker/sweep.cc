@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "base/logging.h"
-#include "base/simd.h"
 #include "cap/compression.h"
 #include "vm/address_space.h"
 
@@ -62,45 +61,6 @@ SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
     const mem::Frame &f = mmu_.physMem().frame(pte->pfn);
     const Addr paddr_base = pte->pfn << kPageBits;
 
-    // Speculative pre-scan: candidates pre-decoded ahead of the sweep
-    // cursor, usable only when the live raw bits still match the
-    // snapshot. The cursor walks the (granule-ordered) list in step
-    // with the live scan below.
-    const PrescanPipeline::PageScan *scan =
-        prescan_ == nullptr ? nullptr : prescan_->find(page_va);
-    std::size_t ci = 0;
-
-    // Cross-epoch memo: when no pre-scan covers the page, a previous
-    // sweep's recorded candidates serve the same role under the same
-    // bits-validation discipline (memo.h). Reuse only requires the
-    // recorded raw bits to equal the live bits — decode is a pure
-    // function of them — so even a page-stale entry is consulted; the
-    // pfn/frame-epoch check just drops pairings that frame recycling
-    // made unlikely to hit. The consult is LAZY — deferred to the
-    // first tagged granule — so capability-free pages pay nothing,
-    // and empty entries (which could save nothing) are never
-    // recorded.
-    const std::vector<PrescanPipeline::Candidate> *cands =
-        scan == nullptr ? nullptr : &scan->cands;
-    bool from_memo = false;
-    bool memo_checked = scan != nullptr || memo_ == nullptr;
-    // Candidates observed by this sweep, recorded for later epochs —
-    // but only when no usable entry exists yet (pre-scanned pages are
-    // re-recorded by the pipeline builder itself). A consulted entry
-    // that validates in full needs no re-record — the steady state
-    // costs zero host allocation per sweep — while one that
-    // mismatches the live population is invalidated below so the next
-    // sweep rebuilds it.
-    bool record_observed = false;
-    PrescanPipeline::PageScan observed;
-    std::uint64_t memo_gen = 0;
-    std::uint64_t memo_frame_epoch = 0;
-    // Hit/miss tallies stay in registers through the scan and flush to
-    // the owning stats block once per page — a per-granule RMW on a
-    // shared counter is measurable at sweep rates.
-    std::uint64_t cand_hits = 0, memo_misses = 0;
-    std::size_t memo_processed = 0;
-
     bool clean = true;
 
     for (Addr line = page_va; line < page_va + kPageSize;
@@ -130,98 +90,21 @@ SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
                 li * mem::kGranulesPerLine + gi;
             clean = false;
             ++stats_.caps_seen;
-            if (!memo_checked) {
-                // First tagged granule: consult the memo now. The
-                // generation is read before this granule's bits, so a
-                // racing store still leaves any recorded entry
-                // conservatively page-stale.
-                memo_checked = true;
-                memo_gen = mmu_.addressSpace().storeGen(page_va);
-                memo_frame_epoch = mmu_.frameEpoch();
-                DecodeMemo::Entry *e = memo_->find(page_va);
-                if (e != nullptr && e->pfn == pte->pfn &&
-                    e->frame_epoch == memo_frame_epoch) {
-                    cands = &e->scan.cands;
-                    from_memo = true;
-                    if (!DecodeMemo::fresh(*e, pte->pfn, memo_gen,
-                                           memo_frame_epoch))
-                        ++memo_->stats().stale_pages;
-                } else {
-                    if (e != nullptr)
-                        ++memo_->stats().stale_pages;
-                    record_observed = true;
-                }
-            }
-            if (from_memo)
-                ++memo_processed;
-            // Live raw bits (on-chip after the line read). The
-            // candidate is validated straight against the frame bytes
-            // (CapBits is the same 16-byte little-endian layout), so
-            // the hit path touches nothing beyond the granule and the
-            // 32-byte candidate: only the base feeds the probe, and a
-            // validated hit loads it directly instead of copying (or
-            // re-deriving) the whole capability.
+            // Live raw bits (on-chip after the line read), read before
+            // the decode charge can yield; only the decoded base feeds
+            // the probe.
             const std::uint8_t *raw =
                 f.bytes.data() + gidx * kGranuleSize;
-            Addr cap_base;
-            if (cands != nullptr) {
-                while (ci < cands->size() &&
-                       (*cands)[ci].granule < gidx)
-                    ++ci;
-            }
-            if (cands != nullptr && ci < cands->size() &&
-                (*cands)[ci].granule == gidx &&
-                simd::equal128(&(*cands)[ci].bits, raw)) {
-                // Validated hit: the recorded pre-decoded value is
-                // the decode of these exact live bits.
-                cap_base = (*cands)[ci].base;
-                ++cand_hits;
-            } else {
-                cap::CapBits bits;
-                std::memcpy(&bits.lo, raw, 8);
-                std::memcpy(&bits.hi, raw + 8, 8);
-                const cap::Capability c = cap::decode(bits, true);
-                cap_base = c.base;
-                ++memo_misses;
-                // A page with no usable entry (every granule "misses")
-                // records what this sweep observed for later epochs.
-                if (record_observed) {
-                    PrescanPipeline::Candidate oc;
-                    oc.granule = static_cast<std::uint16_t>(gidx);
-                    oc.bits = bits;
-                    oc.base = c.base;
-                    observed.cands.push_back(oc);
-                }
-            }
+            cap::CapBits bits;
+            std::memcpy(&bits.lo, raw, 8);
+            std::memcpy(&bits.hi, raw + 8, 8);
+            const Addr cap_base = cap::decode(bits, true).base;
             t.accrue(2); // decode / base extraction
             if (bitmap_.probe(t, cap_base)) {
                 mmu_.kernelClearTag(t, line + Addr{gi} * kGranuleSize);
                 ++stats_.caps_revoked;
             }
         }
-    }
-
-    if (from_memo) {
-        memo_->stats().cand_hits += cand_hits;
-        memo_->stats().cand_misses += memo_misses;
-        if (memo_misses != 0 || memo_processed != cands->size()) {
-            // The cached candidate set no longer matches the page's
-            // live population (stored bits, or tags set/cleared since
-            // it was recorded): drop it so the next sweep re-records
-            // in full. A fully validating entry is left untouched —
-            // the common steady state re-records nothing.
-            memo_->invalidate(page_va);
-        }
-    } else if (scan != nullptr) {
-        prescan_->stats().validated_hits += cand_hits;
-        prescan_->stats().mismatches += memo_misses;
-    } else if (record_observed) {
-        // Stamp with the generation read at sweep start: a mid-sweep
-        // store bumps past it, leaving the entry conservatively
-        // page-stale (its candidates remain bits-validated usable).
-        observed.page_va = page_va;
-        memo_->record(pte->pfn, memo_gen, memo_frame_epoch,
-                      std::move(observed));
     }
     return clean;
 }
@@ -271,14 +154,6 @@ SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
         t.accrue(mmu_.costs().pte_update);
         mmu_.shootdownPage(t, page_va);
     }
-    // The publish (and its shootdown) bumped the page's store
-    // generation; the entry recorded by the sweep that produced this
-    // publish is fresh as of the bumped value — restamp it so
-    // untouched pages stay page-fresh into the next epoch.
-    if (memo_ != nullptr)
-        memo_->restamp(page_va, p.pfn,
-                       mmu_.addressSpace().storeGen(page_va),
-                       mmu_.frameEpoch());
     return clean;
 }
 

@@ -19,8 +19,6 @@
 #include "base/types.h"
 #include "cap/capability.h"
 #include "revoker/bitmap.h"
-#include "revoker/memo.h"
-#include "revoker/prescan.h"
 #include "sim/scheduler.h"
 #include "vm/mmu.h"
 
@@ -105,27 +103,6 @@ class SweepEngine
 
     const SweepStats &stats() const { return stats_; }
 
-    bool hostFastPaths() const { return host_fast_paths_; }
-
-    /**
-     * Attach (or detach, with null) a speculative pre-scan pipeline.
-     * Only the fast sweep consults it, and only as a source of
-     * pre-decoded capability values that are validated against live
-     * raw bits before use; charges and probes are unaffected.
-     */
-    void setPrescan(PrescanPipeline *p) { prescan_ = p; }
-
-    /**
-     * Attach (or detach, with null) the cross-epoch decode memo. The
-     * fast sweep consults it when no pre-scan covers the page — again
-     * only as a source of pre-decoded values validated against live
-     * raw bits — refreshes the page's entry with the candidates it
-     * actually observed, and publishPage() restamps freshness after
-     * bumping the store generation (memo.h's validity argument).
-     */
-    void setMemo(DecodeMemo *m) { memo_ = m; }
-    DecodeMemo *memo() const { return memo_; }
-
   private:
     bool sweepPageReference(sim::SimThread &t, Addr page_va);
     bool sweepPageFast(sim::SimThread &t, Addr page_va);
@@ -133,8 +110,6 @@ class SweepEngine
     vm::Mmu &mmu_;
     RevocationBitmap &bitmap_;
     bool host_fast_paths_;
-    PrescanPipeline *prescan_ = nullptr;
-    DecodeMemo *memo_ = nullptr;
     SweepStats stats_;
 };
 

@@ -6,7 +6,6 @@
 
 #include "base/logging.h"
 #include "check/race_checker.h"
-#include "sim/lockstep.h"
 #include "trace/trace.h"
 
 namespace crev::sim {
@@ -278,20 +277,17 @@ SimThread::fiberMain()
 // ---------------------------------------------------------------------
 
 Scheduler::Scheduler(unsigned num_cores, const CostModel &cm,
-                     unsigned lanes)
-    : num_cores_(num_cores), cm_(cm), lanes_(lanes),
-      fibers_(lanes > 0 && fibersEnabled()), core_free_at_(num_cores, 0),
+                     bool lockstep)
+    : num_cores_(num_cores), cm_(cm), lockstep_(lockstep),
+      fibers_(lockstep && fibersEnabled()), core_free_at_(num_cores, 0),
       core_last_thread_(num_cores, nullptr), mailboxes_(num_cores)
 {
     CREV_ASSERT(num_cores > 0 && num_cores <= 32);
     CREV_ASSERT(cm_.quantum > 0);
-    if (lanes_ > 0) {
+    if (lockstep_)
         engine_ = std::make_unique<LockstepEngine>();
-        if (lanes_ > 1)
-            lane_group_ = std::make_unique<LaneGroup>(lanes_);
-    } else {
+    else
         engine_ = std::make_unique<TokenEngine>();
-    }
 }
 
 Scheduler::~Scheduler()

@@ -2,33 +2,36 @@
  * @file
  * Deterministic cooperative virtual-time scheduler.
  *
- * Every simulated thread is backed by a host thread, but exactly one
- * simulated thread executes at a time: the scheduler hands a token to
- * the runnable thread with the smallest virtual clock (conservative
- * discrete-event execution). Simulated threads are pinned to cores via
- * a core mask; threads sharing a core are timesliced with a preemption
- * quantum. Because scheduling decisions depend only on virtual clocks,
- * entire runs are deterministic and race-free, yet workload bodies are
- * written as ordinary sequential C++.
+ * Exactly one simulated thread executes at a time: the scheduler hands
+ * a token to the runnable thread with the smallest virtual clock
+ * (conservative discrete-event execution). Simulated threads are
+ * pinned to cores via a core mask; threads sharing a core are
+ * timesliced with a preemption quantum. Because scheduling decisions
+ * depend only on virtual clocks, entire runs are deterministic and
+ * race-free, yet workload bodies are written as ordinary sequential
+ * C++.
  *
  * Two engines drive that policy (DESIGN.md §14):
  *
- *  - The serial *token engine* is the reference implementation: every
- *    cross-core interaction is applied at the instant it is posted, on
- *    the thread that holds the execution token.
- *  - The *lockstep engine* (MachineConfig::par_cores) is the
- *    conservative virtual-time generation: virtual time advances in
- *    preemption-quantum frontiers, cross-core wakes travel through
- *    per-core mailboxes drained in fixed (core-id, thread-id) order at
- *    resolution points, and a persistent LaneGroup of host workers
- *    runs deterministic striped assist (the sweep pre-scan) alongside
- *    the committing slice. Because the simulated machine's shared
- *    state (allocator, page tables, caches) is visible with zero
- *    latency, the sound conservative lookahead is zero: the committing
- *    slice is granted in exact policy order, and the engine's host
- *    speedup comes from its lane-safe flat lookup structures and the
- *    lane pool, not from speculating on virtual time. RunMetrics are
- *    bit-identical between the engines (tests/determinism_test.cpp).
+ *  - The serial *token engine* is the reference implementation: each
+ *    simulated thread runs on its own host thread, the token passes
+ *    through a mutex and condition variable, and every cross-core
+ *    interaction is applied at the instant it is posted, on the
+ *    thread that holds the execution token.
+ *  - The *lockstep engine* (MachineConfig::par_cores != 0) advances
+ *    virtual time in preemption-quantum frontiers, and cross-core
+ *    wakes travel through per-core mailboxes drained in fixed
+ *    (core-id, thread-id) order at resolution points. Because the
+ *    simulated machine's shared state (allocator, page tables, caches)
+ *    is visible with zero latency, the sound conservative lookahead is
+ *    zero: the committing slice is granted in exact policy order. The
+ *    engine runs thread bodies as fibers on the driving host thread
+ *    (CREV_SCHED_FIBERS below), so a token handoff is a user-space
+ *    stack switch rather than a futex round-trip.
+ *
+ * Neither engine starts host threads beyond the simulated threads'
+ * own, and RunMetrics are bit-identical between the engines
+ * (tests/golden_test.cpp).
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -91,7 +94,6 @@ class RaceChecker;
 namespace crev::sim {
 
 class Scheduler;
-class LaneGroup;
 
 namespace detail {
 /** makecontext entry thunk for fiber mode (internal). */
@@ -245,13 +247,11 @@ class Scheduler
 {
   public:
     /**
-     * @p lanes selects the engine: 0 = serial token engine (the
-     * reference); >= 1 = lockstep engine with that many host lanes
-     * (lane 0 is the committing slice's own host thread; lanes beyond
-     * the first become LaneGroup workers).
+     * @p lockstep selects the engine: false = serial token engine (the
+     * reference), true = lockstep engine.
      */
     Scheduler(unsigned num_cores, const CostModel &cm,
-              unsigned lanes = 0);
+              bool lockstep = false);
     ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -327,7 +327,7 @@ class Scheduler
     unsigned numCores() const { return num_cores_; }
 
     /** Whether the lockstep engine is driving this scheduler. */
-    bool lockstep() const { return lanes_ > 0; }
+    bool lockstep() const { return lockstep_; }
     /**
      * Whether simulated threads run as fibers on the driving host
      * thread (lockstep engine only; see the CREV_SCHED_FIBERS comment
@@ -335,10 +335,10 @@ class Scheduler
      * and RunMetrics are identical with fibers on or off.
      */
     bool fibers() const { return fibers_; }
-    /** Host lanes of the lockstep engine (0 = serial token engine). */
-    unsigned laneCount() const { return lanes_; }
-    /** The lane pool, or null when serial / single-lane. */
-    LaneGroup *lanes() { return lane_group_.get(); }
+    /** Host threads driving the committing slice: 1 under the
+     *  lockstep engine, 0 under the token engine. Only perfbench/
+     *  still reads it; use lockstep() instead. */
+    unsigned laneCount() const { return lockstep_ ? 1 : 0; }
 
     /**
      * The current quantum frontier: the quantum-aligned floor of the
@@ -439,7 +439,7 @@ class Scheduler
 
     const unsigned num_cores_;
     const CostModel cm_;
-    const unsigned lanes_;
+    const bool lockstep_;
     const bool fibers_;
 #if CREV_SCHED_FIBERS
     /** The run() driver's context, resumed when no fiber is runnable. */
@@ -478,7 +478,6 @@ class Scheduler
     std::size_t pending_wakes_ = 0;
 
     std::unique_ptr<Engine> engine_;
-    std::unique_ptr<LaneGroup> lane_group_;
 };
 
 } // namespace crev::sim

@@ -19,7 +19,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
@@ -169,7 +168,6 @@ class AddressSpace
     {
         cap_ever_pages_.insert(page_va);
         cap_dirty_pages_.insert(page_va);
-        bumpStoreGen(page_va);
     }
     /**
      * Index hook for the publishPage choke point: cap_dirty was just
@@ -180,23 +178,7 @@ class AddressSpace
         cap_dirty_pages_.erase(page_va);
         if (ever_cleared)
             cap_ever_pages_.erase(page_va);
-        bumpStoreGen(page_va);
     }
-
-    /**
-     * Host-side per-page store-generation counter (the decode memo's
-     * freshness heuristic, DESIGN.md §17.2). Bumped at the capability
-     * store and publish choke points above and at TLB shootdown; pages
-     * whose counter is unchanged since their memo entry was recorded
-     * may skip re-scanning. Never consulted for correctness: memoised
-     * decodes are validated against live CapBits at use.
-     */
-    std::uint64_t storeGen(Addr page_va) const
-    {
-        const auto it = store_gen_.find(page_va);
-        return it == store_gen_.end() ? 0 : it->second;
-    }
-    void bumpStoreGen(Addr page_va) { ++store_gen_[page_va]; }
 
     /** The pmap lock serialising PTE updates during revocation. */
     sim::SimMutex &pmapLock() { return pmap_lock_; }
@@ -232,39 +214,36 @@ class AddressSpace
      */
     std::uint64_t pageTableEpoch() const { return pt_epoch_; }
 
-    /**
-     * Lockstep-engine lane-safe flat page-table windows (DESIGN.md
-     * §14.4): direct-indexed Pte-pointer mirrors of pages_ for the
-     * heap and shadow regions, plus a guard-page byte mirror for the
-     * heap, so classify()/findPte()/pte() resolve without ordered-map
-     * lookups. Slots hold pointers to std::map nodes (stable until
-     * release() erases them, which also nulls the slot). Pure
-     * host-side switch: no simulated observable changes.
-     */
-    void setFastIndex(bool on);
-
   private:
     /** Turn the page containing @p va into a guard page. */
     void guardPage(Addr va);
 
     /** Flat-window slot for page base @p page; null if outside. */
-    Pte **fastSlot(Addr page);
+    Pte **slot(Addr page);
+
+    /** Whether page base @p page is a guard page. */
+    bool guarded(Addr page) const;
 
     mem::PhysMem &pm_;
     std::map<Addr, Pte> pages_; //!< keyed by page base VA
+    /**
+     * Flat page-table windows (DESIGN.md §14.4): direct-indexed
+     * Pte-pointer mirrors of pages_ for the heap and shadow regions,
+     * so classify()/findPte()/pte() resolve without ordered-map
+     * lookups. Slots point at std::map nodes (stable until release()
+     * erases them, which also nulls the slot).
+     */
+    std::vector<Pte *> heap_pte_;
+    std::vector<Pte *> shadow_pte_;
+    /** One byte per heap page: set for guard pages. Guard pages only
+     *  ever exist inside heap reservations. */
+    std::vector<std::uint8_t> heap_guard_;
     std::map<Addr, Reservation> reservations_; //!< keyed by base
-    std::set<Addr> guarded_; //!< guard-page base VAs
     std::set<Addr> resident_pages_;  //!< exact mirror of valid PTEs
     std::set<Addr> cap_ever_pages_;  //!< superset: cap_ever pages
     std::set<Addr> cap_dirty_pages_; //!< superset: cap_dirty pages
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
-    /** Per-page store generations (looked up, never iterated). */
-    std::unordered_map<Addr, std::uint64_t> store_gen_;
-    bool fast_index_ = false;
-    std::vector<Pte *> heap_pte_;   //!< heap-window mirror of pages_
-    std::vector<Pte *> shadow_pte_; //!< shadow-window mirror
-    std::vector<std::uint8_t> heap_guard_; //!< guarded_ mirror (heap)
     sim::SimMutex pmap_lock_;
     check::RaceChecker *checker_ = nullptr;
     std::uint64_t pt_epoch_ = 0;

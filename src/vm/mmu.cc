@@ -59,10 +59,6 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
     // Shootdowns follow in-place PTE rewrites (self-heals, trap-bit
     // arming): the one-entry cache may hold the page being rewritten.
     invalidatePteCache();
-    // The PTE disposition just changed; memoised decode state for the
-    // page is no longer page-fresh (publishPage restamps afterwards
-    // for its own shootdowns — DESIGN.md §17.2).
-    as_.bumpStoreGen(page);
     ++stats_.tlb_shootdowns;
     if (tracer_ != nullptr)
         tracer_->record(t.id(), t.core(), t.now(),
@@ -131,16 +127,8 @@ void
 Mmu::purgeFreedFrames()
 {
     invalidatePteCache();
-    bool any = false;
-    for (Addr pfn : as_.takeFreedFrames()) {
+    for (Addr pfn : as_.takeFreedFrames())
         ms_.invalidateFrame(pfn);
-        any = true;
-    }
-    // Freed frames can be re-paired with any VA: advance the frame
-    // epoch so every memoised decode recorded against the old pairing
-    // is page-stale (conservative global invalidation).
-    if (any)
-        ++frame_epoch_;
 }
 
 Addr
@@ -219,10 +207,7 @@ Mmu::loadData(sim::SimThread &t, Addr va, void *out, std::size_t len)
     forSegments(va, len, [&](Addr seg_va, std::size_t seg_len) {
         const Addr paddr = translate(t, seg_va, false, false);
         chargeAccess(t, t.core(), paddr, seg_len, false);
-        if (fast_mem_)
-            pm_.readDense(paddr, dst, seg_len);
-        else
-            pm_.read(paddr, dst, seg_len);
+        pm_.read(paddr, dst, seg_len);
         dst += seg_len;
     });
 }
@@ -235,10 +220,7 @@ Mmu::storeData(sim::SimThread &t, Addr va, const void *in,
     forSegments(va, len, [&](Addr seg_va, std::size_t seg_len) {
         const Addr paddr = translate(t, seg_va, true, false);
         chargeAccess(t, t.core(), paddr, seg_len, true);
-        if (fast_mem_)
-            pm_.writeDense(paddr, src, seg_len);
-        else
-            pm_.write(paddr, src, seg_len);
+        pm_.write(paddr, src, seg_len);
         src += seg_len;
     });
 }
@@ -266,16 +248,13 @@ Mmu::loadCap(sim::SimThread &t, Addr va)
     for (;;) {
         Pte snapshot;
         const Addr paddr = translate(t, va, false, false, &snapshot);
-        // Lockstep fast path: resolve the frame once and reuse the
-        // reference across the charge below. paddr -> frame is
-        // immutable (frames are never erased), so the two reads see
-        // exactly what the two per-call resolves would; the tag is
-        // still read before the charge and the bits after it.
-        const mem::Frame *fr =
-            fast_mem_ ? &pm_.frameDense(pageOf(paddr)) : nullptr;
+        // Resolve the frame once and reuse the reference across the
+        // charge below: paddr -> frame is immutable (frames are never
+        // erased). The tag is read before the charge and the bits
+        // after it.
+        const mem::Frame &fr = pm_.frame(pageOf(paddr));
         const std::size_t gi = mem::PhysMem::granuleIndex(paddr);
-        const bool tagged =
-            fast_mem_ ? fr->testTag(gi) : pm_.tagAt(paddr);
+        const bool tagged = fr.testTag(gi);
 
         // The load barrier: a tagged load from a stale-generation page
         // (or an always-trap page, §7.6) traps before the value
@@ -292,17 +271,9 @@ Mmu::loadCap(sim::SimThread &t, Addr va)
 
         chargeAccess(t, core, paddr, kGranuleSize, false);
         cap::CapBits bits;
-        bool tag;
-        if (fast_mem_) {
-            std::memcpy(&bits.lo,
-                        fr->bytes.data() + pageOffset(paddr), 8);
-            std::memcpy(&bits.hi,
-                        fr->bytes.data() + pageOffset(paddr) + 8, 8);
-            tag = fr->testTag(gi);
-        } else {
-            tag = pm_.loadCap(paddr, bits);
-        }
-        cap::Capability c = cap::decode(bits, tag);
+        std::memcpy(&bits.lo, fr.bytes.data() + pageOffset(paddr), 8);
+        std::memcpy(&bits.hi, fr.bytes.data() + pageOffset(paddr) + 8, 8);
+        cap::Capability c = cap::decode(bits, fr.testTag(gi));
         // CHERIoT-style inline filter (§6.3): strip revoked
         // capabilities on their way into the register file.
         if (c.tag && filter_ && filter_(t, c))
@@ -322,10 +293,7 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
     CREV_ASSERT(va % kGranuleSize == 0);
     const Addr paddr = translate(t, va, true, c.tag);
     chargeAccess(t, t.core(), paddr, kGranuleSize, true);
-    if (fast_mem_)
-        pm_.storeCapDense(paddr, cap::encode(c), c.tag);
-    else
-        pm_.storeCap(paddr, cap::encode(c), c.tag);
+    pm_.storeCap(paddr, cap::encode(c), c.tag);
     if (c.tag) {
         Pte *p = as_.findPte(va);
         CREV_ASSERT(p != nullptr);
@@ -346,14 +314,6 @@ Mmu::setHostFastPaths(bool on)
 {
     host_fast_paths_ = on;
     cached_pte_ = nullptr;
-}
-
-void
-Mmu::setFastTlb(bool on)
-{
-    fast_mem_ = on;
-    for (Tlb &tlb : tlbs_)
-        tlb.setFastIndex(on);
 }
 
 Pte *
@@ -381,8 +341,7 @@ Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, kGranuleSize, false);
     cap::CapBits bits;
-    const bool tag = fast_mem_ ? pm_.loadCapDense(paddr, bits)
-                               : pm_.loadCap(paddr, bits);
+    const bool tag = pm_.loadCap(paddr, bits);
     return cap::decode(bits, tag);
 }
 
@@ -393,10 +352,7 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, 1, true);
-    if (fast_mem_)
-        pm_.clearTagDense(paddr);
-    else
-        pm_.clearTag(paddr);
+    pm_.clearTag(paddr);
 }
 
 cap::Capability
@@ -406,8 +362,7 @@ Mmu::peekCap(Addr va)
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     cap::CapBits bits;
-    const bool tag = fast_mem_ ? pm_.loadCapDense(paddr, bits)
-                               : pm_.loadCap(paddr, bits);
+    const bool tag = pm_.loadCap(paddr, bits);
     return cap::decode(bits, tag);
 }
 
@@ -418,16 +373,7 @@ Mmu::peekTag(Addr va)
     if (p == nullptr || !p->valid)
         return false;
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
-    return fast_mem_ ? pm_.tagAtDense(paddr) : pm_.tagAt(paddr);
-}
-
-unsigned
-Mmu::peekLineTagNibble(Addr va)
-{
-    Pte *p = findPteCached(va);
-    if (p == nullptr || !p->valid)
-        return 0;
-    return pm_.lineTagNibble((p->pfn << kPageBits) | pageOffset(va));
+    return pm_.tagAt(paddr);
 }
 
 bool
@@ -448,25 +394,13 @@ Mmu::chargeRead(sim::SimThread &t, Addr va, std::size_t len)
                  len, false);
 }
 
-void
-Mmu::chargeWrite(sim::SimThread &t, Addr va, std::size_t len)
-{
-    Pte *p = findPteCached(va);
-    CREV_ASSERT(p != nullptr && p->valid);
-    chargeAccess(t, t.core(), (p->pfn << kPageBits) | pageOffset(va),
-                 len, true);
-}
-
 bool
 Mmu::peekByte(Addr va, std::uint8_t *out)
 {
     Pte *p = findPteCached(va);
     if (p == nullptr || !p->valid)
         return false;
-    if (fast_mem_)
-        pm_.readDense((p->pfn << kPageBits) | pageOffset(va), out, 1);
-    else
-        pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);
+    pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);
     return true;
 }
 
@@ -483,10 +417,7 @@ Mmu::tryKernelShadowLoad(sim::SimThread &t, Addr va, std::uint8_t *out)
     // charged access, no fill, no fault classification.
     const Addr paddr = (cached->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, core, paddr, 1, false);
-    if (fast_mem_)
-        pm_.readDense(paddr, out, 1);
-    else
-        pm_.read(paddr, out, 1);
+    pm_.read(paddr, out, 1);
     return true;
 }
 

@@ -126,16 +126,6 @@ class Mmu
     {
         chargeAccess(t, t.core(), paddr, len, false);
     }
-    /** Charge a write (tag clears dirty a line). */
-    void chargeWrite(sim::SimThread &t, Addr va, std::size_t len);
-
-    /**
-     * Packed live tag bits (bit g = granule g of the line) for the
-     * cache line containing @p va; 0 if the page is absent or not
-     * resident. No cost — this is peekTag for four granules at once.
-     */
-    unsigned peekLineTagNibble(Addr va);
-
     /**
      * Fast path for the revocation bitmap's single-byte shadow loads.
      * Succeeds only when the calling core's TLB already holds a valid
@@ -154,15 +144,6 @@ class Mmu
      */
     void setHostFastPaths(bool on);
     bool hostFastPaths() const { return host_fast_paths_; }
-
-    /**
-     * Route every core's TLB through the open-addressed backing and
-     * the MMU's memory dispatch through PhysMem's inline dense
-     * variants (the lockstep engine's lane-safe structures, DESIGN.md
-     * §14.4). TLB entry sets, hit/miss sequences, and every memory
-     * observable are identical either way.
-     */
-    void setFastTlb(bool on);
 
     /**
      * Drop the one-entry PTE cache. The cache is keyed by the address
@@ -225,14 +206,6 @@ class Mmu
     /** Drop freed frames from all caches (frame reuse hygiene). */
     void purgeFreedFrames();
 
-    /**
-     * Monotone counter bumped whenever purgeFreedFrames() retires
-     * frames: a (page, pfn) pairing observed before the bump may have
-     * been recycled, so memoised decode state keyed on it is stale
-     * (host-side freshness only; see AddressSpace::storeGen).
-     */
-    std::uint64_t frameEpoch() const { return frame_epoch_; }
-
     const MmuStats &stats() const { return stats_; }
     AddressSpace &addressSpace() { return as_; }
     mem::PhysMem &physMem() { return pm_; }
@@ -288,12 +261,9 @@ class Mmu
     check::SafetyOracle *oracle_ = nullptr;
 
     bool host_fast_paths_ = true;
-    /** Lockstep-engine gate for PhysMem's inline dense variants. */
-    bool fast_mem_ = false;
     Addr cached_vpn_ = 0;
     Pte *cached_pte_ = nullptr;
     std::uint64_t cached_pt_epoch_ = 0;
-    std::uint64_t frame_epoch_ = 0;
 
     trace::Tracer *tracer_ = nullptr;
 };

@@ -20,8 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/machine.h"
-#include "core/mutator.h"
+#include "fingerprint.h"
 
 namespace crev {
 namespace {
@@ -31,53 +30,6 @@ using core::MachineConfig;
 using core::Mutator;
 using core::RunMetrics;
 using core::Strategy;
-
-/** Heap churn with capability links, register parking, and hoards —
- *  enough surface for every injected fault class to land. */
-void
-churn(Machine &m, Mutator &ctx, int iters)
-{
-    struct Obj
-    {
-        cap::Capability c;
-        std::size_t size;
-    };
-    std::vector<Obj> live;
-    auto &rng = ctx.rng();
-
-    for (int i = 0; i < iters; ++i) {
-        const double dice = rng.uniform();
-        if (dice < 0.45 || live.size() < 4) {
-            const std::size_t size = 16 << rng.below(7);
-            live.push_back({ctx.malloc(size), size});
-            ctx.store64(live.back().c, 0, static_cast<uint64_t>(i));
-        } else if (dice < 0.80) {
-            const std::size_t idx = rng.below(live.size());
-            ctx.free(live[idx].c);
-            live[idx] = live.back();
-            live.pop_back();
-        } else if (dice < 0.90) {
-            const std::size_t a = rng.below(live.size());
-            const std::size_t b = rng.below(live.size());
-            if (live[a].size >= 32) {
-                ctx.storeCap(live[a].c, 16, live[b].c);
-                const cap::Capability back =
-                    ctx.loadCap(live[a].c, 16);
-                ASSERT_TRUE(back.tag);
-            }
-        } else if (dice < 0.95) {
-            ctx.thread().reg(1 + rng.below(8)) =
-                live[rng.below(live.size())].c;
-        } else {
-            const std::size_t slot =
-                ctx.hoardPut(live[rng.below(live.size())].c);
-            ASSERT_TRUE(ctx.hoardTake(slot).tag);
-        }
-    }
-    for (auto &o : live)
-        ctx.free(o.c);
-    m.heap().drain(ctx.thread());
-}
 
 struct Plan
 {
@@ -261,7 +213,7 @@ runChaos(Strategy s, const Plan &plan, int iters = 1200)
     Machine m(cfg);
     RunResult r;
     m.spawnMutator("app", 1u << 3, [&](Mutator &ctx) {
-        churn(m, ctx, iters);
+        test::churn(m, ctx, iters);
         r.final_epoch_value = m.kernel().epoch().value();
         r.final_quarantine_bytes = m.heap().quarantineBytes();
     });
@@ -540,7 +492,7 @@ TEST(ChaosRecovery, HugeBackoffBaseStillCompletes)
     std::uint64_t final_epoch = 1;
     std::size_t final_quar = 1;
     m.spawnMutator("app", 1u << 3, [&](Mutator &ctx) {
-        churn(m, ctx, 1200);
+        test::churn(m, ctx, 1200);
         final_epoch = m.kernel().epoch().value();
         final_quar = m.heap().quarantineBytes();
     });
@@ -577,10 +529,10 @@ TEST(ChaosRecovery, WatchdogReArmsAfterForceComplete)
     Machine m(cfg);
     std::uint64_t final_epoch = 1;
     m.spawnMutator("app", 1u << 3, [&](Mutator &ctx) {
-        churn(m, ctx, 1200);
+        test::churn(m, ctx, 1200);
         // Outlive the stall (ends by window_end + stall_cycles).
         ctx.thread().sleep(15'000'000);
-        churn(m, ctx, 1200);
+        test::churn(m, ctx, 1200);
         final_epoch = m.kernel().epoch().value();
     });
     m.run();

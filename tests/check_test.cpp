@@ -10,13 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/race_checker.h"
-#include "core/machine.h"
-#include "core/mutator.h"
+#include "fingerprint.h"
 #include "mem/memory_system.h"
 #include "mem/phys_mem.h"
 #include "revoker/bitmap.h"
@@ -34,6 +32,7 @@ using core::MachineConfig;
 using core::Mutator;
 using core::RunMetrics;
 using core::Strategy;
+using test::fingerprint;
 
 std::size_t
 countRule(const check::RaceChecker &c, const std::string &rule)
@@ -304,70 +303,6 @@ TEST(RaceCheckerInjected, GuardedRmwIsSilentUnderSameInterleaving)
 // contract (complete RunMetrics identical with checking on or off).
 // ---------------------------------------------------------------------
 
-/** Serialise every field of RunMetrics (the determinism-suite
- *  fingerprint): any simulated observable the checker perturbs shows
- *  up as a diff. */
-std::string
-fingerprint(const RunMetrics &m)
-{
-    std::ostringstream os;
-    os << "wall=" << m.wall_cycles << " cpu=" << m.cpu_cycles << "\n";
-    for (const auto &[name, busy] : m.thread_busy)
-        os << "busy[" << name << "]=" << busy << "\n";
-    for (std::size_t c = 0; c < m.core_mem.size(); ++c) {
-        const auto &mc = m.core_mem[c];
-        os << "core" << c << " acc=" << mc.accesses
-           << " l1m=" << mc.l1_misses << " br=" << mc.bus_reads
-           << " bw=" << mc.bus_writes << "\n";
-    }
-    os << "bus=" << m.bus_transactions_total
-       << " rss=" << m.peak_rss_pages << "\n";
-    for (std::size_t e = 0; e < m.epochs.size(); ++e) {
-        const auto &ep = m.epochs[e];
-        os << "epoch" << e << " stw=" << ep.stw_duration
-           << " conc=" << ep.concurrent_duration
-           << " ft=" << ep.fault_time_total
-           << " fc=" << ep.fault_count << " pg=" << ep.pages_swept
-           << " rv=" << ep.caps_revoked
-           << " deg=" << ep.recovery.degraded
-           << " forced=" << ep.recovery.forced
-           << " nudges=" << ep.recovery.nudges
-           << " respawns=" << ep.recovery.respawns << "\n";
-    }
-    os << "sweep pg=" << m.sweep.pages_swept
-       << " ln=" << m.sweep.lines_read << " seen=" << m.sweep.caps_seen
-       << " rv=" << m.sweep.caps_revoked
-       << " rs=" << m.sweep.regs_scanned
-       << " rr=" << m.sweep.regs_revoked << "\n";
-    os << "quar trig=" << m.quarantine.revocations_triggered
-       << " freed=" << m.quarantine.sum_freed_bytes
-       << " alloc@=" << m.quarantine.sum_alloc_at_trigger
-       << " quar@=" << m.quarantine.sum_quar_at_trigger
-       << " blk=" << m.quarantine.blocked_ops
-       << " blkcyc=" << m.quarantine.blocked_cycles
-       << " max=" << m.quarantine.max_quarantine_bytes << "\n";
-    os << "alloc a=" << m.allocator.allocs
-       << " f=" << m.allocator.frees
-       << " ba=" << m.allocator.bytes_allocated_total
-       << " bf=" << m.allocator.bytes_freed_total << "\n";
-    os << "mmu df=" << m.mmu.demand_faults
-       << " lbf=" << m.mmu.load_barrier_faults
-       << " shoot=" << m.mmu.tlb_shootdowns << "\n";
-    os << "recov miss=" << m.recovery.deadline_misses
-       << " nudge=" << m.recovery.nudges
-       << " reap=" << m.recovery.sweepers_reaped
-       << " resp=" << m.recovery.sweepers_respawned
-       << " req=" << m.recovery.recovery_requests
-       << " stw=" << m.recovery.stw_fallbacks
-       << " emerg=" << m.recovery.emergency_epochs << "\n";
-    os << "inj stall=" << m.faults_injected.sweeper_stalls
-       << " kill=" << m.faults_injected.sweeper_kills
-       << " drop=" << m.faults_injected.faults_dropped
-       << " dup=" << m.faults_injected.faults_duplicated
-       << " delay=" << m.faults_injected.stw_delays << "\n";
-    return os.str();
-}
-
 TEST(CheckZeroCost, SpecCleanAndMetricsIdenticalAllStrategies)
 {
     for (Strategy s : core::kAllStrategies) {
@@ -389,51 +324,6 @@ TEST(CheckZeroCost, SpecCleanAndMetricsIdenticalAllStrategies)
         EXPECT_EQ(fingerprint(on.metrics()), fingerprint(off.metrics()))
             << "strategy " << core::strategyName(s);
     }
-}
-
-/** Heap churn with capability links, register parking, and hoards —
- *  the determinism-suite mix, shrunk to gate size. */
-void
-churn(Machine &m, Mutator &ctx, int iters)
-{
-    struct Obj
-    {
-        cap::Capability c;
-        std::size_t size;
-    };
-    std::vector<Obj> live;
-    auto &rng = ctx.rng();
-
-    for (int i = 0; i < iters; ++i) {
-        const double dice = rng.uniform();
-        if (dice < 0.45 || live.size() < 4) {
-            const std::size_t size = 16 << rng.below(7);
-            live.push_back({ctx.malloc(size), size});
-            ctx.store64(live.back().c, 0, static_cast<uint64_t>(i));
-        } else if (dice < 0.80) {
-            const std::size_t idx = rng.below(live.size());
-            ctx.free(live[idx].c);
-            live[idx] = live.back();
-            live.pop_back();
-        } else if (dice < 0.90) {
-            const std::size_t a = rng.below(live.size());
-            const std::size_t b = rng.below(live.size());
-            if (live[a].size >= 32) {
-                ctx.storeCap(live[a].c, 16, live[b].c);
-                ASSERT_TRUE(ctx.loadCap(live[a].c, 16).tag);
-            }
-        } else if (dice < 0.95) {
-            ctx.thread().reg(1 + rng.below(8)) =
-                live[rng.below(live.size())].c;
-        } else {
-            const std::size_t slot =
-                ctx.hoardPut(live[rng.below(live.size())].c);
-            ASSERT_TRUE(ctx.hoardTake(slot).tag);
-        }
-    }
-    for (auto &o : live)
-        ctx.free(o.c);
-    m.heap().drain(ctx.thread());
 }
 
 RunMetrics
@@ -459,7 +349,7 @@ runChaosWith(Strategy s, bool check, std::string *report = nullptr)
     cfg.faults.stw_delay_cycles = 25'000;
     Machine m(cfg);
     m.spawnMutator("app", 1u << 3,
-                   [&](Mutator &ctx) { churn(m, ctx, 800); });
+                   [&](Mutator &ctx) { test::churn(m, ctx, 800); });
     m.run();
     if (check) {
         EXPECT_TRUE(m.checkerOrNull()->clean())

@@ -1,26 +1,25 @@
 /**
  * @file
- * The fast-path determinism contract: host-side memoisation
+ * The host-lever determinism contract: host-side fast paths
  * (translation/frame caches, packed tag-nibble sweeps, the shadow
- * bitmap shortcut) must never change a single simulated number. Every
- * strategy is run twice — MachineConfig::host_fast_paths on and off —
- * and the complete RunMetrics (wall clock, per-thread busy cycles,
- * per-core memory counters, revocation epochs, sweep/quarantine/
- * allocator/MMU stats, recovery and injection counters) must match
- * byte for byte, both on a SPEC-like profile and under a chaos plan
- * with fault injection and the invariant audit enabled.
+ * bitmap shortcut), sweep acceleration, the SIMD kernel level, the
+ * scheduler engine, and the off-clock observers must never change a
+ * single simulated number. Every strategy is run with each lever on
+ * and off, and the complete RunMetrics fingerprint (tests/
+ * fingerprint.h) must match byte for byte, both on a SPEC-like profile
+ * and under a chaos plan with fault injection and the invariant audit
+ * enabled. tests/golden_test.cpp pins the same fingerprints to a
+ * checked-in table.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/simd.h"
-#include "core/machine.h"
-#include "core/mutator.h"
+#include "fingerprint.h"
 #include "workload/spec.h"
 
 namespace crev {
@@ -31,112 +30,7 @@ using core::MachineConfig;
 using core::Mutator;
 using core::RunMetrics;
 using core::Strategy;
-
-/** Serialise every field of RunMetrics: any simulated observable that
- *  drifts between fast-path configurations shows up as a diff. */
-std::string
-fingerprint(const RunMetrics &m)
-{
-    std::ostringstream os;
-    os << "wall=" << m.wall_cycles << " cpu=" << m.cpu_cycles << "\n";
-    for (const auto &[name, busy] : m.thread_busy)
-        os << "busy[" << name << "]=" << busy << "\n";
-    for (std::size_t c = 0; c < m.core_mem.size(); ++c) {
-        const auto &mc = m.core_mem[c];
-        os << "core" << c << " acc=" << mc.accesses
-           << " l1m=" << mc.l1_misses << " br=" << mc.bus_reads
-           << " bw=" << mc.bus_writes << "\n";
-    }
-    os << "bus=" << m.bus_transactions_total
-       << " rss=" << m.peak_rss_pages << "\n";
-    for (std::size_t e = 0; e < m.epochs.size(); ++e) {
-        const auto &ep = m.epochs[e];
-        os << "epoch" << e << " stw=" << ep.stw_duration
-           << " conc=" << ep.concurrent_duration
-           << " ft=" << ep.fault_time_total
-           << " fc=" << ep.fault_count << " pg=" << ep.pages_swept
-           << " rv=" << ep.caps_revoked
-           << " deg=" << ep.recovery.degraded
-           << " forced=" << ep.recovery.forced
-           << " nudges=" << ep.recovery.nudges
-           << " respawns=" << ep.recovery.respawns << "\n";
-    }
-    os << "sweep pg=" << m.sweep.pages_swept
-       << " ln=" << m.sweep.lines_read << " seen=" << m.sweep.caps_seen
-       << " rv=" << m.sweep.caps_revoked
-       << " rs=" << m.sweep.regs_scanned
-       << " rr=" << m.sweep.regs_revoked << "\n";
-    os << "quar trig=" << m.quarantine.revocations_triggered
-       << " freed=" << m.quarantine.sum_freed_bytes
-       << " alloc@=" << m.quarantine.sum_alloc_at_trigger
-       << " quar@=" << m.quarantine.sum_quar_at_trigger
-       << " blk=" << m.quarantine.blocked_ops
-       << " blkcyc=" << m.quarantine.blocked_cycles
-       << " max=" << m.quarantine.max_quarantine_bytes
-       << " rsend=" << m.quarantine.remote_free_sends
-       << " rbatch=" << m.quarantine.remote_batches
-       << " rdrain=" << m.quarantine.remote_drained << "\n";
-    os << "alloc a=" << m.allocator.allocs
-       << " f=" << m.allocator.frees
-       << " ba=" << m.allocator.bytes_allocated_total
-       << " bf=" << m.allocator.bytes_freed_total << "\n";
-    for (std::size_t i = 0; i < m.alloc_shards.size(); ++i) {
-        const auto &sh = m.alloc_shards[i];
-        os << "ashard" << i << " a=" << sh.allocs
-           << " f=" << sh.frees << " ba=" << sh.bytes_allocated_total
-           << " bf=" << sh.bytes_freed_total << "\n";
-    }
-    for (std::size_t i = 0; i < m.quarantine_shards.size(); ++i) {
-        const auto &sh = m.quarantine_shards[i];
-        os << "qshard" << i << " rs=" << sh.remote_sends
-           << " rb=" << sh.remote_batches
-           << " rd=" << sh.remote_drained
-           << " trig=" << sh.triggers << "\n";
-    }
-    os << "mmu df=" << m.mmu.demand_faults
-       << " lbf=" << m.mmu.load_barrier_faults
-       << " shoot=" << m.mmu.tlb_shootdowns
-       << " resend=" << m.mmu.shootdown_resends << "\n";
-    os << "recov miss=" << m.recovery.deadline_misses
-       << " nudge=" << m.recovery.nudges
-       << " reap=" << m.recovery.sweepers_reaped
-       << " resp=" << m.recovery.sweepers_respawned
-       << " req=" << m.recovery.recovery_requests
-       << " stw=" << m.recovery.stw_fallbacks
-       << " emerg=" << m.recovery.emergency_epochs
-       << " stallt=" << m.recovery.stalled_threads << "\n";
-    os << "inj stall=" << m.faults_injected.sweeper_stalls
-       << " kill=" << m.faults_injected.sweeper_kills
-       << " drop=" << m.faults_injected.faults_dropped
-       << " dup=" << m.faults_injected.faults_duplicated
-       << " delay=" << m.faults_injected.stw_delays
-       << " sdrop=" << m.faults_injected.shootdown_drops
-       << " slate=" << m.faults_injected.shootdown_lates
-       << " cstall=" << m.faults_injected.core_stalls
-       << " corrupt=" << m.faults_injected.summary_corruptions
-       << " qdrop=" << m.faults_injected.quarantine_drops
-       << " qdup=" << m.faults_injected.quarantine_duplicates << "\n";
-    os << "heal repairs=" << m.summary_repairs
-       << " ereclaim=" << m.quarantine.emergency_reclaims
-       << " hresend=" << m.quarantine.handoff_resends << "\n";
-    for (unsigned i = 0; i < trace::kNumRecoveryProtocols; ++i) {
-        const auto &p = m.recovery_protocols[i];
-        os << "rp[" << trace::recoveryProtocolName(
-                           static_cast<trace::RecoveryProtocol>(i))
-           << "] t=" << p.tickets << " a=" << p.attempts
-           << " s=" << p.successes << " re=" << p.retries_exhausted
-           << " de=" << p.deadline_expiries << " ab=" << p.aborts
-           << " lat=" << p.total_latency << "/" << p.max_latency
-           << "\n";
-    }
-    // Deliberately excluded: m.prescan and m.memo (host-side pipeline
-    // and memo counters, zero with sweep_accel / memo off) and
-    // m.oracle_* (observer totals that count only when the oracle is
-    // attached). Everything above is a simulated observable and must
-    // be bit-identical across host-side and observer configuration
-    // changes.
-    return os.str();
-}
+using test::fingerprint;
 
 RunMetrics
 runSpecWith(Strategy s, bool host_fast_paths)
@@ -200,44 +94,15 @@ TEST(Determinism, SweepAccelPreservesSpecMetricsAllStrategies)
     }
 }
 
-/** The cross-epoch decode memo (DESIGN.md §17.2) is a pure host-side
- *  cache: cached decodes are bits-validated at the virtual instant of
- *  use and all charges accrue identically, so RunMetrics must be
- *  bit-identical with cfg.memo on and off — for every strategy, under
- *  both the serial token engine and the lockstep engine. */
-TEST(Determinism, MemoPreservesSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned par_cores : {0u, 4u}) {
-            std::string fp[2];
-            for (int memo = 0; memo < 2; ++memo) {
-                MachineConfig cfg;
-                cfg.strategy = s;
-                cfg.policy = workload::specPolicy();
-                cfg.par_cores = par_cores;
-                cfg.memo = memo != 0;
-                Machine m(cfg);
-                workload::runSpec(m,
-                                  workload::specProfile("hmmer_retro"));
-                fp[memo] = fingerprint(m.metrics());
-            }
-            EXPECT_EQ(fp[1], fp[0])
-                << "strategy " << core::strategyName(s)
-                << " par_cores " << par_cores;
-        }
-    }
-}
-
 /** The SIMD kernel level (DESIGN.md §17.1) is a pure host dispatch
  *  concern: CREV_SIMD=0 forces the scalar fallbacks everywhere (the
- *  sweep's candidate validation, the pre-scan's expansion/gather, the
- *  shadow bitmap's span paints), and RunMetrics must not move — for
- *  every strategy, serial and lockstep. This is the in-process twin
- *  of CI's forced-scalar bench leg. */
+ *  tag-word counts, the shadow bitmap's span paints), and RunMetrics
+ *  must not move — for every strategy, serial and lockstep. This is
+ *  the in-process twin of CI's forced-scalar bench leg. */
 TEST(Determinism, ScalarKernelsPreserveSpecMetricsAllStrategies)
 {
     for (Strategy s : core::kAllStrategies) {
-        for (unsigned par_cores : {0u, 4u}) {
+        for (unsigned par_cores : {0u, 1u}) {
             std::string fp[2];
             for (int scalar = 0; scalar < 2; ++scalar) {
                 if (scalar != 0)
@@ -320,18 +185,13 @@ TEST(Determinism, OraclePreservesSpecMetricsAllStrategies)
 /** The lockstep engine (DESIGN.md §14) is a pure host-side execution
  *  lever like host_fast_paths: every simulated observable must be
  *  bit-identical between the serial token engine (par_cores = 0, the
- *  reference) and the lockstep engine at any lane count. Lanes = 1
- *  exercises the single-lane pre-scan skip; lanes = 4 the LaneGroup
- *  striped assist. */
+ *  reference) and the lockstep engine. */
 TEST(Determinism, LockstepEnginePreservesSpecMetricsAllStrategies)
 {
-    for (Strategy s : core::kAllStrategies) {
-        const std::string serial = fingerprint(runSpecEngine(s, 0));
-        for (unsigned lanes : {1u, 4u})
-            EXPECT_EQ(fingerprint(runSpecEngine(s, lanes)), serial)
-                << "strategy " << core::strategyName(s) << " lanes "
-                << lanes;
-    }
+    for (Strategy s : core::kAllStrategies)
+        EXPECT_EQ(fingerprint(runSpecEngine(s, 1)),
+                  fingerprint(runSpecEngine(s, 0)))
+            << "strategy " << core::strategyName(s);
 }
 
 /** Observers (tracer + race checker) attached under the lockstep
@@ -344,7 +204,7 @@ TEST(Determinism, LockstepEngineWithObserversMatchesBareSerial)
         const std::string bare_serial =
             fingerprint(runSpecEngine(s, 0, false, false));
         const std::string observed_lockstep =
-            fingerprint(runSpecEngine(s, 2, true, true));
+            fingerprint(runSpecEngine(s, 1, true, true));
         EXPECT_EQ(observed_lockstep, bare_serial)
             << "strategy " << core::strategyName(s);
     }
@@ -367,95 +227,18 @@ TEST(Determinism, FiberModePreservesSpecMetrics)
     EXPECT_EQ(host_threads, with_fibers);
 }
 
-/** Heap churn with capability links, register parking, and hoards —
- *  the same mix the chaos campaign uses, shrunk to gate size. */
-void
-churn(Machine &m, Mutator &ctx, int iters)
-{
-    struct Obj
-    {
-        cap::Capability c;
-        std::size_t size;
-    };
-    std::vector<Obj> live;
-    auto &rng = ctx.rng();
-
-    for (int i = 0; i < iters; ++i) {
-        const double dice = rng.uniform();
-        if (dice < 0.45 || live.size() < 4) {
-            const std::size_t size = 16 << rng.below(7);
-            live.push_back({ctx.malloc(size), size});
-            ctx.store64(live.back().c, 0, static_cast<uint64_t>(i));
-        } else if (dice < 0.80) {
-            const std::size_t idx = rng.below(live.size());
-            ctx.free(live[idx].c);
-            live[idx] = live.back();
-            live.pop_back();
-        } else if (dice < 0.90) {
-            const std::size_t a = rng.below(live.size());
-            const std::size_t b = rng.below(live.size());
-            if (live[a].size >= 32) {
-                ctx.storeCap(live[a].c, 16, live[b].c);
-                ASSERT_TRUE(ctx.loadCap(live[a].c, 16).tag);
-            }
-        } else if (dice < 0.95) {
-            ctx.thread().reg(1 + rng.below(8)) =
-                live[rng.below(live.size())].c;
-        } else {
-            const std::size_t slot =
-                ctx.hoardPut(live[rng.below(live.size())].c);
-            ASSERT_TRUE(ctx.hoardTake(slot).tag);
-        }
-    }
-    for (auto &o : live)
-        ctx.free(o.c);
-    m.heap().drain(ctx.thread());
-}
-
 RunMetrics
 runChaosWith(Strategy s, bool host_fast_paths,
              bool sweep_accel = true, bool oracle = false,
-             int par_cores = -1, bool memo = true)
+             int par_cores = -1)
 {
-    MachineConfig cfg;
-    cfg.strategy = s;
-    cfg.audit = true;
+    MachineConfig cfg = test::chaosConfig(s);
     cfg.host_fast_paths = host_fast_paths;
     cfg.sweep_accel = sweep_accel;
     cfg.oracle = oracle;
-    cfg.memo = memo;
     if (par_cores >= 0)
         cfg.par_cores = static_cast<unsigned>(par_cores);
-    cfg.policy.min_bytes = 32 * 1024; // revoke frequently
-    cfg.background_sweepers = 2;
-    cfg.seed = 42;
-    cfg.faults.enabled = true;
-    cfg.faults.seed = 909;
-    cfg.faults.sweeper_stall_prob = 0.05;
-    cfg.faults.sweeper_stall_cycles = 250'000;
-    cfg.faults.sweeper_kill_prob = 0.10;
-    cfg.faults.max_sweeper_kills = 1;
-    cfg.faults.fault_drop_prob = 0.10;
-    cfg.faults.max_fault_drops = 4;
-    cfg.faults.fault_duplicate_prob = 0.10;
-    cfg.faults.stw_delay_prob = 0.25;
-    cfg.faults.stw_delay_cycles = 25'000;
-    // PR-6 fault domains, all armed: the determinism contract covers
-    // every recovery path (shootdown re-send, summary repair,
-    // quarantine hand-off re-delivery, core stalls).
-    cfg.faults.shootdown_drop_prob = 0.2;
-    cfg.faults.shootdown_late_prob = 0.2;
-    cfg.faults.shootdown_late_cycles = 10'000;
-    cfg.faults.core_stall_prob = 0.005;
-    cfg.faults.core_stall_cycles = 100'000;
-    cfg.faults.summary_corrupt_prob = 0.25;
-    cfg.faults.quarantine_drop_prob = 0.25;
-    cfg.faults.quarantine_duplicate_prob = 0.25;
-    Machine m(cfg);
-    m.spawnMutator("app", 1u << 3,
-                   [&](Mutator &ctx) { churn(m, ctx, 800); });
-    m.run();
-    return m.metrics();
+    return test::runChaos(cfg);
 }
 
 TEST(Determinism, FastPathsPreserveChaosMetricsAllStrategies)
@@ -473,22 +256,20 @@ TEST(Determinism, FastPathsPreserveChaosMetricsAllStrategies)
     }
 }
 
-/** Chaos campaign with the memo and the dispatched kernels both
- *  toggled at once (the two new host levers of DESIGN.md §17): fault
- *  injection, recovery ladders, and the per-epoch audit must see the
- *  exact same virtual history either way. */
-TEST(Determinism, MemoAndKernelsPreserveChaosMetricsAllStrategies)
+/** Chaos campaign with the dispatched kernels toggled (DESIGN.md
+ *  §17.1): fault injection, recovery ladders, and the per-epoch audit
+ *  must see the exact same virtual history either way. */
+TEST(Determinism, ScalarKernelsPreserveChaosMetricsAllStrategies)
 {
     for (Strategy s : core::kAllStrategies) {
         const std::string dispatched =
             fingerprint(runChaosWith(s, true));
         setenv("CREV_SIMD", "0", 1);
         simd::refreshFromEnv();
-        const std::string scalar_no_memo = fingerprint(
-            runChaosWith(s, true, true, false, -1, /*memo=*/false));
+        const std::string scalar = fingerprint(runChaosWith(s, true));
         unsetenv("CREV_SIMD");
         simd::refreshFromEnv();
-        EXPECT_EQ(scalar_no_memo, dispatched)
+        EXPECT_EQ(scalar, dispatched)
             << "strategy " << core::strategyName(s);
     }
 }
@@ -505,21 +286,6 @@ TEST(Determinism, SweepAccelPreservesChaosMetricsAllStrategies)
         const std::string plain =
             fingerprint(runChaosWith(s, true, false));
         EXPECT_EQ(accel, plain)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-TEST(Determinism, LockstepEnginePreservesChaosMetricsAllStrategies)
-{
-    // The hardest equivalence case: every fault domain armed, audit
-    // on, background sweepers, watchdog recovery — and still not one
-    // scheduling point may move between the engines.
-    for (Strategy s : core::kAllStrategies) {
-        const std::string serial =
-            fingerprint(runChaosWith(s, true, true, false, 0));
-        const std::string lockstep =
-            fingerprint(runChaosWith(s, true, true, false, 2));
-        EXPECT_EQ(lockstep, serial)
             << "strategy " << core::strategyName(s);
     }
 }
@@ -610,7 +376,7 @@ TEST(Determinism, AllocShardingPreservesSpecMetricsAcrossEngines)
             const RunMetrics serial_m = runCrossCore(s, ac, 0, false);
             const std::string serial = fingerprint(serial_m);
             const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 2, false));
+                fingerprint(runCrossCore(s, ac, 1, false));
             EXPECT_EQ(lockstep, serial)
                 << "strategy " << core::strategyName(s)
                 << " alloc_cores " << ac;
@@ -636,7 +402,7 @@ TEST(Determinism, AllocShardingPreservesChaosMetricsAcrossEngines)
             const std::string serial =
                 fingerprint(runCrossCore(s, ac, 0, true));
             const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 2, true));
+                fingerprint(runCrossCore(s, ac, 1, true));
             EXPECT_EQ(lockstep, serial)
                 << "strategy " << core::strategyName(s)
                 << " alloc_cores " << ac;

@@ -9,12 +9,10 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/machine.h"
-#include "core/mutator.h"
+#include "fingerprint.h"
 #include "trace/metrics_registry.h"
 #include "trace/trace.h"
 #include "trace/trace_export.h"
@@ -27,6 +25,7 @@ using core::Machine;
 using core::MachineConfig;
 using core::RunMetrics;
 using core::Strategy;
+using test::fingerprint;
 
 MachineConfig
 tracedConfig(Strategy s, bool trace)
@@ -37,25 +36,6 @@ tracedConfig(Strategy s, bool trace)
     cfg.trace = trace;
     cfg.trace_buffer_events = 1u << 20; // never drop under test
     return cfg;
-}
-
-/** Simulated observables that must not move when tracing toggles. */
-std::string
-fingerprint(const RunMetrics &m)
-{
-    std::ostringstream os;
-    os << m.wall_cycles << " " << m.cpu_cycles << " "
-       << m.bus_transactions_total << " " << m.peak_rss_pages << " "
-       << m.allocator.allocs << " " << m.quarantine.blocked_cycles
-       << " " << m.mmu.load_barrier_faults << " "
-       << m.sweep.caps_revoked << "\n";
-    for (const auto &[name, busy] : m.thread_busy)
-        os << name << "=" << busy << "\n";
-    for (const auto &e : m.epochs)
-        os << e.stw_duration << " " << e.concurrent_duration << " "
-           << e.fault_time_total << " " << e.pages_swept << " "
-           << e.caps_revoked << "\n";
-    return os.str();
 }
 
 TEST(TraceBuffer, RingDropsOldestAndIteratesInOrder)

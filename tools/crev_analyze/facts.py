@@ -58,10 +58,8 @@ _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 
 #: Uncharged accessors and the charging APIs that account for them.
 UNCHARGED_ACCESSORS = frozenset(
-    ("peekTag", "peekCap", "peekByte", "peekLineTagNibble",
-     "probeQuiet", "frameUncached"))
-CHARGE_NAMES = frozenset(
-    ("chargeRead", "chargeWrite", "chargeReadPaddr", "chargeAccess"))
+    ("peekTag", "peekCap", "peekByte", "probeQuiet"))
+CHARGE_NAMES = frozenset(("chargeRead", "chargeReadPaddr", "chargeAccess"))
 
 #: Epoch drivers checked by the phase-ordering pass.
 EPOCH_DRIVERS = frozenset(("doEpoch", "emergencyEpoch"))
@@ -121,8 +119,7 @@ OBSERVER_DIRS = (
     os.path.join("src", "check"),
     os.path.join("src", "trace"),
 )
-OBSERVER_FILES = frozenset(
-    ("auditor.cc", "auditor.h", "prescan.cc", "prescan.h"))
+OBSERVER_FILES = frozenset(("auditor.cc", "auditor.h"))
 
 VM_DIR = os.path.join("src", "vm")
 
