@@ -290,78 +290,13 @@ TEST(Determinism, SweepAccelPreservesChaosMetricsAllStrategies)
     }
 }
 
-/** Producer/consumer churn where the bulk of frees happen on a
- *  different core than the allocation, driving the remote-dealloc
- *  message queues (DESIGN.md §15). Exactly one simulated thread runs
- *  at a time, so the shared host-side queue needs no host locking and
- *  hand-off order is fully scheduler-determined. */
-void
-crossCoreChurn(Machine &m, int iters)
-{
-    auto queue = std::make_shared<std::vector<cap::Capability>>();
-    auto produced = std::make_shared<int>(0);
-    m.spawnMutator("prod", 1u << 0, [=](Mutator &ctx) {
-        for (int i = 0; i < iters; ++i) {
-            const std::size_t size = 16 << ctx.rng().below(6);
-            cap::Capability c = ctx.malloc(size);
-            ctx.store64(c, 0, static_cast<std::uint64_t>(i));
-            queue->push_back(c);
-            ++*produced;
-            ctx.compute(150);
-            if (i % 8 == 0) // every eighth object dies locally
-                ctx.free(ctx.malloc(96));
-        }
-    });
-    m.spawnMutator("cons", 1u << 1, [=, &m](Mutator &ctx) {
-        std::size_t taken = 0;
-        while (taken < static_cast<std::size_t>(iters)) {
-            if (taken < queue->size()) {
-                // Copy out: free() yields, and the producer's
-                // push_back may reallocate the vector meanwhile.
-                const cap::Capability c = queue->at(taken);
-                ctx.load64(c, 0); // touch before free
-                ctx.free(c);
-                ++taken;
-                ctx.compute(120);
-            } else {
-                ctx.compute(400); // producer behind; spin virtually
-            }
-        }
-        m.heap().drain(ctx.thread());
-    });
-}
-
 RunMetrics
 runCrossCore(Strategy s, unsigned alloc_cores, unsigned par_cores,
              bool chaos)
 {
-    MachineConfig cfg;
-    cfg.strategy = s;
-    cfg.policy = workload::specPolicy();
-    cfg.policy.min_bytes = 32 * 1024;
-    cfg.alloc_cores = alloc_cores;
+    MachineConfig cfg = test::crossCoreConfig(s, alloc_cores, chaos);
     cfg.par_cores = par_cores;
-    cfg.seed = 7;
-    if (chaos) {
-        cfg.audit = true;
-        cfg.background_sweepers = 2;
-        cfg.faults.enabled = true;
-        cfg.faults.seed = 909;
-        cfg.faults.sweeper_stall_prob = 0.05;
-        cfg.faults.sweeper_stall_cycles = 250'000;
-        cfg.faults.fault_drop_prob = 0.10;
-        cfg.faults.max_fault_drops = 4;
-        cfg.faults.stw_delay_prob = 0.25;
-        cfg.faults.stw_delay_cycles = 25'000;
-        cfg.faults.shootdown_drop_prob = 0.2;
-        cfg.faults.summary_corrupt_prob = 0.25;
-        cfg.faults.quarantine_drop_prob = 0.25;
-        cfg.faults.quarantine_duplicate_prob = 0.25;
-    }
-    Machine m(cfg);
-    crossCoreChurn(m, 300);
-    m.run();
-    return m.metrics();
+    return test::runCrossCore(cfg);
 }
 
 /** The tentpole contract (DESIGN.md §15): per-core allocator

@@ -1,9 +1,10 @@
 /**
  * @file
  * Golden RunMetrics fingerprints: every strategy on a fixed cell set
- * (two SPEC profiles, a short pgbench run, a short gRPC run, and the
- * chaos plan), under both scheduler engines, must reproduce the hash
- * recorded in tests/golden_fingerprints.txt.
+ * (three SPEC profiles, a short pgbench run, a short gRPC run, the
+ * chaos plan, and the cross-core churn at 1/2/4 allocator shards with
+ * and without faults), under both scheduler engines, must reproduce
+ * the hash recorded in tests/golden_fingerprints.txt.
  *
  * The table is what lets host-side code change freely: any edit that
  * moves a simulated number, on either engine, fails here with the
@@ -108,7 +109,8 @@ goldenCells()
         std::vector<std::pair<std::string,
                               std::function<RunMetrics(unsigned)>>>
             runs;
-        for (const char *profile : {"xalancbmk", "libquantum"})
+        for (const char *profile :
+             {"xalancbmk", "libquantum", "hmmer_retro"})
             runs.emplace_back(
                 std::string("spec-") + profile,
                 [s, profile](unsigned pc) {
@@ -131,6 +133,17 @@ goldenCells()
             cfg.par_cores = pc;
             return test::runChaos(cfg);
         });
+        for (bool chaos : {false, true})
+            for (unsigned ac : {1u, 2u, 4u})
+                runs.emplace_back(
+                    "xcore-a" + std::to_string(ac) +
+                        (chaos ? "-chaos" : ""),
+                    [s, ac, chaos](unsigned pc) {
+                        MachineConfig cfg =
+                            test::crossCoreConfig(s, ac, chaos);
+                        cfg.par_cores = pc;
+                        return test::runCrossCore(cfg);
+                    });
         for (const auto &[workload, run] : runs)
             for (unsigned pc : {0u, 1u})
                 cells.push_back(
