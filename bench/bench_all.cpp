@@ -1,20 +1,20 @@
 /**
  * @file
  * The host-performance trajectory bench: runs the union of the
- * fig1-fig9 simulation cells serially and then across the host thread
- * pool, measures the sweep microbench regimes with fast paths on and
- * off, and writes everything to BENCH_TRAJECTORY.json (machine-
- * readable; see DESIGN.md §9 for how to read BENCH_*.json files).
- * The trajectory file *accumulates*: each run appends one entry to
- * the top-level "runs" array, so successive PRs' CI artifacts form a
- * host-performance time series under one stable name instead of a
- * per-PR BENCH_PRn.json. Per-cell metrics are the full
- * MetricsRegistry export (counters/gauges/histograms).
+ * fig1-fig9 simulation cells on one host thread and then across the
+ * host thread pool, measures the sweep microbench regimes and the
+ * sharded-allocator cell, and writes everything to
+ * BENCH_TRAJECTORY.json (machine-readable; see DESIGN.md §9 for how to
+ * read BENCH_*.json files). The trajectory file *accumulates*: each
+ * run appends one entry to the top-level "runs" array, so successive
+ * CI artifacts form a host-performance time series under one stable
+ * name. Per-cell metrics are the full MetricsRegistry export
+ * (counters/gauges/histograms).
  *
  * Simulated results are identical in every mode — this binary measures
  * how fast the *simulator* runs, and doubles as a regression gate for
- * the fast-path determinism contract (it fails loudly if simulated
- * cycles per page differ between fast and reference sweeps).
+ * determinism (it fails loudly if the one-thread and N-thread legs, or
+ * repeated trials of any measurement, disagree on a simulated number).
  *
  * Usage: bench_all [--quick] [--out FILE] [--label NAME] [--threads N]
  *   --quick: small cell set for CI smoke runs.
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "base/simd.h"
 #include "bench_runner.h"
 #include "bench_util.h"
 #include "core/machine.h"
@@ -53,14 +52,7 @@ namespace {
 struct RegimeRow
 {
     SweepRegime regime;
-    SweepRegimeResult fast;
-    SweepRegimeResult reference;
-};
-
-struct KernelsRow
-{
-    SweepRegime regime;
-    benchutil::KernelsAbResult ab;
+    SweepRegimeResult result;
     bool sim_match = true;
 };
 
@@ -120,20 +112,9 @@ addCells(ParallelRunner &runner, bool quick)
 }
 
 double
-timedRun(bool quick, unsigned threads, bool host_fast_paths,
-         unsigned par_cores, const std::string &cost_file,
+timedRun(bool quick, unsigned threads, const std::string &cost_file,
          std::vector<CellResult> *results_out)
 {
-    // The cells build their MachineConfigs internally; the env knobs
-    // are the global defaults they pick up. Set before any worker
-    // exists — parallelMap with 1 worker runs inline on this thread.
-    // par_cores selects the engine (DESIGN.md §14): 0 pins the serial
-    // token engine (the seed-equivalent reference), any other value
-    // the lockstep engine.
-    setenv("CREV_HOST_FAST_PATHS", host_fast_paths ? "1" : "0", 1);
-    char par[16];
-    std::snprintf(par, sizeof(par), "%u", par_cores);
-    setenv("CREV_PAR_CORES", par, 1);
     ParallelRunner runner;
     runner.setCostFile(cost_file);
     addCells(runner, quick);
@@ -142,7 +123,6 @@ timedRun(bool quick, unsigned threads, bool host_fast_paths,
     const double secs = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - start)
                             .count();
-    setenv("CREV_HOST_FAST_PATHS", "1", 1);
     if (results_out != nullptr)
         *results_out = std::move(results);
     return secs;
@@ -182,7 +162,7 @@ readPreviousRuns(const std::string &path)
 }
 
 /** The simulated-result fields compared across host configurations
- *  (and across engines): a summary fingerprint of the run. */
+ *  and trials: a summary fingerprint of the run. */
 bool
 sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
 {
@@ -214,90 +194,12 @@ sameSimResults(const std::vector<CellResult> &a,
     return true;
 }
 
-struct IntraCellResult
-{
-    std::string cell;
-    double serial_seconds = 0;
-    double lockstep_seconds = 0;
-    bool match = true;
-};
-
-/**
- * Serial token engine vs lockstep engine on the heaviest single cell
- * (DESIGN.md §14): interleaved engine pairs with the minimum host
- * time kept per engine — the same noise treatment as the microbench —
- * and RunMetrics required identical both between engines and across
- * trials of the same engine.
- */
-IntraCellResult
-measureIntraCell(bool quick)
-{
-    IntraCellResult r;
-    // Full mode takes the heaviest cell of the set (omnetpp/reloaded
-    // is handoff- and revocation-dense); quick mode a light one.
-    const char *profile = quick ? "hmmer_retro" : "omnetpp";
-    r.cell = std::string("spec/") + profile + "/reloaded";
-    const workload::SpecProfile &prof = workload::specProfile(profile);
-    auto run_once = [&prof](unsigned par, double *secs) {
-        char buf[16];
-        std::snprintf(buf, sizeof(buf), "%u", par);
-        setenv("CREV_PAR_CORES", buf, 1);
-        const auto start = std::chrono::steady_clock::now();
-        core::RunMetrics m =
-            workload::runSpecOn(core::Strategy::kReloaded, prof);
-        *secs = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-        return m;
-    };
-    // Three pairs even in quick mode: the quick cell's window is only
-    // tens of milliseconds, so the min needs more draws to dodge host
-    // noise (the CI gate requires speedup >= 1.0).
-    const std::size_t pairs = 3;
-    core::RunMetrics serial_m, lockstep_m;
-    for (std::size_t k = 0; k < pairs; ++k) {
-        std::fprintf(stderr,
-                     "  intra-cell pair %zu/%zu (%s)...\n", k + 1,
-                     pairs, r.cell.c_str());
-        double ss = 0, ls = 0;
-        core::RunMetrics sm = run_once(0, &ss);
-        core::RunMetrics lm = run_once(1, &ls);
-        if (!sameMetrics(sm, lm)) {
-            std::fprintf(stderr,
-                         "FAIL: %s simulated results differ between "
-                         "serial and lockstep engines\n",
-                         r.cell.c_str());
-            r.match = false;
-        }
-        if (k == 0) {
-            r.serial_seconds = ss;
-            r.lockstep_seconds = ls;
-            serial_m = std::move(sm);
-            lockstep_m = std::move(lm);
-        } else {
-            r.serial_seconds = std::min(r.serial_seconds, ss);
-            r.lockstep_seconds = std::min(r.lockstep_seconds, ls);
-            if (!sameMetrics(sm, serial_m) ||
-                !sameMetrics(lm, lockstep_m)) {
-                std::fprintf(stderr,
-                             "FAIL: %s simulated results vary across "
-                             "intra-cell trials\n",
-                             r.cell.c_str());
-                r.match = false;
-            }
-        }
-    }
-    return r;
-}
-
 struct AllocShardResult
 {
     unsigned alloc_cores = 4;
     int iters = 0;
-    double single_serial_seconds = 0;
-    double single_lockstep_seconds = 0;
-    double sharded_serial_seconds = 0;
-    double sharded_lockstep_seconds = 0;
+    double single_seconds = 0;
+    double sharded_seconds = 0;
     std::uint64_t remote_free_sends = 0;
     bool match = true;
 };
@@ -306,13 +208,12 @@ struct AllocShardResult
  *  consumer freeing on core 1, so with alloc_cores > 1 every consumer
  *  free rides the remote-dealloc message queues (DESIGN.md §15). */
 core::RunMetrics
-runXcoreCell(unsigned alloc_cores, unsigned par_cores, int iters)
+runXcoreCell(unsigned alloc_cores, int iters)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kReloaded;
     cfg.policy.min_bytes = 64 * 1024;
     cfg.alloc_cores = alloc_cores;
-    cfg.par_cores = par_cores;
     cfg.seed = 5;
     core::Machine m(cfg);
     auto queue = std::make_shared<std::vector<cap::Capability>>();
@@ -344,75 +245,55 @@ runXcoreCell(unsigned alloc_cores, unsigned par_cores, int iters)
 
 /**
  * Sharded-allocator A/B: the cross-core-free cell at alloc_cores = 1
- * (single-heap reference) and alloc_cores = 4, each under both
- * engines. Engine pairs are interleaved with the minimum host time
- * kept, like the intra-cell comparison; RunMetrics must be identical
- * between engines at each shard count (across shard counts they
- * legitimately differ — that is the simulated topology changing).
+ * (single heap) and alloc_cores = 4. Trials are repeated with the
+ * minimum host time kept, like the microbench; RunMetrics must be
+ * identical across trials at each shard count (across shard counts
+ * they legitimately differ — that is the simulated topology changing).
  */
 AllocShardResult
 measureAllocShard(bool quick)
 {
     AllocShardResult r;
     // Sized so every timed leg is well clear of host scheduling noise
-    // (tens of milliseconds at minimum): the pr8-era 400/2000 iteration
-    // counts produced 3-4 ms legs whose A/B ratios were pure jitter.
-    // check_trajectory.py rejects legs below the emitted
-    // min_leg_seconds floor.
+    // (tens of milliseconds at minimum); check_trajectory.py rejects
+    // legs below the emitted min_leg_seconds floor.
     const int iters = quick ? 30000 : 60000;
     r.iters = iters;
-    const std::size_t pairs = 3;
+    const std::size_t trials = 3;
     for (const bool sharded : {false, true}) {
         const unsigned ac = sharded ? r.alloc_cores : 1;
-        core::RunMetrics serial_m, lockstep_m;
-        double best_s = 0, best_l = 0;
-        for (std::size_t k = 0; k < pairs; ++k) {
+        core::RunMetrics first;
+        double best = 0;
+        for (std::size_t k = 0; k < trials; ++k) {
             std::fprintf(stderr,
-                         "  alloc-shard pair %zu/%zu (alloc_cores "
+                         "  alloc-shard trial %zu/%zu (alloc_cores "
                          "%u)...\n",
-                         k + 1, pairs, ac);
-            auto once = [&](unsigned par, double *secs) {
-                const auto start = std::chrono::steady_clock::now();
-                core::RunMetrics m = runXcoreCell(ac, par, iters);
-                *secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                return m;
-            };
-            double ss = 0, ls = 0;
-            core::RunMetrics sm = once(0, &ss);
-            core::RunMetrics lm = once(1, &ls);
-            if (!sameMetrics(sm, lm) ||
-                sm.quarantine.remote_free_sends !=
-                    lm.quarantine.remote_free_sends) {
+                         k + 1, trials, ac);
+            const auto start = std::chrono::steady_clock::now();
+            core::RunMetrics m = runXcoreCell(ac, iters);
+            const double secs = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    start)
+                                    .count();
+            if (k == 0) {
+                best = secs;
+                first = std::move(m);
+                continue;
+            }
+            best = std::min(best, secs);
+            if (!sameMetrics(m, first) ||
+                m.quarantine.remote_free_sends !=
+                    first.quarantine.remote_free_sends) {
                 std::fprintf(stderr,
                              "FAIL: alloc_cores %u simulated results "
-                             "differ between engines\n",
+                             "vary across trials\n",
                              ac);
                 r.match = false;
             }
-            if (k == 0) {
-                best_s = ss;
-                best_l = ls;
-                serial_m = std::move(sm);
-                lockstep_m = std::move(lm);
-            } else {
-                best_s = std::min(best_s, ss);
-                best_l = std::min(best_l, ls);
-                if (!sameMetrics(sm, serial_m) ||
-                    !sameMetrics(lm, lockstep_m)) {
-                    std::fprintf(stderr,
-                                 "FAIL: alloc_cores %u simulated "
-                                 "results vary across trials\n",
-                                 ac);
-                    r.match = false;
-                }
-            }
         }
         if (sharded) {
-            r.sharded_serial_seconds = best_s;
-            r.sharded_lockstep_seconds = best_l;
-            r.remote_free_sends = serial_m.quarantine.remote_free_sends;
+            r.sharded_seconds = best;
+            r.remote_free_sends = first.quarantine.remote_free_sends;
             if (r.remote_free_sends == 0) {
                 std::fprintf(stderr,
                              "FAIL: sharded cell drove no remote "
@@ -420,9 +301,8 @@ measureAllocShard(bool quick)
                 r.match = false;
             }
         } else {
-            r.single_serial_seconds = best_s;
-            r.single_lockstep_seconds = best_l;
-            if (serial_m.quarantine.remote_free_sends != 0) {
+            r.single_seconds = best;
+            if (first.quarantine.remote_free_sends != 0) {
                 std::fprintf(stderr,
                              "FAIL: single-heap cell sent remote "
                              "frees\n");
@@ -466,14 +346,13 @@ main(int argc, char **argv)
     benchutil::banner("Host-performance trajectory (bench_all)",
                       "simulator host perf; no paper figure");
 
-    // --- sweep microbench: fast vs reference, four tag regimes ---
+    // --- sweep microbench: four tag regimes ---
     const std::size_t pages = quick ? 16 : 64;
     const std::size_t repeats = quick ? 10 : 40;
     // Host timings on a shared box are noisy; each measurement window
-    // is only tens of milliseconds. Interleave fast and reference
-    // measurements over several trials and keep the minimum per side
-    // (the least-disturbed run). Simulated cycles must be identical
-    // across every trial of either side.
+    // is only tens of milliseconds. Measure over several trials and
+    // keep the minimum (the least-disturbed run). Simulated cycles
+    // must be identical across every trial.
     const std::size_t trials = quick ? 2 : 5;
     std::vector<RegimeRow> regimes;
     bool determinism_ok = true;
@@ -485,178 +364,71 @@ main(int argc, char **argv)
         std::fprintf(stderr, "  sweep regime %s (%zu trials)...\n",
                      benchutil::sweepRegimeName(r), trials);
         for (std::size_t k = 0; k < trials; ++k) {
-            const auto fast = benchutil::measureSweepRegime(
-                r, true, pages, repeats);
-            const auto ref = benchutil::measureSweepRegime(
-                r, false, pages, repeats);
+            const auto m =
+                benchutil::measureSweepRegime(r, pages, repeats);
             if (k == 0) {
-                row.fast = fast;
-                row.reference = ref;
+                row.result = m;
                 continue;
             }
-            row.fast.host_ns_per_page = std::min(
-                row.fast.host_ns_per_page, fast.host_ns_per_page);
-            row.reference.host_ns_per_page =
-                std::min(row.reference.host_ns_per_page,
-                         ref.host_ns_per_page);
-            if (fast.sim_cycles_per_page !=
-                    row.fast.sim_cycles_per_page ||
-                ref.sim_cycles_per_page !=
-                    row.reference.sim_cycles_per_page) {
+            row.result.host_ns_per_page = std::min(
+                row.result.host_ns_per_page, m.host_ns_per_page);
+            if (m.sim_cycles_per_page != row.result.sim_cycles_per_page) {
                 std::fprintf(stderr,
                              "FAIL: regime %s simulated cycles vary "
-                             "across trials\n",
-                             benchutil::sweepRegimeName(r));
-                determinism_ok = false;
-            }
-        }
-        if (row.fast.sim_cycles_per_page !=
-            row.reference.sim_cycles_per_page) {
-            std::fprintf(stderr,
-                         "FAIL: regime %s simulated cycles diverge "
-                         "(fast %.1f vs reference %.1f)\n",
-                         benchutil::sweepRegimeName(r),
-                         row.fast.sim_cycles_per_page,
-                         row.reference.sim_cycles_per_page);
-            determinism_ok = false;
-        }
-        regimes.push_back(row);
-    }
-
-    std::printf("sweep microbench (host ns/page, %zu pages x %zu "
-                "repeats):\n",
-                pages, repeats);
-    std::printf("  %-12s %12s %12s %9s %16s\n", "regime", "fast",
-                "reference", "speedup", "sim cycles/page");
-    for (const auto &row : regimes)
-        std::printf("  %-12s %12.1f %12.1f %8.2fx %16.1f\n",
-                    benchutil::sweepRegimeName(row.regime),
-                    row.fast.host_ns_per_page,
-                    row.reference.host_ns_per_page,
-                    row.reference.host_ns_per_page /
-                        row.fast.host_ns_per_page,
-                    row.fast.sim_cycles_per_page);
-
-    // --- kernels A/B: dispatched SIMD vs forced scalar through the
-    // sweep, same regimes, same noise treatment ---
-    std::vector<KernelsRow> kernel_rows;
-    bool kernels_ok = true;
-    for (SweepRegime r :
-         {SweepRegime::kClean, SweepRegime::kSparse, SweepRegime::kFull,
-          SweepRegime::kRevokeDense}) {
-        KernelsRow row;
-        row.regime = r;
-        std::fprintf(stderr, "  kernels A/B %s (%zu trials)...\n",
-                     benchutil::sweepRegimeName(r), trials);
-        for (std::size_t k = 0; k < trials; ++k) {
-            const auto ab =
-                benchutil::measureKernelsAb(r, pages, repeats);
-            if (k == 0) {
-                row.ab = ab;
-                continue;
-            }
-            row.ab.on.host_ns_per_page = std::min(
-                row.ab.on.host_ns_per_page, ab.on.host_ns_per_page);
-            row.ab.off.host_ns_per_page = std::min(
-                row.ab.off.host_ns_per_page, ab.off.host_ns_per_page);
-            if (ab.on.sim_cycles_per_page !=
-                    row.ab.on.sim_cycles_per_page ||
-                ab.off.sim_cycles_per_page !=
-                    row.ab.off.sim_cycles_per_page) {
-                std::fprintf(stderr,
-                             "FAIL: kernels %s simulated cycles vary "
                              "across trials\n",
                              benchutil::sweepRegimeName(r));
                 row.sim_match = false;
             }
         }
-        if (!row.ab.simMatches()) {
-            std::fprintf(stderr,
-                         "FAIL: kernels %s simulated results diverge "
-                         "between scalar and dispatched legs\n",
-                         benchutil::sweepRegimeName(r));
-            row.sim_match = false;
-        }
-        kernels_ok = kernels_ok && row.sim_match;
-        kernel_rows.push_back(row);
+        determinism_ok = determinism_ok && row.sim_match;
+        regimes.push_back(row);
     }
-    determinism_ok = determinism_ok && kernels_ok;
 
-    std::printf("\nkernel A/B (%s dispatch vs scalar, host ns/page):\n",
-                simd::levelName(simd::level()));
-    std::printf("  %-12s %12s %12s %9s\n", "regime", "kernels",
-                "scalar", "speedup");
-    for (const auto &row : kernel_rows)
-        std::printf("  %-12s %12.1f %12.1f %8.2fx\n",
+    std::printf("sweep microbench (%zu pages x %zu repeats):\n", pages,
+                repeats);
+    std::printf("  %-12s %12s %16s\n", "regime", "host ns/page",
+                "sim cycles/page");
+    for (const auto &row : regimes)
+        std::printf("  %-12s %12.1f %16.1f\n",
                     benchutil::sweepRegimeName(row.regime),
-                    row.ab.on.host_ns_per_page,
-                    row.ab.off.host_ns_per_page, row.ab.hostSpeedup());
+                    row.result.host_ns_per_page,
+                    row.result.sim_cycles_per_page);
 
-    // --- end-to-end cell set, three host configurations ---
-    // reference-serial is the seed-equivalent host behaviour (no fast
-    // paths, one thread, serial token engine); fast-serial isolates
-    // the fast-path + lockstep-engine gain; fast-parallel adds the
-    // thread pool. Simulated results must be identical in all three.
-    // Two interleaved legs, minimum kept per configuration — the same
-    // noise treatment as the microbench.
+    // --- end-to-end cell set: one host thread vs the thread pool ---
+    // Simulated results must be identical in both legs. Two
+    // interleaved rounds, minimum kept per leg — the same noise
+    // treatment as the microbench.
     const unsigned threads = threads_flag != 0
                                  ? threads_flag
                                  : benchutil::benchThreads();
-    const std::size_t legs = 2;
-    double ref_serial_secs = 0, serial_secs = 0, parallel_secs = 0;
-    std::vector<CellResult> ref_cells, cells;
-    for (std::size_t leg = 0; leg < legs; ++leg) {
-        std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: serial, fast paths off...\n",
-                     leg + 1, legs);
-        std::vector<CellResult> rc;
-        const double r = timedRun(quick, 1, false, 0, out_path, &rc);
-        std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: serial, fast paths on...\n",
-                     leg + 1, legs);
-        const double s = timedRun(quick, 1, true, 1, out_path, nullptr);
-        std::fprintf(stderr,
-                     "  e2e leg %zu/%zu: %u host threads...\n",
-                     leg + 1, legs, threads);
+    const std::size_t rounds = 2;
+    double serial_secs = 0, parallel_secs = 0;
+    std::vector<CellResult> cells;
+    for (std::size_t round = 0; round < rounds; ++round) {
+        std::fprintf(stderr, "  e2e round %zu/%zu: 1 host thread...\n",
+                     round + 1, rounds);
+        std::vector<CellResult> sc;
+        const double s = timedRun(quick, 1, out_path, &sc);
+        std::fprintf(stderr, "  e2e round %zu/%zu: %u host threads...\n",
+                     round + 1, rounds, threads);
         std::vector<CellResult> pc;
-        const double p = timedRun(quick, threads, true, 1, out_path, &pc);
-        determinism_ok = determinism_ok && sameSimResults(rc, pc);
-        if (leg == 0) {
-            ref_serial_secs = r;
+        const double p = timedRun(quick, threads, out_path, &pc);
+        determinism_ok = determinism_ok && sameSimResults(sc, pc);
+        if (round == 0) {
             serial_secs = s;
             parallel_secs = p;
-            ref_cells = std::move(rc);
             cells = std::move(pc);
         } else {
-            ref_serial_secs = std::min(ref_serial_secs, r);
             serial_secs = std::min(serial_secs, s);
             parallel_secs = std::min(parallel_secs, p);
-            determinism_ok =
-                determinism_ok && sameSimResults(ref_cells, rc);
+            determinism_ok = determinism_ok && sameSimResults(cells, pc);
         }
     }
 
     std::printf("\nend-to-end cell set (%zu cells):\n", cells.size());
-    std::printf("  reference serial (seed-equivalent): %.2fs\n",
-                ref_serial_secs);
-    std::printf("  fast-path serial:                   %.2fs (%.2fx)\n",
-                serial_secs, ref_serial_secs / serial_secs);
-    std::printf("  fast-path parallel (%2u threads):    %.2fs (%.2fx "
-                "vs reference)\n",
-                threads, parallel_secs,
-                ref_serial_secs / parallel_secs);
-
-    // --- intra-cell engine comparison (DESIGN.md §14) ---
-    std::fprintf(stderr, "  intra-cell engine comparison...\n");
-    const IntraCellResult intra = measureIntraCell(quick);
-    determinism_ok = determinism_ok && intra.match;
-    std::printf("\nintra-cell engine comparison (%s):\n",
-                intra.cell.c_str());
-    std::printf("  serial token engine:       %.2fs\n",
-                intra.serial_seconds);
-    std::printf("  lockstep engine:           %.2fs (%.2fx)\n",
-                intra.lockstep_seconds,
-                intra.serial_seconds / intra.lockstep_seconds);
+    std::printf("  1 host thread:    %.2fs\n", serial_secs);
+    std::printf("  %2u host threads:  %.2fs (%.2fx)\n", threads,
+                parallel_secs, serial_secs / parallel_secs);
 
     // --- sharded-allocator A/B (DESIGN.md §15) ---
     std::fprintf(stderr, "  sharded-allocator comparison...\n");
@@ -665,13 +437,9 @@ main(int argc, char **argv)
     std::printf("\nsharded allocator (cross-core producer/consumer, "
                 "alloc_cores 1 vs %u):\n",
                 ashard.alloc_cores);
-    std::printf("  single heap:  serial %.2fs, lockstep %.2fs\n",
-                ashard.single_serial_seconds,
-                ashard.single_lockstep_seconds);
-    std::printf("  %u shards:     serial %.2fs, lockstep %.2fs "
-                "(%llu remote frees)\n",
-                ashard.alloc_cores, ashard.sharded_serial_seconds,
-                ashard.sharded_lockstep_seconds,
+    std::printf("  single heap:  %.2fs\n", ashard.single_seconds);
+    std::printf("  %u shards:     %.2fs (%llu remote frees)\n",
+                ashard.alloc_cores, ashard.sharded_seconds,
                 static_cast<unsigned long long>(
                     ashard.remote_free_sends));
 
@@ -693,102 +461,41 @@ main(int argc, char **argv)
     std::fprintf(f, "      \"sweep_microbench\": [\n");
     for (std::size_t i = 0; i < regimes.size(); ++i) {
         const auto &row = regimes[i];
-        std::fprintf(
-            f,
-            "        {\"regime\": \"%s\", "
-            "\"fast_ns_per_page\": %.2f, "
-            "\"reference_ns_per_page\": %.2f, "
-            "\"host_speedup\": %.3f, "
-            "\"sim_cycles_per_page\": %.2f, "
-            "\"sim_cycles_match\": %s}%s\n",
-            benchutil::sweepRegimeName(row.regime),
-            row.fast.host_ns_per_page,
-            row.reference.host_ns_per_page,
-            row.reference.host_ns_per_page / row.fast.host_ns_per_page,
-            row.fast.sim_cycles_per_page,
-            row.fast.sim_cycles_per_page ==
-                    row.reference.sim_cycles_per_page
-                ? "true"
-                : "false",
-            i + 1 < regimes.size() ? "," : "");
+        std::fprintf(f,
+                     "        {\"regime\": \"%s\", "
+                     "\"host_ns_per_page\": %.2f, "
+                     "\"sim_cycles_per_page\": %.2f, "
+                     "\"sim_cycles_match\": %s}%s\n",
+                     benchutil::sweepRegimeName(row.regime),
+                     row.result.host_ns_per_page,
+                     row.result.sim_cycles_per_page,
+                     row.sim_match ? "true" : "false",
+                     i + 1 < regimes.size() ? "," : "");
     }
     std::fprintf(f, "      ],\n");
-    // Record-level host_speedup aggregates across regimes (total off
-    // ns over total on ns): the gated number is dominated by the
-    // regimes with real tag work, so a noise-sized clean-regime ratio
-    // cannot flip the gate.
-    double kernels_on_ns = 0, kernels_off_ns = 0;
-    for (const auto &row : kernel_rows) {
-        kernels_on_ns += row.ab.on.host_ns_per_page;
-        kernels_off_ns += row.ab.off.host_ns_per_page;
-    }
-    std::fprintf(f, "      \"kernels\": {\"level\": \"%s\", ",
-                 benchutil::jsonEscape(simd::levelName(simd::level()))
-                     .c_str());
-    std::fprintf(f, "\"host_speedup\": %.3f, ",
-                 kernels_on_ns > 0 ? kernels_off_ns / kernels_on_ns
-                                   : 0.0);
-    std::fprintf(f, "\"sim_results_match\": %s, \"legs\": [\n",
-                 kernels_ok ? "true" : "false");
-    for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
-        const auto &row = kernel_rows[i];
-        std::fprintf(
-            f,
-            "        {\"regime\": \"%s\", "
-            "\"on_ns_per_page\": %.2f, "
-            "\"off_ns_per_page\": %.2f, "
-            "\"host_speedup\": %.3f, "
-            "\"sim_cycles_per_page\": %.2f, "
-            "\"sim_cycles_match\": %s}%s\n",
-            benchutil::sweepRegimeName(row.regime),
-            row.ab.on.host_ns_per_page, row.ab.off.host_ns_per_page,
-            row.ab.hostSpeedup(), row.ab.on.sim_cycles_per_page,
-            row.sim_match ? "true" : "false",
-            i + 1 < kernel_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "      ]},\n");
+    // The fast_* key names predate the removal of the reference leg;
+    // they are kept so the trajectory stays one comparable series.
     std::fprintf(f,
                  "      \"end_to_end\": {\"cells\": %zu, "
-                 "\"reference_serial_seconds\": %.3f, "
                  "\"fast_serial_seconds\": %.3f, "
                  "\"fast_parallel_seconds\": %.3f, "
-                 "\"fast_path_speedup\": %.3f, "
                  "\"parallel_speedup\": %.3f, "
-                 "\"total_speedup\": %.3f, "
                  "\"sim_results_match\": %s},\n",
-                 cells.size(), ref_serial_secs, serial_secs,
-                 parallel_secs, ref_serial_secs / serial_secs,
+                 cells.size(), serial_secs, parallel_secs,
                  serial_secs / parallel_secs,
-                 ref_serial_secs / parallel_secs,
                  determinism_ok ? "true" : "false");
-    std::fprintf(f,
-                 "      \"intra_cell\": {\"cell\": \"%s\", "
-                 "\"serial_seconds\": %.3f, "
-                 "\"lockstep_seconds\": %.3f, "
-                 "\"intra_cell_speedup\": %.3f, "
-                 "\"sim_results_match\": %s},\n",
-                 benchutil::jsonEscape(intra.cell).c_str(),
-                 intra.serial_seconds,
-                 intra.lockstep_seconds,
-                 intra.serial_seconds / intra.lockstep_seconds,
-                 intra.match ? "true" : "false");
     std::fprintf(f,
                  "      \"alloc_shard\": "
                  "{\"regime\": \"xcore_producer_consumer\", "
                  "\"alloc_cores\": %u, "
                  "\"iters\": %d, "
                  "\"min_leg_seconds\": %.3f, "
-                 "\"single_serial_seconds\": %.3f, "
-                 "\"single_lockstep_seconds\": %.3f, "
-                 "\"sharded_serial_seconds\": %.3f, "
-                 "\"sharded_lockstep_seconds\": %.3f, "
+                 "\"single_seconds\": %.3f, "
+                 "\"sharded_seconds\": %.3f, "
                  "\"remote_free_sends\": %llu, "
                  "\"sim_results_match\": %s},\n",
                  ashard.alloc_cores, ashard.iters, 0.02,
-                 ashard.single_serial_seconds,
-                 ashard.single_lockstep_seconds,
-                 ashard.sharded_serial_seconds,
-                 ashard.sharded_lockstep_seconds,
+                 ashard.single_seconds, ashard.sharded_seconds,
                  static_cast<unsigned long long>(
                      ashard.remote_free_sends),
                  ashard.match ? "true" : "false");
@@ -808,8 +515,7 @@ main(int argc, char **argv)
                 prev_runs.empty() ? "1" : "appended to prior");
 
     if (!determinism_ok) {
-        std::fprintf(stderr,
-                     "bench_all: fast-path determinism violated\n");
+        std::fprintf(stderr, "bench_all: determinism violated\n");
         return 1;
     }
     return 0;

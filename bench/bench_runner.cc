@@ -11,7 +11,6 @@
 #include <sched.h>
 #endif
 
-#include "base/simd.h"
 #include "core/mutator.h"
 #include "revoker/bitmap.h"
 #include "revoker/sweep.h"
@@ -227,12 +226,11 @@ sweepRegimeName(SweepRegime r)
 }
 
 SweepRegimeResult
-measureSweepRegime(SweepRegime regime, bool host_fast_paths,
-                   std::size_t pages, std::size_t repeats)
+measureSweepRegime(SweepRegime regime, std::size_t pages,
+                   std::size_t repeats)
 {
     core::MachineConfig cfg;
     cfg.strategy = core::Strategy::kBaseline; // no revoker daemon
-    cfg.host_fast_paths = host_fast_paths;
     core::Machine m(cfg);
 
     SweepRegimeResult result;
@@ -271,8 +269,7 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
         // a zero bit, never clear tags, and every repeat sweeps the
         // same population.
         revoker::RevocationBitmap bitmap(ctx.machine().mmu());
-        revoker::SweepEngine engine(ctx.machine().mmu(), bitmap,
-                                    host_fast_paths);
+        revoker::SweepEngine engine(ctx.machine().mmu(), bitmap);
         sim::SimThread &t = ctx.thread();
         if (revoke_dense)
             bitmap.paint(t, v.base, 64);
@@ -307,27 +304,9 @@ measureSweepRegime(SweepRegime regime, bool host_fast_paths,
         result.sim_cycles_per_page =
             static_cast<double>(sim_cycles) / total_pages;
         result.pages_swept = engine.stats().pages_swept;
-        result.caps_seen = engine.stats().caps_seen;
     });
     m.run();
     return result;
-}
-
-KernelsAbResult
-measureKernelsAb(SweepRegime regime, std::size_t pages,
-                 std::size_t repeats)
-{
-    KernelsAbResult r;
-    // Off leg first: forced-scalar kernels, the portable reference
-    // path.
-    simd::forceLevel(simd::Level::kScalar);
-    r.off = measureSweepRegime(regime, /*host_fast_paths=*/true, pages,
-                               repeats);
-    // On leg: the environment-dispatched kernel level.
-    simd::refreshFromEnv();
-    r.on = measureSweepRegime(regime, /*host_fast_paths=*/true, pages,
-                              repeats);
-    return r;
 }
 
 std::string

@@ -152,53 +152,17 @@ struct SweepRegimeResult
     double host_ns_per_page = 0;
     double sim_cycles_per_page = 0;
     std::uint64_t pages_swept = 0;
-    std::uint64_t caps_seen = 0;
 };
 
 /**
  * Sweep @p pages resident pages populated per @p regime, @p repeats
- * times over, with the engine's host fast paths on or off, and report
- * host ns and simulated cycles per page. Simulated cycles per page
- * must come out identical for both fast-path settings (that is the
- * determinism contract); only host ns may differ.
+ * times over, and report host ns and simulated cycles per page.
+ * Simulated cycles per page are a pure function of the regime, so
+ * repeated measurements must agree on them; only host ns may differ.
  */
 SweepRegimeResult measureSweepRegime(SweepRegime regime,
-                                     bool host_fast_paths,
                                      std::size_t pages = 64,
                                      std::size_t repeats = 40);
-
-/** One kernels A/B measurement: dispatched vs forced-scalar batch
- *  kernels, same regime and page population. */
-struct KernelsAbResult
-{
-    SweepRegimeResult on;  //!< dispatched kernels
-    SweepRegimeResult off; //!< forced-scalar kernels
-    /** off/on host-ns ratio (> 1 means the kernels won). */
-    double hostSpeedup() const
-    {
-        return on.host_ns_per_page > 0
-                   ? off.host_ns_per_page / on.host_ns_per_page
-                   : 0;
-    }
-    /** The determinism contract: identical simulated work. */
-    bool simMatches() const
-    {
-        return on.sim_cycles_per_page == off.sim_cycles_per_page &&
-               on.pages_swept == off.pages_swept &&
-               on.caps_seen == off.caps_seen;
-    }
-};
-
-/**
- * Run the sweep harness twice over @p regime — once with the SIMD
- * batch kernels at their dispatched level, once forced scalar — and
- * report both legs. The kernels run where the sweep reaches them
- * (tag-word counts, the shadow bitmap's probes and paints). Restores
- * the environment-selected kernel level before returning.
- */
-KernelsAbResult measureKernelsAb(SweepRegime regime,
-                                 std::size_t pages = 64,
-                                 std::size_t repeats = 40);
 
 /** Minimal JSON string escaping for bench report writers. */
 std::string jsonEscape(const std::string &s);

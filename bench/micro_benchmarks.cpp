@@ -116,22 +116,12 @@ void
 BM_SweepPageRegime(benchmark::State &state,
                    benchutil::SweepRegime regime)
 {
-    // Host cost of sweeping one page with the fast path on, vs the
-    // reference per-granule loop; simulated cycles per page must be
-    // identical for both (the fast-path determinism contract).
-    const auto fast = benchutil::measureSweepRegime(regime, true);
-    const auto ref = benchutil::measureSweepRegime(regime, false);
-    if (fast.sim_cycles_per_page != ref.sim_cycles_per_page) {
-        state.SkipWithError("simulated cycles diverge fast vs ref");
-        return;
-    }
+    // Host cost of sweeping one page, and its simulated cycles.
+    const auto r = benchutil::measureSweepRegime(regime);
     for (auto _ : state)
-        benchmark::DoNotOptimize(fast.pages_swept);
-    state.counters["host_ns_per_page_fast"] = fast.host_ns_per_page;
-    state.counters["host_ns_per_page_ref"] = ref.host_ns_per_page;
-    state.counters["fast_speedup"] =
-        ref.host_ns_per_page / fast.host_ns_per_page;
-    state.counters["sim_cycles_per_page"] = fast.sim_cycles_per_page;
+        benchmark::DoNotOptimize(r.pages_swept);
+    state.counters["host_ns_per_page"] = r.host_ns_per_page;
+    state.counters["sim_cycles_per_page"] = r.sim_cycles_per_page;
 }
 
 void

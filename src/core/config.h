@@ -35,14 +35,6 @@ enum class Strategy {
 const char *strategyName(Strategy s);
 
 /**
- * Default for MachineConfig::host_fast_paths: true unless the
- * CREV_HOST_FAST_PATHS environment variable is set to "0" (host-side
- * A/B benching and debugging; simulated results are identical either
- * way).
- */
-bool defaultHostFastPaths();
-
-/**
  * Default for MachineConfig::trace: false unless the CREV_TRACE
  * environment variable is set to something other than "0". Tracing
  * charges zero simulated cycles, so results are identical either way;
@@ -59,15 +51,6 @@ bool defaultTrace();
 bool defaultCheck();
 
 /**
- * Default for MachineConfig::sweep_accel: true unless the
- * CREV_SWEEP_ACCEL environment variable is set to "0". Like
- * host_fast_paths this is a pure host-side lever: the cap-dirty page
- * index changes which host code selects sweep work, never the
- * simulated charges, so RunMetrics are byte-identical either way.
- */
-bool defaultSweepAccel();
-
-/**
  * Default for MachineConfig::oracle: false unless the CREV_ORACLE
  * environment variable is set to something other than "0". The
  * temporal-safety oracle is an off-clock observer like the race
@@ -76,24 +59,13 @@ bool defaultSweepAccel();
 bool defaultOracle();
 
 /**
- * Default for MachineConfig::par_cores: the CREV_PAR_CORES
- * environment variable when set, otherwise 1 — i.e. the lockstep
- * engine is on by default. 0 selects the serial token engine (the
- * reference implementation); RunMetrics are bit-identical between the
- * engines (tests/golden_test.cpp), so this is a pure host-side lever
- * like host_fast_paths.
- */
-unsigned defaultParCores();
-
-/**
  * Default for MachineConfig::alloc_cores: the CREV_ALLOC_CORES
  * environment variable when set, otherwise 1 — the single-heap
  * reference model. Values > 1 shard the allocator and quarantine
  * into per-core heaps with message-passing remote free (DESIGN.md
  * §15); this is a *simulated* structural change (quarantine growth
- * and paint/sweep dynamics differ by design), but for a fixed value
- * RunMetrics stay bit-identical between the serial and lockstep
- * engines (tests/determinism_test.cpp).
+ * and paint/sweep dynamics differ by design); each value has its own
+ * golden fingerprints (tests/golden_test.cpp).
  */
 unsigned defaultAllocCores();
 
@@ -123,21 +95,9 @@ struct MachineConfig
     /** Run the whole-machine invariant audit after every epoch. */
     bool audit = false;
 
-    /** Host-side memoisation fast paths (translation/frame caches,
-     *  packed tag-nibble sweeps). Pure host optimisation: results are
-     *  byte-identical either way (tests/determinism_test.cpp). */
-    bool host_fast_paths = defaultHostFastPaths();
-
-    /** Hierarchical sweep acceleration (DESIGN.md §12): page-index
-     *  driven sweep candidate selection. Pure host optimisation, like
-     *  host_fast_paths: results are byte-identical either way. */
-    bool sweep_accel = defaultSweepAccel();
-
-    /** Scheduler engine selector (DESIGN.md §14): 0 = serial token
-     *  engine (the reference); any other value = lockstep engine with
-     *  fibers. Single-core machines always use the token engine.
-     *  RunMetrics are bit-identical between the engines. */
-    unsigned par_cores = defaultParCores();
+    /** Ignored: the scheduler has one engine (DESIGN.md §14). Kept
+     *  only because perfbench/ still sets it. */
+    unsigned par_cores = 1;
 
     /** Per-core allocator sharding (DESIGN.md §15): number of
      *  per-core heap shards. 1 = the single globally-locked heap (the

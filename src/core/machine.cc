@@ -36,13 +36,6 @@ strategyName(Strategy s)
 }
 
 bool
-defaultHostFastPaths()
-{
-    const char *env = std::getenv("CREV_HOST_FAST_PATHS");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
 defaultTrace()
 {
     const char *env = std::getenv("CREV_TRACE");
@@ -57,30 +50,10 @@ defaultCheck()
 }
 
 bool
-defaultSweepAccel()
-{
-    const char *env = std::getenv("CREV_SWEEP_ACCEL");
-    return env == nullptr || std::strcmp(env, "0") != 0;
-}
-
-bool
 defaultOracle()
 {
     const char *env = std::getenv("CREV_ORACLE");
     return env != nullptr && std::strcmp(env, "0") != 0;
-}
-
-unsigned
-defaultParCores()
-{
-    if (const char *env = std::getenv("CREV_PAR_CORES")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v <= 64)
-            return static_cast<unsigned>(v);
-        warn("ignoring malformed CREV_PAR_CORES=%s", env);
-    }
-    return 1;
 }
 
 unsigned
@@ -105,11 +78,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             cfg.trace_buffer_events);
     ms_ = std::make_unique<mem::MemorySystem>(cfg.cores, cfg.l1,
                                               cfg.llc, cfg.latency);
-    // Single-core simulated machines keep the serial token engine:
-    // there is no cross-core interaction to resolve, so the lockstep
-    // machinery would be pure overhead.
-    sched_ = std::make_unique<sim::Scheduler>(
-        cfg.cores, cfg.costs, cfg.cores > 1 && cfg.par_cores != 0);
+    sched_ = std::make_unique<sim::Scheduler>(cfg.cores, cfg.costs);
     sched_->setTracer(tracer_.get());
     if (cfg.check)
         checker_ = std::make_unique<check::RaceChecker>();
@@ -118,7 +87,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     as_ = std::make_unique<vm::AddressSpace>(pm_);
     as_->setChecker(checker_.get());
     mmu_ = std::make_unique<vm::Mmu>(pm_, *ms_, *as_, sched_->costs());
-    mmu_->setHostFastPaths(cfg.host_fast_paths);
     mmu_->setTracer(tracer_.get());
     kernel_ = std::make_unique<kern::Kernel>(*mmu_, sched_->costs());
     kernel_->epoch().setChecker(checker_.get());
@@ -180,8 +148,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     opts.always_trap_clean_pages = cfg.always_trap_clean;
     opts.background_sweepers = cfg.background_sweepers;
     opts.audit = cfg.audit;
-    opts.host_fast_paths = cfg.host_fast_paths;
-    opts.sweep_accel = cfg.sweep_accel;
     opts.injector = injector_.get();
     opts.tracer = tracer_.get();
 

@@ -57,8 +57,7 @@ CheriotFilterRevoker::doEpoch(sim::SimThread &self)
     const Cycles cbegin = self.now();
     tracePhaseBegin(self, trace::Phase::kConcurrentSweep);
     const std::vector<Addr> pages =
-        collectPages(as.capEverPages(),
-                     [](const vm::Pte &p) { return p.cap_ever; });
+        collectPages([](const vm::Pte &p) { return p.cap_ever; });
     sim::SimMutex &pmap = as.pmapLock();
     for (Addr va : pages) {
         pmap.lock(self);

@@ -20,11 +20,9 @@ CheriVokeRevoker::doEpoch(sim::SimThread &self)
     scanRegistersAndHoards(self);
 
     // Visit every page that has ever held capabilities; the whole
-    // sweep happens with the world stopped. The cap-ever page index
-    // replaces the full page-table walk (identical list either way).
-    const std::vector<Addr> pages = collectPages(
-        mmu_.addressSpace().capEverPages(),
-        [](const vm::Pte &p) { return p.cap_ever; });
+    // sweep happens with the world stopped.
+    const std::vector<Addr> pages =
+        collectPages([](const vm::Pte &p) { return p.cap_ever; });
     PublishOptions dirty_clear;
     dirty_clear.set_generation = false;
     dirty_clear.charge_and_shootdown = false;

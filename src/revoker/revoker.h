@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -85,11 +84,6 @@ struct RevokerOptions
     unsigned background_sweepers = 1;
     /** Run the whole-machine invariant audit after each epoch. */
     bool audit = false;
-    /** Host-side sweep fast paths (see MachineConfig::host_fast_paths). */
-    bool host_fast_paths = true;
-    /** Index-driven sweep page selection
-     *  (MachineConfig::sweep_accel). */
-    bool sweep_accel = true;
     /** Fault injector for chaos campaigns (null: no injection). */
     sim::FaultInjector *injector = nullptr;
     /** Event tracer (null: tracing off; zero simulated cost). */
@@ -245,24 +239,12 @@ class Revoker
     void commitOracle(sim::SimThread &self);
 
     /**
-     * Whether index-driven page selection is active (both host levers
-     * must be on; either way the simulated results are identical).
-     */
-    bool sweepAccel() const
-    {
-        return opts_.sweep_accel && opts_.host_fast_paths;
-    }
-
-    /**
-     * Collect the strategy's sweep candidates: the pages of @p index
-     * (a host-side AddressSpace page index) whose live PTE satisfies
-     * @p want. With sweep acceleration off, falls back to the full
-     * page-table walk — both produce the identical ascending-VA list,
-     * because the indexes are (super)sets of the flagged pages.
+     * Collect the strategy's sweep candidates: the resident pages
+     * whose PTE satisfies @p want, in ascending VA order (one walk of
+     * the page table).
      */
     std::vector<Addr>
-    collectPages(const std::set<Addr> &index,
-                 const std::function<bool(const vm::Pte &)> &want);
+    collectPages(const std::function<bool(const vm::Pte &)> &want);
 
     /**
      * Enter stop-the-world, applying any injected entry delay (lost

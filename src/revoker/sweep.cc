@@ -14,43 +14,7 @@ SweepEngine::sweepPage(sim::SimThread &t, Addr page_va)
 {
     CREV_ASSERT(pageOffset(page_va) == 0);
     ++stats_.pages_swept;
-    return host_fast_paths_ ? sweepPageFast(t, page_va)
-                            : sweepPageReference(t, page_va);
-}
 
-bool
-SweepEngine::sweepPageReference(sim::SimThread &t, Addr page_va)
-{
-    bool clean = true;
-
-    for (Addr line = page_va; line < page_va + kPageSize;
-         line += kLineSize) {
-        // The line read brings data and tags on-chip.
-        mmu_.chargeRead(t, line, kLineSize);
-        ++stats_.lines_read;
-
-        for (Addr g = line; g < line + kLineSize; g += kGranuleSize) {
-            // Uncharged peeks are legal here: the chargeRead above
-            // paid for the line, which crev_analyze's
-            // uncharged-reach pass verifies interprocedurally.
-            if (!mmu_.peekTag(g))
-                continue;
-            clean = false;
-            ++stats_.caps_seen;
-            const cap::Capability c = mmu_.peekCap(g);
-            t.accrue(2); // decode / base extraction
-            if (bitmap_.probe(t, c.base)) {
-                mmu_.kernelClearTag(t, g);
-                ++stats_.caps_revoked;
-            }
-        }
-    }
-    return clean;
-}
-
-bool
-SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
-{
     // Resolve the page's frame once instead of re-dispatching through
     // the MMU per line/granule. The pointer stays valid across the
     // yields inside probe(): quiesce blocks munmap while the epoch
@@ -71,15 +35,13 @@ SweepEngine::sweepPageFast(sim::SimThread &t, Addr page_va)
         const std::size_t li =
             static_cast<std::size_t>(line - page_va) >> kLineBits;
 
-        // One packed nibble replaces four peekTag dispatches, but the
-        // probe/clear of a tagged granule can yield and let mutators
-        // flip tags mid-line, so decisions must come from LIVE state:
-        // re-read the nibble after every processed granule and only
-        // ever advance the cursor (a tag set behind it would have been
-        // equally invisible to the reference scan, which had already
-        // walked past).
+        // The probe/clear of a tagged granule can yield and let
+        // mutators flip tags mid-line, so decisions must come from
+        // LIVE state: re-read the nibble after every processed granule
+        // and only ever advance the cursor (a tag set behind it is one
+        // the granule-order scan has already walked past).
         for (unsigned pos = 0; pos < mem::kGranulesPerLine;) {
-            // Live re-read (chargeRead above paid for the line).
+            // Live re-read (chargeReadPaddr above paid for the line).
             const unsigned live = f.lineNibble(li) >> pos;
             if (live == 0)
                 break; // rest of the line is untagged right now
@@ -137,8 +99,6 @@ SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
     const bool clean = o.clean && !mmu_.pageHasTags(page_va);
     if (clean && o.clean_page_detection)
         p.cap_ever = false;
-    mmu_.addressSpace().noteCapPublish(page_va,
-                                       clean && o.clean_page_detection);
     if (o.set_generation) {
         if (clean && o.always_trap_clean) {
             // §7.6: leave the page in the always-trap disposition; its

@@ -1,7 +1,6 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "base/logging.h"
@@ -20,22 +19,11 @@ constexpr Cycles kInfinity = std::numeric_limits<Cycles>::max();
 constexpr std::size_t kFiberStackBytes = std::size_t{4} << 20;
 #endif
 
-/** Whether fiber execution is compiled in and not disabled via the
- *  CREV_FIBERS=0 escape hatch. */
-bool
-fibersEnabled()
-{
-    if (!CREV_SCHED_FIBERS)
-        return false;
-    const char *env = std::getenv("CREV_FIBERS");
-    return env == nullptr || env[0] != '0';
-}
-
 } // namespace
 
+#if CREV_SCHED_FIBERS
 namespace detail {
 
-#if CREV_SCHED_FIBERS
 void
 fiberTrampoline(unsigned hi, unsigned lo)
 {
@@ -46,108 +34,9 @@ fiberTrampoline(unsigned hi, unsigned lo)
         static_cast<std::uintptr_t>(lo));
     t->fiberMain();
 }
-#else
-void
-fiberTrampoline(unsigned, unsigned)
-{
-    panic("fiber trampoline entered without fiber support");
-}
-#endif
 
 } // namespace detail
-
-// ---------------------------------------------------------------------
-// Engines
-// ---------------------------------------------------------------------
-
-/**
- * The serial reference engine: one execution token, every cross-core
- * effect applied at the instant it is posted, in call order.
- */
-class TokenEngine final : public Scheduler::Engine
-{
-  public:
-    const char *name() const override { return "token"; }
-
-    void
-    deliverWakes(Scheduler &s, Scheduler::PendingWake *w,
-                 std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            s.applyWake(*w[i].t, w[i].at);
-    }
-
-    void
-    onResolutionPoint(Scheduler &) override
-    {
-    }
-
-    void
-    onGrant(Scheduler &, SimThread &) override
-    {
-    }
-};
-
-/**
- * The lockstep virtual-time engine (DESIGN.md §14): wakes are posted
- * to per-core mailboxes and resolved in fixed (core-id, thread-id)
- * order; the quantum frontier tracks the committing slice. Because
- * the simulated machine's shared state is zero-latency, resolution
- * happens at the posting slice's own commit point (the earliest
- * boundary the conservative contract permits) — see the equivalence
- * argument in DESIGN.md §14.2.
- */
-class LockstepEngine final : public Scheduler::Engine
-{
-  public:
-    const char *name() const override { return "lockstep"; }
-
-    void
-    deliverWakes(Scheduler &s, Scheduler::PendingWake *w,
-                 std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            s.mailboxes_[w[i].t->core()].push_back(w[i]);
-        s.pending_wakes_ += n;
-        resolve(s);
-    }
-
-    void
-    onResolutionPoint(Scheduler &s) override
-    {
-        resolve(s);
-    }
-
-    void
-    onGrant(Scheduler &s, SimThread &t) override
-    {
-        // Quantum-aligned floor of the committing slice's grant time:
-        // the frontier past which this slice cannot defer cross-core
-        // resolution.
-        s.frontier_ = (t.now() / s.cm_.quantum) * s.cm_.quantum;
-    }
-
-  private:
-    void
-    resolve(Scheduler &s)
-    {
-        if (s.pending_wakes_ == 0)
-            return;
-        for (auto &box : s.mailboxes_) {
-            if (box.empty())
-                continue;
-            std::stable_sort(box.begin(), box.end(),
-                             [](const Scheduler::PendingWake &a,
-                                const Scheduler::PendingWake &b) {
-                                 return a.t->id() < b.t->id();
-                             });
-            for (const auto &w : box)
-                s.applyWake(*w.t, w.at);
-            box.clear();
-        }
-        s.pending_wakes_ = 0;
-    }
-};
+#endif
 
 // ---------------------------------------------------------------------
 // SimThread
@@ -209,6 +98,41 @@ SimThread::sleepUntil(Cycles t)
 }
 
 void
+SimThread::runBody()
+{
+    try {
+        body_(*this);
+    } catch (const std::exception &e) {
+        // A simulated fault escaped the workload body: the simulated
+        // thread dies (as a signal would kill it); the machine runs on.
+        warn("thread %s terminated by: %s", name_.c_str(), e.what());
+    }
+    std::unique_lock<std::mutex> lk(sched_.mtx_);
+    status_ = ThreadStatus::kDone;
+    if (sched_.tracer_ != nullptr)
+        sched_.tracer_->record(id_, core_, clock_,
+                               trace::EventType::kThreadPark);
+    sched_.core_free_at_[core_] = clock_;
+    sched_.current_ = nullptr;
+#if !CREV_SCHED_FIBERS
+    sched_.sched_cv_.notify_one();
+#endif
+}
+
+#if CREV_SCHED_FIBERS
+void
+SimThread::fiberMain()
+{
+    // Entered on the first grant; status_ is already kRunning and the
+    // scheduler mutex is not held (the granting context released it
+    // before switching stacks).
+    runBody();
+    // Return control to the run() driver, which picks the successor.
+    swapcontext(&fiber_ctx_, &sched_.sched_ctx_);
+    panic("finished fiber resumed");
+}
+#else
+void
 SimThread::threadMain()
 {
     {
@@ -224,74 +148,25 @@ SimThread::threadMain()
             return;
         }
     }
-    try {
-        body_(*this);
-    } catch (const std::exception &e) {
-        // A simulated fault escaped the workload body: the simulated
-        // thread dies (as a signal would kill it); the machine runs on.
-        warn("thread %s terminated by: %s", name_.c_str(), e.what());
-    }
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        status_ = ThreadStatus::kDone;
-        if (sched_.tracer_ != nullptr)
-            sched_.tracer_->record(id_, core_, clock_,
-                                   trace::EventType::kThreadPark);
-        sched_.core_free_at_[core_] = clock_;
-        sched_.current_ = nullptr;
-        sched_.sched_cv_.notify_one();
-    }
+    runBody();
 }
-
-void
-SimThread::fiberMain()
-{
-    // Entered on the first grant; status_ is already kRunning and the
-    // scheduler mutex is not held (the granting context released it
-    // before switching stacks).
-    try {
-        body_(*this);
-    } catch (const std::exception &e) {
-        // A simulated fault escaped the workload body: the simulated
-        // thread dies (as a signal would kill it); the machine runs on.
-        warn("thread %s terminated by: %s", name_.c_str(), e.what());
-    }
-#if CREV_SCHED_FIBERS
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        status_ = ThreadStatus::kDone;
-        if (sched_.tracer_ != nullptr)
-            sched_.tracer_->record(id_, core_, clock_,
-                                   trace::EventType::kThreadPark);
-        sched_.core_free_at_[core_] = clock_;
-        sched_.current_ = nullptr;
-    }
-    // Return control to the run() driver, which picks the successor.
-    swapcontext(&fiber_ctx_, &sched_.sched_ctx_);
 #endif
-    panic("finished fiber resumed");
-}
 
 // ---------------------------------------------------------------------
 // Scheduler
 // ---------------------------------------------------------------------
 
-Scheduler::Scheduler(unsigned num_cores, const CostModel &cm,
-                     bool lockstep)
-    : num_cores_(num_cores), cm_(cm), lockstep_(lockstep),
-      fibers_(lockstep && fibersEnabled()), core_free_at_(num_cores, 0),
-      core_last_thread_(num_cores, nullptr), mailboxes_(num_cores)
+Scheduler::Scheduler(unsigned num_cores, const CostModel &cm)
+    : num_cores_(num_cores), cm_(cm), core_free_at_(num_cores, 0),
+      core_last_thread_(num_cores, nullptr)
 {
     CREV_ASSERT(num_cores > 0 && num_cores <= 32);
     CREV_ASSERT(cm_.quantum > 0);
-    if (lockstep_)
-        engine_ = std::make_unique<LockstepEngine>();
-    else
-        engine_ = std::make_unique<TokenEngine>();
 }
 
 Scheduler::~Scheduler()
 {
+#if !CREV_SCHED_FIBERS
     {
         std::unique_lock<std::mutex> lk(mtx_);
         tearing_down_ = true;
@@ -301,6 +176,7 @@ Scheduler::~Scheduler()
     for (auto &t : threads_)
         if (t->host_.joinable())
             t->host_.join();
+#endif
 }
 
 SimThread *
@@ -321,21 +197,19 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
             current_ != nullptr ? static_cast<int>(current_->id_) : -1,
             id);
 #if CREV_SCHED_FIBERS
-    if (fibers_) {
-        t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
-        CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
-        t->fiber_ctx_.uc_stack.ss_sp = t->fiber_stack_.get();
-        t->fiber_ctx_.uc_stack.ss_size = kFiberStackBytes;
-        t->fiber_ctx_.uc_link = nullptr;
-        const auto p = reinterpret_cast<std::uintptr_t>(t);
-        makecontext(&t->fiber_ctx_,
-                    reinterpret_cast<void (*)()>(detail::fiberTrampoline),
-                    2, static_cast<unsigned>(p >> 32),
-                    static_cast<unsigned>(p & 0xFFFFFFFFu));
-        return t;
-    }
-#endif
+    t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
+    CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
+    t->fiber_ctx_.uc_stack.ss_sp = t->fiber_stack_.get();
+    t->fiber_ctx_.uc_stack.ss_size = kFiberStackBytes;
+    t->fiber_ctx_.uc_link = nullptr;
+    const auto p = reinterpret_cast<std::uintptr_t>(t);
+    makecontext(&t->fiber_ctx_,
+                reinterpret_cast<void (*)()>(detail::fiberTrampoline), 2,
+                static_cast<unsigned>(p >> 32),
+                static_cast<unsigned>(p & 0xFFFFFFFFu));
+#else
     t->host_ = std::thread([t] { t->threadMain(); });
+#endif
     return t;
 }
 
@@ -514,12 +388,12 @@ Scheduler::grant(SimThread *t)
         tracer_->record(t->id_, c, t->clock_,
                         trace::EventType::kThreadRun);
     updateYieldHorizon(*t);
-    engine_->onGrant(*this, *t);
     current_ = t;
-    // Fiber mode: the granting context switches stacks itself; there
-    // is no parked host thread to notify.
-    if (!fibers_)
-        t->cv_.notify_one();
+    // Fibers: the granting context switches stacks itself; there is
+    // no parked host thread to notify.
+#if !CREV_SCHED_FIBERS
+    t->cv_.notify_one();
+#endif
 }
 
 void
@@ -536,10 +410,6 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
                             : trace::EventType::kThreadPark);
     core_free_at_[self.core_] = self.clock_;
 
-    // A scheduling event is a resolution point: any cross-core effects
-    // still in flight are applied before the policy reads state.
-    engine_->onResolutionPoint(*this);
-
     // Direct switch: pick the successor here instead of bouncing
     // through the scheduler loop (halves host context switches).
     SimThread *next = chooseNext();
@@ -549,25 +419,22 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
         return;
     }
 #if CREV_SCHED_FIBERS
-    if (fibers_) {
-        // User-space stack switch: directly into the successor fiber,
-        // or back to the run() driver when nothing is runnable
-        // (shutdown, deadlock detection). When this fiber is granted
-        // again, control resumes right after the swap with
-        // status_ == kRunning already set by the grantor.
-        ucontext_t *to;
-        if (next != nullptr) {
-            grant(next);
-            to = &next->fiber_ctx_;
-        } else {
-            current_ = nullptr;
-            to = &sched_ctx_;
-        }
-        lk.unlock();
-        swapcontext(&self.fiber_ctx_, to);
-        return;
+    // User-space stack switch: directly into the successor fiber, or
+    // back to the run() driver when nothing is runnable (shutdown,
+    // deadlock detection). When this fiber is granted again, control
+    // resumes right after the swap with status_ == kRunning already
+    // set by the grantor.
+    ucontext_t *to;
+    if (next != nullptr) {
+        grant(next);
+        to = &next->fiber_ctx_;
+    } else {
+        current_ = nullptr;
+        to = &sched_ctx_;
     }
-#endif
+    lk.unlock();
+    swapcontext(&self.fiber_ctx_, to);
+#else
     if (next != nullptr) {
         grant(next);
     } else {
@@ -578,6 +445,7 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
     }
     self.cv_.wait(lk,
                   [&self] { return self.status_ == ThreadStatus::kRunning; });
+#endif
 }
 
 void
@@ -601,32 +469,20 @@ Scheduler::applyWake(SimThread &t, Cycles at)
 }
 
 void
-Scheduler::deliverWakesLocked(PendingWake *w, std::size_t n)
-{
-    engine_->deliverWakes(*this, w, n);
-}
-
-void
 Scheduler::wake(SimThread &t, Cycles at)
 {
     std::unique_lock<std::mutex> lk(mtx_);
-    if (t.status_ != ThreadStatus::kBlocked)
-        return;
-    PendingWake w{&t, at};
-    deliverWakesLocked(&w, 1);
+    if (t.status_ == ThreadStatus::kBlocked)
+        applyWake(t, at);
 }
 
 void
 Scheduler::wakeMany(SimThread *const *ts, std::size_t n, Cycles at)
 {
     std::unique_lock<std::mutex> lk(mtx_);
-    std::vector<PendingWake> batch;
-    batch.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         if (ts[i]->status_ == ThreadStatus::kBlocked)
-            batch.push_back(PendingWake{ts[i], at});
-    if (!batch.empty())
-        deliverWakesLocked(batch.data(), batch.size());
+            applyWake(*ts[i], at);
 }
 
 Cycles
@@ -638,7 +494,6 @@ Scheduler::stopTheWorld(SimThread &self)
 
     std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!stw_active_);
-    engine_->onResolutionPoint(*this);
     stw_active_ = true;
     stw_owner_ = &self;
 
@@ -676,7 +531,6 @@ Scheduler::resumeWorld(SimThread &self)
     for (auto &tp : threads_)
         if (tp.get() != &self && tp->status_ == ThreadStatus::kReady)
             tp->clock_ = std::max(tp->clock_, end);
-    engine_->onResolutionPoint(*this);
     updateYieldHorizon(self);
 }
 
@@ -713,30 +567,29 @@ Scheduler::run()
             }
         }
 
-        engine_->onResolutionPoint(*this);
         SimThread *next = chooseNext();
         if (next == nullptr) {
             panic("scheduler deadlock: threads alive but none runnable");
         }
         grant(next);
 #if CREV_SCHED_FIBERS
-        if (fibers_) {
-            // Fibers hand off among themselves without returning here;
-            // control comes back (with current_ == nullptr) only when
-            // a fiber finishes or none is runnable.
-            lk.unlock();
-            swapcontext(&sched_ctx_, &next->fiber_ctx_);
-            lk.lock();
-            continue;
-        }
-#endif
+        // Fibers hand off among themselves without returning here;
+        // control comes back (with current_ == nullptr) only when a
+        // fiber finishes or none is runnable.
+        lk.unlock();
+        swapcontext(&sched_ctx_, &next->fiber_ctx_);
+        lk.lock();
+#else
         sched_cv_.wait(lk, [this] { return current_ == nullptr; });
+#endif
     }
 
+#if !CREV_SCHED_FIBERS
     lk.unlock();
     for (auto &tp : threads_)
         if (tp->host_.joinable())
             tp->host_.join();
+#endif
 }
 
 } // namespace crev::sim

@@ -11,27 +11,14 @@
  * race-free, yet workload bodies are written as ordinary sequential
  * C++.
  *
- * Two engines drive that policy (DESIGN.md §14):
- *
- *  - The serial *token engine* is the reference implementation: each
- *    simulated thread runs on its own host thread, the token passes
- *    through a mutex and condition variable, and every cross-core
- *    interaction is applied at the instant it is posted, on the
- *    thread that holds the execution token.
- *  - The *lockstep engine* (MachineConfig::par_cores != 0) advances
- *    virtual time in preemption-quantum frontiers, and cross-core
- *    wakes travel through per-core mailboxes drained in fixed
- *    (core-id, thread-id) order at resolution points. Because the
- *    simulated machine's shared state (allocator, page tables, caches)
- *    is visible with zero latency, the sound conservative lookahead is
- *    zero: the committing slice is granted in exact policy order. The
- *    engine runs thread bodies as fibers on the driving host thread
- *    (CREV_SCHED_FIBERS below), so a token handoff is a user-space
- *    stack switch rather than a futex round-trip.
- *
- * Neither engine starts host threads beyond the simulated threads'
- * own, and RunMetrics are bit-identical between the engines
- * (tests/golden_test.cpp).
+ * Simulated threads run as fibers on the host thread that calls
+ * run() (CREV_SCHED_FIBERS below), so a token handoff is a user-space
+ * stack switch rather than a futex round-trip. Cross-core wakes apply
+ * at the instant they are posted, in call order. Where fibers are not
+ * compiled in (the sanitizers, non-Linux hosts), each simulated thread
+ * runs on its own host thread instead and the token passes through a
+ * mutex and condition variable; grant order, clocks and RunMetrics are
+ * the same either way (tests/golden_test.cpp).
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -57,12 +44,12 @@
 #include "sim/cost_model.h"
 
 /**
- * Fiber execution mode for the lockstep engine (DESIGN.md §14.5):
- * because exactly one simulated thread runs at a time, the engine can
- * run bodies as ucontext fibers on the driving host thread, turning
- * every token handoff from a kernel futex round-trip into a user-space
- * stack switch. Disabled under the sanitizers (they must observe real
- * host-thread switches to instrument stacks correctly) and off-Linux.
+ * Fiber execution (DESIGN.md §14.2): because exactly one simulated
+ * thread runs at a time, bodies run as ucontext fibers on the driving
+ * host thread. Disabled under the sanitizers (they must observe real
+ * host-thread switches to instrument stacks correctly) and off-Linux,
+ * where the scheduler falls back to one host thread per simulated
+ * thread.
  */
 #if defined(__linux__) && !defined(__SANITIZE_THREAD__) && \
     !defined(__SANITIZE_ADDRESS__)
@@ -95,10 +82,12 @@ namespace crev::sim {
 
 class Scheduler;
 
+#if CREV_SCHED_FIBERS
 namespace detail {
-/** makecontext entry thunk for fiber mode (internal). */
+/** makecontext entry thunk (internal). */
 void fiberTrampoline(unsigned hi, unsigned lo);
 } // namespace detail
+#endif
 
 /** Lifecycle states of a simulated thread. */
 enum class ThreadStatus {
@@ -196,16 +185,24 @@ class SimThread
 
   private:
     friend class Scheduler;
+#if CREV_SCHED_FIBERS
     friend void detail::fiberTrampoline(unsigned hi, unsigned lo);
+#endif
 
     SimThread(Scheduler &sched, unsigned id, std::string name,
               std::uint32_t core_mask, bool daemon,
               std::function<void(SimThread &)> body);
 
     void yieldSlow();
-    void threadMain();
-    /** Fiber-mode body wrapper (entered on the first grant). */
+    /** Run the body, then mark the thread done (mtx_ not held). */
+    void runBody();
+#if CREV_SCHED_FIBERS
+    /** Fiber entry (reached on the first grant). */
     void fiberMain();
+#else
+    /** Host-thread entry: wait for the first grant, then run. */
+    void threadMain();
+#endif
 
     Scheduler &sched_;
     const unsigned id_;
@@ -230,28 +227,23 @@ class SimThread
     double quantum_scale_ = 1.0;
 
     std::vector<cap::Capability> regs_;
-    std::condition_variable cv_;
-    std::thread host_;
 #if CREV_SCHED_FIBERS
     ucontext_t fiber_ctx_{};
     std::unique_ptr<char[]> fiber_stack_;
+#else
+    std::condition_variable cv_;
+    std::thread host_;
 #endif
 };
 
 /**
  * The scheduler: owns all simulated threads and the single execution
- * token, driven by one of the two engines described in the file
- * comment.
+ * token (see the file comment).
  */
 class Scheduler
 {
   public:
-    /**
-     * @p lockstep selects the engine: false = serial token engine (the
-     * reference), true = lockstep engine.
-     */
-    Scheduler(unsigned num_cores, const CostModel &cm,
-              bool lockstep = false);
+    Scheduler(unsigned num_cores, const CostModel &cm);
     ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -279,14 +271,7 @@ class Scheduler
      */
     void wake(SimThread &t, Cycles at);
 
-    /**
-     * Wake a batch of threads at once. Under the lockstep engine the
-     * batch is posted to the per-core mailboxes and resolved in fixed
-     * (core-id, thread-id) order; the serial engine applies it in call
-     * order. The two orders produce identical state because each wake
-     * clamps only its own target's clock and the waker's yield-horizon
-     * shrink is a commutative min (DESIGN.md §14.2).
-     */
+    /** Wake a batch of threads at once, in call order. */
     void wakeMany(SimThread *const *ts, std::size_t n, Cycles at);
 
     /** True once all non-daemon threads have finished. */
@@ -326,33 +311,12 @@ class Scheduler
     const CostModel &costs() const { return cm_; }
     unsigned numCores() const { return num_cores_; }
 
-    /** Whether the lockstep engine is driving this scheduler. */
-    bool lockstep() const { return lockstep_; }
-    /**
-     * Whether simulated threads run as fibers on the driving host
-     * thread (lockstep engine only; see the CREV_SCHED_FIBERS comment
-     * above). Purely a host execution mechanism: grant order, clocks,
-     * and RunMetrics are identical with fibers on or off.
-     */
-    bool fibers() const { return fibers_; }
-    /** Host threads driving the committing slice: 1 under the
-     *  lockstep engine, 0 under the token engine. Only perfbench/
-     *  still reads it; use lockstep() instead. */
-    unsigned laneCount() const { return lockstep_ ? 1 : 0; }
-
-    /**
-     * The current quantum frontier: the quantum-aligned floor of the
-     * committing slice's grant time. Cross-core effects posted by a
-     * slice resolve no later than the next frontier (in practice at
-     * the next resolution point; see DESIGN.md §14.2). Exposed for
-     * tests; 0 under the serial engine.
-     */
-    Cycles
-    quantumFrontier() const
-    {
-        std::unique_lock<std::mutex> lk(mtx_);
-        return frontier_;
-    }
+    /** Whether simulated threads run as fibers (CREV_SCHED_FIBERS).
+     *  Only perfbench/ still reads it. */
+    static constexpr bool fibers() { return CREV_SCHED_FIBERS != 0; }
+    /** Always 1: one host thread drives the committing slice. Only
+     *  perfbench/ still reads it. */
+    static constexpr unsigned laneCount() { return 1; }
 
     /** Set a thread's preemption-quantum scale (§7.7 tuning knob). */
     void setQuantumScale(SimThread &t, double scale);
@@ -394,36 +358,6 @@ class Scheduler
 
   private:
     friend class SimThread;
-    friend class TokenEngine;
-    friend class LockstepEngine;
-
-    /** A wake in flight to a resolution point. */
-    struct PendingWake
-    {
-        SimThread *t;
-        Cycles at;
-    };
-
-    /**
-     * How the scheduling policy is driven: wake delivery, boundary
-     * resolution, and frontier bookkeeping. Both engines execute the
-     * same policy (chooseNext/updateYieldHorizon/grant below); the
-     * engine only decides *where* cross-core effects are applied.
-     */
-    class Engine
-    {
-      public:
-        virtual ~Engine() = default;
-        virtual const char *name() const = 0;
-        /** Deliver a wake batch (mtx_ held, targets still blocked). */
-        virtual void deliverWakes(Scheduler &s, PendingWake *w,
-                                  std::size_t n) = 0;
-        /** Called with mtx_ held before every policy decision. */
-        virtual void onResolutionPoint(Scheduler &s) = 0;
-        /** Called with mtx_ held after a slice is granted. */
-        virtual void onGrant(Scheduler &s, SimThread &t) = 0;
-    };
-
     /** Pick the next thread to grant; nullptr if none runnable. */
     SimThread *chooseNext();
     /** Grant the token to @p t (scheduler loop side). */
@@ -434,13 +368,9 @@ class Scheduler
     void updateYieldHorizon(SimThread &running);
     /** Apply one wake's clock clamp + horizon shrink (mtx_ held). */
     void applyWake(SimThread &t, Cycles at);
-    /** Route a wake batch through the engine (mtx_ held). */
-    void deliverWakesLocked(PendingWake *w, std::size_t n);
 
     const unsigned num_cores_;
     const CostModel cm_;
-    const bool lockstep_;
-    const bool fibers_;
 #if CREV_SCHED_FIBERS
     /** The run() driver's context, resumed when no fiber is runnable. */
     ucontext_t sched_ctx_{};
@@ -451,15 +381,17 @@ class Scheduler
     StallHook stall_hook_;
 
     mutable std::mutex mtx_;
-    std::condition_variable sched_cv_;
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;
     bool started_ = false;
     bool shutting_down_ = false;
+#if !CREV_SCHED_FIBERS
+    std::condition_variable sched_cv_;
     /** Set by the destructor so host threads parked before run() (a
      *  scheduler built but never run) unblock and exit instead of
      *  deadlocking the join. */
     bool tearing_down_ = false;
+#endif
 
     // Stop-the-world state.
     bool stw_active_ = false;
@@ -470,14 +402,6 @@ class Scheduler
     // Per-core timeline: when the core's last slice ended and who ran.
     std::vector<Cycles> core_free_at_;
     std::vector<SimThread *> core_last_thread_;
-
-    // Lockstep engine state: the quantum frontier and the per-core
-    // wake mailboxes (drained in (core-id, thread-id) order).
-    Cycles frontier_ = 0;
-    std::vector<std::vector<PendingWake>> mailboxes_;
-    std::size_t pending_wakes_ = 0;
-
-    std::unique_ptr<Engine> engine_;
 };
 
 } // namespace crev::sim

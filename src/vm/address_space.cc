@@ -132,9 +132,6 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
             it->second.valid = false;
             it->second.pfn = 0;
             --resident_;
-            resident_pages_.erase(va);
-            cap_ever_pages_.erase(va);
-            cap_dirty_pages_.erase(va);
         }
         guardPage(va);
         CREV_ASSERT(r->mapped_bytes >= kPageSize);
@@ -177,9 +174,6 @@ AddressSpace::release(sim::SimThread &t, Reservation *r)
         if (Pte **s = slot(va))
             *s = nullptr;
         pages_.erase(va);
-        resident_pages_.erase(va);
-        cap_ever_pages_.erase(va);
-        cap_dirty_pages_.erase(va);
     }
     ++pt_epoch_; // dangles any host-cached Pte pointers
 
@@ -279,7 +273,6 @@ AddressSpace::makeResident(Addr va)
         p.pfn = pm_.allocFrame();
         p.valid = true;
         ++resident_;
-        resident_pages_.insert(page);
     }
     return p;
 }

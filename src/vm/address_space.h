@@ -18,7 +18,6 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "base/types.h"
@@ -135,51 +134,6 @@ class AddressSpace
     /** Number of resident pages (RSS in pages). */
     std::size_t residentPages() const { return resident_; }
 
-    // --- host-side page indexes (zero simulated cost) ---
-    //
-    // Ordered sets of page base VAs maintained at the existing
-    // residency / storeCap / publishPage choke points, so sweeps can
-    // enumerate candidate pages without walking the whole page table.
-    // residentPageSet() is an exact mirror of the valid PTEs; the
-    // cap-ever and cap-dirty indexes are *supersets* of the pages
-    // whose live PTE flag is set (flags are only ever raised through
-    // storeCap, but tests may lower them directly), so consumers must
-    // re-check the live PTE. Ascending order keeps index-driven sweeps
-    // visiting pages in exactly the page-table walk's order.
-
-    /** Base VAs of all resident pages, ascending. */
-    const std::set<Addr> &residentPageSet() const
-    {
-        return resident_pages_;
-    }
-    /** Superset of pages with the cap_ever PTE flag set. */
-    const std::set<Addr> &capEverPages() const
-    {
-        return cap_ever_pages_;
-    }
-    /** Superset of pages with the cap_dirty PTE flag set. */
-    const std::set<Addr> &capDirtyPages() const
-    {
-        return cap_dirty_pages_;
-    }
-
-    /** Index hook for the storeCap choke point (tag stored to page). */
-    void noteCapStore(Addr page_va)
-    {
-        cap_ever_pages_.insert(page_va);
-        cap_dirty_pages_.insert(page_va);
-    }
-    /**
-     * Index hook for the publishPage choke point: cap_dirty was just
-     * cleared; cap_ever too when @p ever_cleared.
-     */
-    void noteCapPublish(Addr page_va, bool ever_cleared)
-    {
-        cap_dirty_pages_.erase(page_va);
-        if (ever_cleared)
-            cap_ever_pages_.erase(page_va);
-    }
-
     /** The pmap lock serialising PTE updates during revocation. */
     sim::SimMutex &pmapLock() { return pmap_lock_; }
 
@@ -239,9 +193,6 @@ class AddressSpace
      *  ever exist inside heap reservations. */
     std::vector<std::uint8_t> heap_guard_;
     std::map<Addr, Reservation> reservations_; //!< keyed by base
-    std::set<Addr> resident_pages_;  //!< exact mirror of valid PTEs
-    std::set<Addr> cap_ever_pages_;  //!< superset: cap_ever pages
-    std::set<Addr> cap_dirty_pages_; //!< superset: cap_dirty pages
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
     sim::SimMutex pmap_lock_;

@@ -301,7 +301,6 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
             // Hardware-managed dirty bit update (§4.2).
             p->cap_dirty = true;
             p->cap_ever = true;
-            as_.noteCapStore(pageBase(va));
             invalidatePteCache();
             t.accrue(cm_.pte_update);
             tlbs_[t.core()].insert(pageOf(va), *p);
@@ -309,22 +308,15 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
     }
 }
 
-void
-Mmu::setHostFastPaths(bool on)
-{
-    host_fast_paths_ = on;
-    cached_pte_ = nullptr;
-}
-
 Pte *
 Mmu::findPteCached(Addr va)
 {
     const Addr vpn = pageOf(va);
-    if (host_fast_paths_ && cached_pte_ != nullptr &&
-        cached_vpn_ == vpn && cached_pt_epoch_ == as_.pageTableEpoch())
+    if (cached_pte_ != nullptr && cached_vpn_ == vpn &&
+        cached_pt_epoch_ == as_.pageTableEpoch())
         return cached_pte_;
     Pte *p = as_.findPte(va);
-    if (host_fast_paths_ && p != nullptr) {
+    if (p != nullptr) {
         cached_vpn_ = vpn;
         cached_pte_ = p;
         cached_pt_epoch_ = as_.pageTableEpoch();
@@ -355,17 +347,6 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
     pm_.clearTag(paddr);
 }
 
-cap::Capability
-Mmu::peekCap(Addr va)
-{
-    Pte *p = findPteCached(va);
-    CREV_ASSERT(p != nullptr && p->valid);
-    const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
-    cap::CapBits bits;
-    const bool tag = pm_.loadCap(paddr, bits);
-    return cap::decode(bits, tag);
-}
-
 bool
 Mmu::peekTag(Addr va)
 {
@@ -385,15 +366,6 @@ Mmu::pageHasTags(Addr va)
     return pm_.frameHasTags(p->pfn);
 }
 
-void
-Mmu::chargeRead(sim::SimThread &t, Addr va, std::size_t len)
-{
-    Pte *p = findPteCached(va);
-    CREV_ASSERT(p != nullptr && p->valid);
-    chargeAccess(t, t.core(), (p->pfn << kPageBits) | pageOffset(va),
-                 len, false);
-}
-
 bool
 Mmu::peekByte(Addr va, std::uint8_t *out)
 {
@@ -407,8 +379,6 @@ Mmu::peekByte(Addr va, std::uint8_t *out)
 bool
 Mmu::tryKernelShadowLoad(sim::SimThread &t, Addr va, std::uint8_t *out)
 {
-    if (!host_fast_paths_)
-        return false;
     const unsigned core = t.core();
     const Pte *cached = tlbs_[core].peek(pageOf(va));
     if (cached == nullptr || !cached->valid)

@@ -106,20 +106,14 @@ class Mmu
     cap::Capability kernelLoadCap(sim::SimThread &t, Addr va);
     /** Clear a granule's tag without touching dirty tracking. */
     void kernelClearTag(sim::SimThread &t, Addr va);
-    /** Tag peek with no cost (the sweep charges line reads itself). */
+    /** Tag peek with no cost (tests and observers). */
     bool peekTag(Addr va);
     /** Whether any granule of the page containing @p va is tagged
      *  right now (clean-page detection re-check; no cost). */
     bool pageHasTags(Addr va);
-    /** Capability peek with no cost (value already on-chip after a
-     *  charged line read). */
-    cap::Capability peekCap(Addr va);
-    /** Charge a read of @p len bytes at @p va (sweep line fetches). */
-    void chargeRead(sim::SimThread &t, Addr va, std::size_t len);
     /**
-     * chargeRead for a caller that already resolved the physical
-     * address (the fast sweep resolves its page's frame once):
-     * identical simulated charge, no host-side PTE lookup.
+     * Charge a read of @p len bytes at physical address @p paddr (the
+     * sweep's line fetches; it resolves its page's frame once).
      */
     void
     chargeReadPaddr(sim::SimThread &t, Addr paddr, std::size_t len)
@@ -136,14 +130,6 @@ class Mmu
      */
     bool tryKernelShadowLoad(sim::SimThread &t, Addr va,
                              std::uint8_t *out);
-
-    /**
-     * Toggle host-side memoisation (translation/frame caching, nibble
-     * scans). Simulated charges are identical either way; the
-     * determinism test holds this invariant (DESIGN.md §9).
-     */
-    void setHostFastPaths(bool on);
-    bool hostFastPaths() const { return host_fast_paths_; }
 
     /**
      * Drop the one-entry PTE cache. The cache is keyed by the address
@@ -260,7 +246,6 @@ class Mmu
     revoker::RecoveryManager *recovery_ = nullptr;
     check::SafetyOracle *oracle_ = nullptr;
 
-    bool host_fast_paths_ = true;
     Addr cached_vpn_ = 0;
     Pte *cached_pte_ = nullptr;
     std::uint64_t cached_pt_epoch_ = 0;

@@ -1,24 +1,19 @@
 /**
  * @file
- * The host-lever determinism contract: host-side fast paths
- * (translation/frame caches, packed tag-nibble sweeps, the shadow
- * bitmap shortcut), sweep acceleration, the SIMD kernel level, the
- * scheduler engine, and the off-clock observers must never change a
- * single simulated number. Every strategy is run with each lever on
- * and off, and the complete RunMetrics fingerprint (tests/
- * fingerprint.h) must match byte for byte, both on a SPEC-like profile
- * and under a chaos plan with fault injection and the invariant audit
- * enabled. tests/golden_test.cpp pins the same fingerprints to a
- * checked-in table.
+ * The observer determinism contract: the off-clock observers (the
+ * event tracer, the race checker, the temporal-safety oracle) must
+ * never change a single simulated number. Every strategy is run with
+ * each observer on and off, and the complete RunMetrics fingerprint
+ * (tests/fingerprint.h) must match byte for byte, both on a SPEC-like
+ * profile and under a chaos plan with fault injection and the
+ * invariant audit enabled. tests/golden_test.cpp pins the
+ * observer-free fingerprints to a checked-in table.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "base/simd.h"
 #include "fingerprint.h"
 #include "workload/spec.h"
 
@@ -27,105 +22,22 @@ namespace {
 
 using core::Machine;
 using core::MachineConfig;
-using core::Mutator;
 using core::RunMetrics;
 using core::Strategy;
 using test::fingerprint;
 
 RunMetrics
-runSpecWith(Strategy s, bool host_fast_paths)
+runSpecObserved(Strategy s, bool trace, bool check, bool oracle)
 {
     MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
-    cfg.host_fast_paths = host_fast_paths;
-    Machine m(cfg);
-    workload::runSpec(m, workload::specProfile("hmmer_retro"));
-    return m.metrics();
-}
-
-RunMetrics
-runSpecEngine(Strategy s, unsigned par_cores, bool trace = false,
-              bool check = false)
-{
-    MachineConfig cfg;
-    cfg.strategy = s;
-    cfg.policy = workload::specPolicy();
-    cfg.par_cores = par_cores;
     cfg.trace = trace;
     cfg.check = check;
+    cfg.oracle = oracle;
     Machine m(cfg);
     workload::runSpec(m, workload::specProfile("hmmer_retro"));
     return m.metrics();
-}
-
-TEST(Determinism, FastPathsPreserveSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        const std::string fast =
-            fingerprint(runSpecWith(s, true));
-        const std::string reference =
-            fingerprint(runSpecWith(s, false));
-        EXPECT_EQ(fast, reference)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-/** The sweep-acceleration layers (two-level summary skips, the
- *  capability-dirty page indexes, the pre-scan pipeline) are pure
- *  host-side levers too: RunMetrics must be bit-identical with
- *  cfg.sweep_accel on and off, for every strategy. Set explicitly so
- *  the test is independent of CREV_SWEEP_ACCEL in the environment. */
-TEST(Determinism, SweepAccelPreservesSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        std::string fp[2];
-        for (int accel = 0; accel < 2; ++accel) {
-            MachineConfig cfg;
-            cfg.strategy = s;
-            cfg.policy = workload::specPolicy();
-            cfg.sweep_accel = accel != 0;
-            Machine m(cfg);
-            workload::runSpec(m, workload::specProfile("hmmer_retro"));
-            fp[accel] = fingerprint(m.metrics());
-        }
-        EXPECT_EQ(fp[1], fp[0])
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-/** The SIMD kernel level (DESIGN.md §17.1) is a pure host dispatch
- *  concern: CREV_SIMD=0 forces the scalar fallbacks everywhere (the
- *  tag-word counts, the shadow bitmap's span paints), and RunMetrics
- *  must not move — for every strategy, serial and lockstep. This is
- *  the in-process twin of CI's forced-scalar bench leg. */
-TEST(Determinism, ScalarKernelsPreserveSpecMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned par_cores : {0u, 1u}) {
-            std::string fp[2];
-            for (int scalar = 0; scalar < 2; ++scalar) {
-                if (scalar != 0)
-                    setenv("CREV_SIMD", "0", 1);
-                else
-                    unsetenv("CREV_SIMD");
-                simd::refreshFromEnv();
-                MachineConfig cfg;
-                cfg.strategy = s;
-                cfg.policy = workload::specPolicy();
-                cfg.par_cores = par_cores;
-                Machine m(cfg);
-                workload::runSpec(m,
-                                  workload::specProfile("hmmer_retro"));
-                fp[scalar] = fingerprint(m.metrics());
-            }
-            unsetenv("CREV_SIMD");
-            simd::refreshFromEnv();
-            EXPECT_EQ(fp[1], fp[0])
-                << "strategy " << core::strategyName(s)
-                << " par_cores " << par_cores;
-        }
-    }
 }
 
 /** Tracing charges zero simulated cycles: the complete RunMetrics
@@ -134,215 +46,38 @@ TEST(Determinism, ScalarKernelsPreserveSpecMetricsAllStrategies)
  *  turns tracing on in every other test's machines too). */
 TEST(Determinism, TracingPreservesSpecMetricsAllStrategies)
 {
-    for (Strategy s : core::kAllStrategies) {
-        MachineConfig cfg;
-        cfg.strategy = s;
-        cfg.policy = workload::specPolicy();
-
-        cfg.trace = true;
-        Machine on(cfg);
-        workload::runSpec(on, workload::specProfile("hmmer_retro"));
-
-        cfg.trace = false;
-        Machine off(cfg);
-        workload::runSpec(off, workload::specProfile("hmmer_retro"));
-
-        EXPECT_EQ(fingerprint(on.metrics()),
-                  fingerprint(off.metrics()))
+    for (Strategy s : core::kAllStrategies)
+        EXPECT_EQ(fingerprint(runSpecObserved(s, true, false, false)),
+                  fingerprint(runSpecObserved(s, false, false, false)))
             << "strategy " << core::strategyName(s);
-    }
 }
 
 /** The temporal-safety oracle is an off-clock observer like the
  *  tracer: every simulated observable must be bit-identical with the
  *  oracle on or off, for every strategy. (Its own totals — loads
- *  checked, violations — are excluded from the fingerprint, exactly
- *  like the host-side prescan counters.) */
+ *  checked, violations — are excluded from the fingerprint.) */
 TEST(Determinism, OraclePreservesSpecMetricsAllStrategies)
 {
     for (Strategy s : core::kAllStrategies) {
-        MachineConfig cfg;
-        cfg.strategy = s;
-        cfg.policy = workload::specPolicy();
-
-        cfg.oracle = true;
-        Machine on(cfg);
-        workload::runSpec(on, workload::specProfile("hmmer_retro"));
-        EXPECT_EQ(on.metrics().oracle_violations, 0u)
+        const RunMetrics on = runSpecObserved(s, false, false, true);
+        EXPECT_EQ(on.oracle_violations, 0u)
             << "strategy " << core::strategyName(s);
-
-        cfg.oracle = false;
-        Machine off(cfg);
-        workload::runSpec(off, workload::specProfile("hmmer_retro"));
-        EXPECT_EQ(off.metrics().oracle_loads_checked, 0u);
-
-        EXPECT_EQ(fingerprint(on.metrics()),
-                  fingerprint(off.metrics()))
+        const RunMetrics off = runSpecObserved(s, false, false, false);
+        EXPECT_EQ(off.oracle_loads_checked, 0u);
+        EXPECT_EQ(fingerprint(on), fingerprint(off))
             << "strategy " << core::strategyName(s);
     }
 }
 
-/** The lockstep engine (DESIGN.md §14) is a pure host-side execution
- *  lever like host_fast_paths: every simulated observable must be
- *  bit-identical between the serial token engine (par_cores = 0, the
- *  reference) and the lockstep engine. */
-TEST(Determinism, LockstepEnginePreservesSpecMetricsAllStrategies)
+/** Tracer and race checker attached together must still match the
+ *  bare run: both are off-clock, so the combination cannot move a
+ *  single scheduling point. */
+TEST(Determinism, ObserversTogetherMatchBareRun)
 {
-    for (Strategy s : core::kAllStrategies)
-        EXPECT_EQ(fingerprint(runSpecEngine(s, 1)),
-                  fingerprint(runSpecEngine(s, 0)))
+    for (Strategy s : {Strategy::kCornucopia, Strategy::kReloaded})
+        EXPECT_EQ(fingerprint(runSpecObserved(s, true, true, false)),
+                  fingerprint(runSpecObserved(s, false, false, false)))
             << "strategy " << core::strategyName(s);
-}
-
-/** Observers (tracer + race checker) attached under the lockstep
- *  engine must still match the bare serial engine: both are off-clock
- *  in both engines, so the four-way configuration change cannot move
- *  a single scheduling point. */
-TEST(Determinism, LockstepEngineWithObserversMatchesBareSerial)
-{
-    for (Strategy s : {Strategy::kCornucopia, Strategy::kReloaded}) {
-        const std::string bare_serial =
-            fingerprint(runSpecEngine(s, 0, false, false));
-        const std::string observed_lockstep =
-            fingerprint(runSpecEngine(s, 1, true, true));
-        EXPECT_EQ(observed_lockstep, bare_serial)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-/** Fiber execution mode (DESIGN.md §14.5) is purely a host mechanism
- *  for running simulated threads: CREV_FIBERS=0 forces the lockstep
- *  engine onto real host threads, and the fingerprint must not move.
- *  (On builds without fiber support both runs take the host-thread
- *  path and the test is a tautology — still worth keeping as an env
- *  plumbing check.) */
-TEST(Determinism, FiberModePreservesSpecMetrics)
-{
-    const std::string with_fibers =
-        fingerprint(runSpecEngine(Strategy::kReloaded, 1));
-    setenv("CREV_FIBERS", "0", 1);
-    const std::string host_threads =
-        fingerprint(runSpecEngine(Strategy::kReloaded, 1));
-    unsetenv("CREV_FIBERS");
-    EXPECT_EQ(host_threads, with_fibers);
-}
-
-RunMetrics
-runChaosWith(Strategy s, bool host_fast_paths,
-             bool sweep_accel = true, bool oracle = false,
-             int par_cores = -1)
-{
-    MachineConfig cfg = test::chaosConfig(s);
-    cfg.host_fast_paths = host_fast_paths;
-    cfg.sweep_accel = sweep_accel;
-    cfg.oracle = oracle;
-    if (par_cores >= 0)
-        cfg.par_cores = static_cast<unsigned>(par_cores);
-    return test::runChaos(cfg);
-}
-
-TEST(Determinism, FastPathsPreserveChaosMetricsAllStrategies)
-{
-    // Fault injection plus the per-epoch audit: the fast paths must
-    // not perturb a single scheduling point even when the run leans on
-    // the watchdog's recovery ladder.
-    for (Strategy s : core::kAllStrategies) {
-        const std::string fast =
-            fingerprint(runChaosWith(s, true));
-        const std::string reference =
-            fingerprint(runChaosWith(s, false));
-        EXPECT_EQ(fast, reference)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-/** Chaos campaign with the dispatched kernels toggled (DESIGN.md
- *  §17.1): fault injection, recovery ladders, and the per-epoch audit
- *  must see the exact same virtual history either way. */
-TEST(Determinism, ScalarKernelsPreserveChaosMetricsAllStrategies)
-{
-    for (Strategy s : core::kAllStrategies) {
-        const std::string dispatched =
-            fingerprint(runChaosWith(s, true));
-        setenv("CREV_SIMD", "0", 1);
-        simd::refreshFromEnv();
-        const std::string scalar = fingerprint(runChaosWith(s, true));
-        unsetenv("CREV_SIMD");
-        simd::refreshFromEnv();
-        EXPECT_EQ(scalar, dispatched)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-TEST(Determinism, SweepAccelPreservesChaosMetricsAllStrategies)
-{
-    // Same chaos campaign, toggling only the sweep-acceleration
-    // layers. The per-epoch audit is on, so the Auditor's summary
-    // consistency cross-check runs in both configurations; degraded
-    // epochs exercise the emergency sweep's unaccelerated page walk.
-    for (Strategy s : core::kAllStrategies) {
-        const std::string accel =
-            fingerprint(runChaosWith(s, true, true));
-        const std::string plain =
-            fingerprint(runChaosWith(s, true, false));
-        EXPECT_EQ(accel, plain)
-            << "strategy " << core::strategyName(s);
-    }
-}
-
-RunMetrics
-runCrossCore(Strategy s, unsigned alloc_cores, unsigned par_cores,
-             bool chaos)
-{
-    MachineConfig cfg = test::crossCoreConfig(s, alloc_cores, chaos);
-    cfg.par_cores = par_cores;
-    return test::runCrossCore(cfg);
-}
-
-/** The tentpole contract (DESIGN.md §15): per-core allocator
- *  sharding is a simulated-topology choice, and for each shard count
- *  the serial token engine and the lockstep engine must agree on
- *  every simulated observable — with cross-core remote frees in
- *  flight. alloc_cores = 1 is the single-heap reference model. */
-TEST(Determinism, AllocShardingPreservesSpecMetricsAcrossEngines)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned ac : {1u, 2u, 4u}) {
-            const RunMetrics serial_m = runCrossCore(s, ac, 0, false);
-            const std::string serial = fingerprint(serial_m);
-            const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 1, false));
-            EXPECT_EQ(lockstep, serial)
-                << "strategy " << core::strategyName(s)
-                << " alloc_cores " << ac;
-            // The workload must actually drive the remote-dealloc
-            // path once sharded — and never in the reference model.
-            if (ac == 1)
-                EXPECT_EQ(serial_m.quarantine.remote_free_sends, 0u);
-            else
-                EXPECT_GT(serial_m.quarantine.remote_free_sends, 0u)
-                    << "strategy " << core::strategyName(s)
-                    << " alloc_cores " << ac;
-        }
-    }
-}
-
-/** Same engine equivalence with every fault domain armed and the
- *  audit on: chaos-injected recovery paths must not perturb the
- *  remote-dealloc queues' drain order either. */
-TEST(Determinism, AllocShardingPreservesChaosMetricsAcrossEngines)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned ac : {1u, 2u, 4u}) {
-            const std::string serial =
-                fingerprint(runCrossCore(s, ac, 0, true));
-            const std::string lockstep =
-                fingerprint(runCrossCore(s, ac, 1, true));
-            EXPECT_EQ(lockstep, serial)
-                << "strategy " << core::strategyName(s)
-                << " alloc_cores " << ac;
-        }
-    }
 }
 
 TEST(Determinism, OraclePreservesChaosMetricsAllStrategies)
@@ -351,12 +86,36 @@ TEST(Determinism, OraclePreservesChaosMetricsAllStrategies)
     // armed, audit on) without perturbing one scheduling point — and
     // reports zero violations even while recovery paths run hot.
     for (Strategy s : core::kAllStrategies) {
-        const RunMetrics on = runChaosWith(s, true, true, true);
-        const RunMetrics off = runChaosWith(s, true, true, false);
+        MachineConfig cfg = test::chaosConfig(s);
+        cfg.oracle = true;
+        const RunMetrics on = test::runChaos(cfg);
+        cfg.oracle = false;
+        const RunMetrics off = test::runChaos(cfg);
         EXPECT_EQ(on.oracle_violations, 0u)
             << "strategy " << core::strategyName(s);
         EXPECT_EQ(fingerprint(on), fingerprint(off))
             << "strategy " << core::strategyName(s);
+    }
+}
+
+/** Per-core allocator sharding (DESIGN.md §15): the cross-core churn
+ *  must actually drive the remote-dealloc path once the heap is
+ *  sharded — and never in the single-heap model. Each shard count's
+ *  full fingerprint is pinned by golden_test's xcore-a* rows. */
+TEST(Determinism, AllocShardingDrivesRemoteFreesOnlyWhenSharded)
+{
+    for (Strategy s : core::kAllStrategies) {
+        for (unsigned ac : {1u, 2u, 4u}) {
+            const RunMetrics m =
+                test::runCrossCore(test::crossCoreConfig(s, ac, false));
+            if (ac == 1)
+                EXPECT_EQ(m.quarantine.remote_free_sends, 0u)
+                    << "strategy " << core::strategyName(s);
+            else
+                EXPECT_GT(m.quarantine.remote_free_sends, 0u)
+                    << "strategy " << core::strategyName(s)
+                    << " alloc_cores " << ac;
+        }
     }
 }
 

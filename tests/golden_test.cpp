@@ -3,13 +3,14 @@
  * Golden RunMetrics fingerprints: every strategy on a fixed cell set
  * (three SPEC profiles, a short pgbench run, a short gRPC run, the
  * chaos plan, and the cross-core churn at 1/2/4 allocator shards with
- * and without faults), under both scheduler engines, must reproduce
- * the hash recorded in tests/golden_fingerprints.txt.
+ * and without faults) must reproduce the hash recorded in
+ * tests/golden_fingerprints.txt.
  *
- * The table is what lets host-side code change freely: any edit that
- * moves a simulated number, on either engine, fails here with the
- * cell's name and both hashes. An intentional change to the
- * simulation regenerates the table with
+ * The table is the reference for every host-side change: there is no
+ * second "reference" code path to compare against, so any edit that
+ * moves a simulated number fails here with the cell's name and both
+ * hashes. An intentional change to the simulation regenerates the
+ * table with
  *
  *     golden_test --regenerate
  *
@@ -20,13 +21,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,41 +59,14 @@ PrintTo(const Cell &c, std::ostream *os)
     *os << c.name;
 }
 
-/**
- * Pins CREV_PAR_CORES for the workload drivers that build their own
- * MachineConfig (runPgbench, runGrpcQps), restoring the previous value
- * afterwards.
- */
-class ParCoresEnv
-{
-  public:
-    explicit ParCoresEnv(unsigned par_cores)
-    {
-        if (const char *old = std::getenv("CREV_PAR_CORES"))
-            old_ = old;
-        setenv("CREV_PAR_CORES", std::to_string(par_cores).c_str(), 1);
-    }
-    ~ParCoresEnv()
-    {
-        if (old_)
-            setenv("CREV_PAR_CORES", old_->c_str(), 1);
-        else
-            unsetenv("CREV_PAR_CORES");
-    }
-
-  private:
-    std::optional<std::string> old_;
-};
-
 RunMetrics
-runSpecCell(Strategy s, const std::string &profile, unsigned par_cores)
+runSpecCell(Strategy s, const std::string &profile)
 {
     workload::SpecProfile p = workload::specProfile(profile);
     p.total_allocs = std::min(p.total_allocs, kSpecAllocCap);
     MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
-    cfg.par_cores = par_cores;
     core::Machine m(cfg);
     workload::runSpec(m, p);
     return m.metrics();
@@ -106,49 +78,33 @@ goldenCells()
     std::vector<Cell> cells;
     for (Strategy s : core::kAllStrategies) {
         const std::string sn = core::strategyName(s);
-        std::vector<std::pair<std::string,
-                              std::function<RunMetrics(unsigned)>>>
-            runs;
+        auto add = [&](const std::string &workload,
+                       std::function<RunMetrics()> run) {
+            cells.push_back({workload + "/" + sn, std::move(run)});
+        };
         for (const char *profile :
              {"xalancbmk", "libquantum", "hmmer_retro"})
-            runs.emplace_back(
-                std::string("spec-") + profile,
-                [s, profile](unsigned pc) {
-                    return runSpecCell(s, profile, pc);
-                });
-        runs.emplace_back("pgbench", [s](unsigned pc) {
-            ParCoresEnv env(pc);
+            add(std::string("spec-") + profile,
+                [s, profile] { return runSpecCell(s, profile); });
+        add("pgbench", [s] {
             workload::PgbenchConfig cfg;
             cfg.transactions = 400;
             return workload::runPgbench(s, cfg).metrics;
         });
-        runs.emplace_back("grpc", [s](unsigned pc) {
-            ParCoresEnv env(pc);
+        add("grpc", [s] {
             workload::GrpcConfig cfg;
             cfg.total_messages = 2000;
             return workload::runGrpcQps(s, cfg).metrics;
         });
-        runs.emplace_back("chaos", [s](unsigned pc) {
-            MachineConfig cfg = test::chaosConfig(s);
-            cfg.par_cores = pc;
-            return test::runChaos(cfg);
-        });
+        add("chaos", [s] { return test::runChaos(test::chaosConfig(s)); });
         for (bool chaos : {false, true})
             for (unsigned ac : {1u, 2u, 4u})
-                runs.emplace_back(
-                    "xcore-a" + std::to_string(ac) +
+                add("xcore-a" + std::to_string(ac) +
                         (chaos ? "-chaos" : ""),
-                    [s, ac, chaos](unsigned pc) {
-                        MachineConfig cfg =
-                            test::crossCoreConfig(s, ac, chaos);
-                        cfg.par_cores = pc;
-                        return test::runCrossCore(cfg);
+                    [s, ac, chaos] {
+                        return test::runCrossCore(
+                            test::crossCoreConfig(s, ac, chaos));
                     });
-        for (const auto &[workload, run] : runs)
-            for (unsigned pc : {0u, 1u})
-                cells.push_back(
-                    {workload + "/" + sn + "/par" + std::to_string(pc),
-                     [run, pc] { return run(pc); }});
     }
     return cells;
 }

@@ -3,8 +3,8 @@
  * Tests for the deterministic cooperative scheduler: virtual-time
  * ordering, core contention, sleep, blocking, stop-the-world
  * semantics (including STW hiding inside idle time), the
- * synchronisation primitives, serial/lockstep engine equivalence, and
- * the host threads a default machine starts.
+ * synchronisation primitives, events landing on quantum boundaries,
+ * and the host threads a default machine starts.
  */
 
 #include <gtest/gtest.h>
@@ -339,161 +339,119 @@ TEST(Scheduler, RegisterFileIsPerThread)
     s.run();
 }
 
-// --- Lockstep-engine edge cases (DESIGN.md §14) ---
+// --- Quantum-boundary edge cases ---
 //
-// Each scenario below runs once under the serial token engine
-// (the reference) and once under the lockstep engine and must
-// produce an identical event trace. The
-// scenarios are chosen to land exactly on the places the two engines
-// could diverge if frontier resolution were off by one: events on a
-// quantum boundary, windows straddling one, and shutdown mid-quantum.
+// Each scenario lands an event exactly on, or a window across, a
+// preemption-quantum boundary, and asserts the event trace that the
+// serial token engine (the scheduler's original reference engine)
+// produced for it.
 
 using EventTrace = std::vector<std::pair<std::string, Cycles>>;
 
-TEST(Lockstep, WakeExactlyOnQuantumBoundaryMatchesSerial)
+TEST(Scheduler, WakeExactlyOnQuantumBoundary)
 {
-    // The waker's clock lands exactly on the quantum frontier when it
-    // posts the wake: the mailbox resolution must neither delay the
-    // wake into the next quantum nor deliver it early.
-    auto run_with = [](bool lockstep) {
-        Scheduler s(2, testCosts(), lockstep);
-        EXPECT_EQ(s.lockstep(), lockstep);
-        EventTrace ev;
-        bool ready = false;
-        SimThread *waiter =
-            s.spawn("waiter", 1u << 0, [&](SimThread &t) {
-                while (!ready)
-                    s.block(t);
-                ev.push_back({"woken", t.now()});
-            });
-        s.spawn("waker", 1u << 1, [&](SimThread &t) {
-            t.accrue(testCosts().quantum); // lands on the frontier
-            ready = true;
-            s.wake(*waiter, t.now());
-            ev.push_back({"posted", t.now()});
-        });
-        s.run();
-        return ev;
-    };
-    const EventTrace serial = run_with(false);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(true), serial);
+    // The waker's clock lands exactly on the quantum boundary when it
+    // posts the wake: the wake must be neither delayed into the next
+    // quantum nor delivered early.
+    Scheduler s(2, testCosts());
+    EventTrace ev;
+    bool ready = false;
+    SimThread *waiter = s.spawn("waiter", 1u << 0, [&](SimThread &t) {
+        while (!ready)
+            s.block(t);
+        ev.push_back({"woken", t.now()});
+    });
+    s.spawn("waker", 1u << 1, [&](SimThread &t) {
+        t.accrue(testCosts().quantum); // lands on the boundary
+        ready = true;
+        s.wake(*waiter, t.now());
+        ev.push_back({"posted", t.now()});
+    });
+    s.run();
+    EXPECT_EQ(ev, (EventTrace{{"posted", 10'000}, {"woken", 10'000}}));
 }
 
-TEST(Lockstep, StwStraddlingQuantumBoundaryMatchesSerial)
+TEST(Scheduler, StwStraddlingQuantumBoundary)
 {
     // The STW window opens inside one quantum and closes inside the
-    // next; parked mutators must resume at the same virtual time under
-    // both engines even though the window crosses a frontier.
-    auto run_with = [](bool lockstep) {
-        Scheduler s(2, testCosts(), lockstep);
-        EventTrace ev;
-        bool stw_done = false;
-        s.spawn("mutator", 1u << 0, [&](SimThread &t) {
-            while (!stw_done)
-                t.accrue(50);
-            ev.push_back({"mutator-after", t.now()});
-        });
-        s.spawn("revoker", 1u << 1, [&](SimThread &t) {
-            t.accrue(6'000); // mid-quantum
-            const Cycles begin = s.stopTheWorld(t);
-            t.accrue(8'000); // window crosses the 10'000 frontier
-            s.resumeWorld(t);
-            stw_done = true;
-            ev.push_back({"stw", begin});
-            ev.push_back({"stw-end", t.now()});
-        });
-        s.run();
-        return ev;
-    };
-    const EventTrace serial = run_with(false);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(true), serial);
+    // next; the parked mutator resumes at the window's end.
+    Scheduler s(2, testCosts());
+    EventTrace ev;
+    bool stw_done = false;
+    s.spawn("mutator", 1u << 0, [&](SimThread &t) {
+        while (!stw_done)
+            t.accrue(50);
+        ev.push_back({"mutator-after", t.now()});
+    });
+    s.spawn("revoker", 1u << 1, [&](SimThread &t) {
+        t.accrue(6'000); // mid-quantum
+        const Cycles begin = s.stopTheWorld(t);
+        t.accrue(8'000); // window crosses the 10'000 boundary
+        s.resumeWorld(t);
+        stw_done = true;
+        ev.push_back({"stw", begin});
+        ev.push_back({"stw-end", t.now()});
+    });
+    s.run();
+    EXPECT_EQ(ev, (EventTrace{{"stw", 10'100},
+                              {"stw-end", 18'100},
+                              {"mutator-after", 18'100}}));
 }
 
-TEST(Lockstep, DaemonShutdownMidQuantumMatchesSerial)
+TEST(Scheduler, DaemonShutdownMidQuantum)
 {
     // The last non-daemon thread finishes mid-quantum; the blocked
-    // daemon must observe shutdown and exit at the same virtual time
-    // under both engines (no waiting out the rest of the quantum).
-    auto run_with = [](bool lockstep) {
-        Scheduler s(1, testCosts(), lockstep);
-        EventTrace ev;
-        s.spawn(
-            "daemon", 1,
-            [&](SimThread &t) {
-                while (!s.shuttingDown())
-                    s.block(t);
-                ev.push_back({"daemon-exit", t.now()});
-            },
-            /*daemon=*/true);
-        s.spawn("user", 1, [&](SimThread &t) {
-            t.accrue(3'500); // done well inside the first quantum
-            ev.push_back({"user-done", t.now()});
-        });
-        s.run();
-        return ev;
-    };
-    const EventTrace serial = run_with(false);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(true), serial);
-}
-
-TEST(Lockstep, NoYieldSpanningQuantumBoundaryMatchesSerial)
-{
-    // A NoYield section that runs across the frontier defers the
-    // preemption to its close; the deferred switch must land at the
-    // same virtual time under both engines, and the timesliced peer
-    // must observe the same slice boundaries.
-    auto run_with = [](bool lockstep) {
-        Scheduler s(1, testCosts(), lockstep);
-        EventTrace ev;
-        s.spawn("a", 1, [&](SimThread &t) {
-            t.accrue(8'000);
-            {
-                SimThread::NoYield guard(t);
-                t.accrue(4'000); // crosses the 10'000 frontier
-            }
-            ev.push_back({"a-critical-done", t.now()});
-            t.accrue(100); // first yield opportunity after the guard
-            ev.push_back({"a-done", t.now()});
-        });
-        s.spawn("b", 1, [&](SimThread &t) {
-            for (int i = 0; i < 4; ++i) {
-                t.accrue(3'000);
-                ev.push_back({"b", t.now()});
-            }
-        });
-        s.run();
-        return ev;
-    };
-    const EventTrace serial = run_with(false);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(run_with(true), serial);
-}
-
-TEST(Lockstep, FrontierIsQuantumAlignedDuringRun)
-{
-    // quantumFrontier() is 0 under the serial engine and the
-    // quantum-aligned floor of the committing slice's grant time under
-    // the lockstep engine.
-    Scheduler serial(1, testCosts(), false);
-    serial.spawn("t", 1, [&](SimThread &t) {
-        t.accrue(25'000);
-        EXPECT_EQ(serial.quantumFrontier(), 0u);
+    // daemon observes shutdown and exits right after it (no waiting
+    // out the rest of the quantum).
+    Scheduler s(1, testCosts());
+    EventTrace ev;
+    s.spawn(
+        "daemon", 1,
+        [&](SimThread &t) {
+            while (!s.shuttingDown())
+                s.block(t);
+            ev.push_back({"daemon-exit", t.now()});
+        },
+        /*daemon=*/true);
+    s.spawn("user", 1, [&](SimThread &t) {
+        t.accrue(3'500); // done well inside the first quantum
+        ev.push_back({"user-done", t.now()});
     });
-    serial.run();
+    s.run();
+    EXPECT_EQ(ev,
+              (EventTrace{{"user-done", 3'550}, {"daemon-exit", 3'600}}));
+}
 
-    Scheduler ls(1, testCosts(), true);
-    ls.spawn("t", 1, [&](SimThread &t) {
-        for (int i = 0; i < 5; ++i) {
-            t.accrue(7'000);
-            const Cycles f = ls.quantumFrontier();
-            EXPECT_EQ(f % testCosts().quantum, 0u);
-            EXPECT_LE(f, t.now());
+TEST(Scheduler, NoYieldSpanningQuantumBoundary)
+{
+    // A NoYield section that runs across the boundary defers the
+    // preemption to its close; the timesliced peer observes the
+    // deferred switch.
+    Scheduler s(1, testCosts());
+    EventTrace ev;
+    s.spawn("a", 1, [&](SimThread &t) {
+        t.accrue(8'000);
+        {
+            SimThread::NoYield guard(t);
+            t.accrue(4'000); // crosses the 10'000 boundary
+        }
+        ev.push_back({"a-critical-done", t.now()});
+        t.accrue(100); // first yield opportunity after the guard
+        ev.push_back({"a-done", t.now()});
+    });
+    s.spawn("b", 1, [&](SimThread &t) {
+        for (int i = 0; i < 4; ++i) {
+            t.accrue(3'000);
+            ev.push_back({"b", t.now()});
         }
     });
-    ls.run();
+    s.run();
+    EXPECT_EQ(ev, (EventTrace{{"a-critical-done", 15'100},
+                              {"b", 15'250},
+                              {"a-done", 18'300},
+                              {"b", 18'350},
+                              {"b", 21'350},
+                              {"b", 24'350}}));
 }
 
 #if CREV_SCHED_FIBERS
@@ -513,7 +471,7 @@ hostThreadCount()
 
 TEST(HostThreads, DefaultMachineStartsNoHostThreads)
 {
-    // The default engine runs every simulated thread as a fiber on the
+    // The scheduler runs every simulated thread as a fiber on the
     // calling host thread and needs no helper threads: constructing
     // and running a default machine must not change the process's
     // host thread count.
@@ -521,9 +479,6 @@ TEST(HostThreads, DefaultMachineStartsNoHostThreads)
     core::MachineConfig cfg;
     ASSERT_EQ(cfg.cores, 4u);
     core::Machine m(cfg);
-    if (!m.scheduler().fibers())
-        GTEST_SKIP() << "CREV_PAR_CORES=0 or CREV_FIBERS=0 selects host "
-                        "threads per simulated thread";
     EXPECT_EQ(hostThreadCount(), before);
     std::size_t during = 0;
     m.spawnMutator("app", 1u << 3, [&](core::Mutator &ctx) {

@@ -1,16 +1,8 @@
 /**
  * @file
- * Differential tests for the runtime-dispatched SIMD batch kernels
- * (DESIGN.md §17.1): every kernel's dispatched variant is checked
- * against the scalar reference on randomized inputs across the
- * sweep's density regimes (clean, sparse, full, revoke-dense). The
- * AVX2 and scalar variants must be extensionally equal on every
- * input — that equality is what makes the dispatch level a pure host
- * concern.
- *
- * On hosts without AVX2, forceLevel(kAvx2) falls back to scalar and
- * the differentials pass trivially; CI's x86-64 runners exercise the
- * real wide paths.
+ * Tests for the packed-bitmap batch operations (base/simd.h):
+ * population counts, any-set tests, and span fills, on word counts of
+ * every size the tag-word and shadow-summary paths use.
  */
 
 #include <gtest/gtest.h>
@@ -24,119 +16,62 @@
 namespace crev {
 namespace {
 
-using simd::Level;
-
-/** Deterministic word arrays mimicking the sweep's tag densities. */
-std::vector<std::uint64_t>
-makeWords(std::size_t n, double density, std::uint64_t seed)
-{
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> coin(0.0, 1.0);
-    std::vector<std::uint64_t> w(n, 0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (unsigned b = 0; b < 64; ++b)
-            if (coin(rng) < density)
-                w[i] |= std::uint64_t{1} << b;
-    return w;
-}
-
-/** The four density regimes the sweep microbench measures. */
-const double kDensities[] = {0.0, 0.02, 1.0, 0.25};
-
-/** Word counts straddling the small-n scalar floor and the vector
- *  path's 4-word stride (with and without a tail). */
+/** Word counts from empty through the shadow bitmap's 64-word
+ *  blocks, with odd tails. */
 const std::size_t kSizes[] = {0, 1, 3, 4, 7, 8, 9, 13, 64, 129};
 
-/** Run @p fn once under scalar dispatch and once under the best
- *  level, returning both results for comparison. */
-template <typename Fn>
-auto
-bothLevels(Fn &&fn)
+TEST(SimdTest, PopcountWordsCountsEverySetBit)
 {
-    simd::forceLevel(Level::kScalar);
-    auto scalar = fn();
-    simd::forceLevel(Level::kAvx2);
-    auto best = fn();
-    simd::refreshFromEnv();
-    return std::make_pair(scalar, best);
-}
-
-TEST(SimdTest, PopcountWordsMatchesScalarAcrossRegimes)
-{
-    std::uint64_t seed = 1;
-    for (double d : kDensities) {
+    std::mt19937_64 rng(1);
+    std::uniform_real_distribution<double> coin(0.0, 1.0);
+    // The sweep's density regimes: clean, sparse, full, revoke-dense.
+    for (double density : {0.0, 0.02, 1.0, 0.25}) {
         for (std::size_t n : kSizes) {
-            const auto w = makeWords(n, d, seed++);
-            const auto [s, b] = bothLevels(
-                [&] { return simd::popcountWords(w.data(), n); });
-            EXPECT_EQ(s, b) << "density " << d << " n " << n;
-        }
-    }
-}
-
-TEST(SimdTest, AnySetMatchesScalarAcrossRegimes)
-{
-    std::uint64_t seed = 100;
-    for (double d : kDensities) {
-        for (std::size_t n : kSizes) {
-            const auto w = makeWords(n, d, seed++);
-            const auto [s, b] = bothLevels(
-                [&] { return simd::anySet(w.data(), n); });
-            EXPECT_EQ(s, b) << "density " << d << " n " << n;
+            std::vector<std::uint64_t> w(n, 0);
+            std::uint64_t expected = 0;
+            for (std::size_t i = 0; i < n; ++i)
+                for (unsigned b = 0; b < 64; ++b)
+                    if (coin(rng) < density) {
+                        w[i] |= std::uint64_t{1} << b;
+                        ++expected;
+                    }
+            EXPECT_EQ(simd::popcountWords(w.data(), n), expected)
+                << "density " << density << " n " << n;
         }
     }
 }
 
 TEST(SimdTest, AnySetFindsLoneBitAtEveryPosition)
 {
-    // A single bit anywhere in a 9-word span must be seen by both
-    // variants (exercises the 4-word stride and the scalar tail).
+    // A single bit anywhere in a 9-word span must be seen; an
+    // all-zero span must not report one.
     for (std::size_t word = 0; word < 9; ++word) {
         for (unsigned bit : {0u, 31u, 63u}) {
             std::vector<std::uint64_t> w(9, 0);
+            EXPECT_FALSE(simd::anySet(w.data(), w.size()));
             w[word] = std::uint64_t{1} << bit;
-            const auto [s, b] = bothLevels(
-                [&] { return simd::anySet(w.data(), w.size()); });
-            EXPECT_TRUE(s);
-            EXPECT_TRUE(b);
+            EXPECT_TRUE(simd::anySet(w.data(), w.size()))
+                << "word " << word << " bit " << bit;
         }
     }
 }
 
-TEST(SimdTest, FillWordsMatchesScalarAcrossSizes)
+TEST(SimdTest, FillWordsWritesExactlyTheSpan)
 {
+    constexpr std::uint64_t kSentinel = 0x5555555555555555;
     for (std::size_t n : kSizes) {
         for (std::uint64_t v : {std::uint64_t{0}, ~std::uint64_t{0},
                                 std::uint64_t{0xDEADBEEFCAFEF00D}}) {
-            auto run = [&] {
-                std::vector<std::uint64_t> w(n + 2, 0x5555555555555555);
-                // Fill the interior only: the sentinels catch
-                // overwrites past n.
-                simd::fillWords(w.data() + 1, n, v);
-                return w;
-            };
-            const auto [s, b] = bothLevels(run);
-            EXPECT_EQ(s, b) << "n " << n << " v " << v;
-            EXPECT_EQ(s.front(), 0x5555555555555555u);
-            EXPECT_EQ(s.back(), 0x5555555555555555u);
+            // Fill the interior only: the sentinels catch overwrites
+            // past either end.
+            std::vector<std::uint64_t> w(n + 2, kSentinel);
+            simd::fillWords(w.data() + 1, n, v);
+            EXPECT_EQ(w.front(), kSentinel);
+            EXPECT_EQ(w.back(), kSentinel);
+            for (std::size_t i = 1; i <= n; ++i)
+                EXPECT_EQ(w[i], v) << "n " << n << " word " << i;
         }
     }
-}
-
-TEST(SimdTest, EnvForcesScalarAndRefreshRestores)
-{
-    // CREV_SIMD=0 must pin the dispatch at scalar; clearing it
-    // restores the host's best level. (Whatever that level is, the
-    // kernels above proved it extensionally scalar-equal.)
-    setenv("CREV_SIMD", "0", 1);
-    simd::refreshFromEnv();
-    EXPECT_EQ(simd::level(), Level::kScalar);
-    unsetenv("CREV_SIMD");
-    simd::refreshFromEnv();
-#if defined(__x86_64__)
-    if (__builtin_cpu_supports("avx2"))
-        EXPECT_EQ(simd::level(), Level::kAvx2);
-#endif
 }
 
 } // namespace

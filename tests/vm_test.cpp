@@ -322,7 +322,6 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
 TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
 {
     VmHarness h;
-    h.mmu.setHostFastPaths(true); // the cache under test
     int faults = 0;
     h.mmu.setLoadFaultHandler([&](sim::SimThread &t, Addr va) {
         ++faults;

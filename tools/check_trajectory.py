@@ -7,30 +7,20 @@ run's contract held; this tool turns those self-reports into a CI
 gate. The file kind is dispatched on the top-level "bench" key.
 
 bench_all trajectory files (DESIGN.md §9):
-  - every run's "end_to_end.sim_results_match" must be true;
+  - every run's "end_to_end.sim_results_match" must be true (the
+    one-thread and N-thread legs, and repeated trials, agreed);
   - every run's sweep_microbench rows must have "sim_cycles_match"
-    true;
-  - runs carrying an "intra_cell" record (DESIGN.md §14) must have
-    "sim_results_match" true (serial token engine and lockstep engine
-    produced identical RunMetrics) and "intra_cell_speedup" >= 1.0
-    (the lockstep engine is never slower than the reference);
+    true (repeated trials agreed on simulated cycles);
   - runs carrying an "alloc_shard" record (DESIGN.md §15) must have
-    "sim_results_match" true (serial and lockstep engines agreed at
-    every shard count) and "remote_free_sends" > 0 (the sharded cell
-    really drove the remote-dealloc queues); records that emit a
-    "min_leg_seconds" floor must have every timed leg at or above it
+    "sim_results_match" true (trials agreed at every shard count) and
+    "remote_free_sends" > 0 (the sharded cell really drove the
+    remote-dealloc queues); records that emit a "min_leg_seconds"
+    floor must have every timed leg ("*_seconds") at or above it
     (sub-threshold legs are pure host jitter, not measurements);
-  - runs carrying a "kernels" record (DESIGN.md §17) must have
-    "sim_results_match" true (forced-scalar and dispatched kernel
-    legs produced identical simulated work), every leg's
-    "sim_cycles_match" true, and the record-level "host_speedup"
-    (aggregate off/on ns across regimes) >= 1.0 — per-leg ratios are
-    informational because a regime with no tag work measures pure
-    host jitter;
-  - runs carrying a "kernels" record that also ran with
-    "host_threads" >= 2 must have "end_to_end.parallel_speedup"
-    >= 1.15 (the arbiter keeps cross-cell scaling from decaying; a
-    single-slot cpuset cannot scale cross-cell, so it is exempt);
+  - runs with "host_threads" >= 2 must have
+    "end_to_end.parallel_speedup" >= 1.15 (cells are independent, so
+    cross-cell scaling must not decay; a single-slot cpuset cannot
+    scale cross-cell, so it is exempt);
   - among full-mode (non-quick) runs, the newest run's
     "end_to_end.fast_parallel_seconds" must not exceed 1.25x the best
     earlier full-mode run (host-noise tolerance; catches gross e2e
@@ -71,8 +61,8 @@ def check_trajectory_runs(runs):
             if row.get("sim_cycles_match") is not True:
                 fail(
                     f'run "{label}" regime "{row.get("regime")}": '
-                    "simulated cycles diverged between fast and "
-                    "reference sweeps"
+                    "simulated cycles diverged between sweep "
+                    "measurements"
                 )
         e2e = run.get("end_to_end", {})
         if e2e.get("sim_results_match") is not True:
@@ -80,21 +70,16 @@ def check_trajectory_runs(runs):
                 f'run "{label}": simulated results diverged across '
                 "host configurations"
             )
-        # Older runs predate the intra-cell engine comparison; gate it
-        # only where recorded.
-        intra = run.get("intra_cell")
-        if intra is not None:
-            if intra.get("sim_results_match") is not True:
+        # Cells are independent, so a multi-slot cpuset must scale
+        # them across host threads.
+        threads = run.get("host_threads")
+        par = e2e.get("parallel_speedup")
+        if isinstance(threads, int) and threads >= 2:
+            if not isinstance(par, (int, float)) or par < 1.15:
                 fail(
-                    f'run "{label}" cell "{intra.get("cell")}": '
-                    "serial and lockstep engines diverged"
-                )
-            speedup = intra.get("intra_cell_speedup")
-            if not isinstance(speedup, (int, float)) or speedup < 1.0:
-                fail(
-                    f'run "{label}" cell "{intra.get("cell")}": '
-                    f"lockstep engine slower than serial "
-                    f"(speedup {speedup})"
+                    f'run "{label}": parallel_speedup {par} below '
+                    "the 1.15 floor despite "
+                    f"{threads} host threads"
                 )
         # Older runs predate the sharded-allocator comparison; gate it
         # only where recorded.
@@ -102,8 +87,8 @@ def check_trajectory_runs(runs):
         if ashard is not None:
             if ashard.get("sim_results_match") is not True:
                 fail(
-                    f'run "{label}" alloc_shard: serial and lockstep '
-                    "engines diverged on the sharded heap"
+                    f'run "{label}" alloc_shard: simulated results '
+                    "diverged on the sharded heap"
                 )
             sends = ashard.get("remote_free_sends")
             if not isinstance(sends, int) or sends <= 0:
@@ -115,13 +100,10 @@ def check_trajectory_runs(runs):
             # clears it (older records predate the field).
             floor = ashard.get("min_leg_seconds")
             if isinstance(floor, (int, float)):
-                for leg in (
-                    "single_serial_seconds",
-                    "single_lockstep_seconds",
-                    "sharded_serial_seconds",
-                    "sharded_lockstep_seconds",
-                ):
-                    secs = ashard.get(leg)
+                for leg, secs in ashard.items():
+                    if not leg.endswith("_seconds") or \
+                            leg == "min_leg_seconds":
+                        continue
                     if not isinstance(secs, (int, float)) or \
                             secs < floor:
                         fail(
@@ -129,43 +111,6 @@ def check_trajectory_runs(runs):
                             f"{secs}s is below the {floor}s noise "
                             "floor (noise-sized A/B measurement)"
                         )
-        # Older runs predate the kernels A/B; gate it only where
-        # recorded.
-        kernels = run.get("kernels")
-        if kernels is not None:
-            if kernels.get("sim_results_match") is not True:
-                fail(
-                    f'run "{label}" kernels: simulated results '
-                    "diverged between scalar and dispatched legs"
-                )
-            legs = kernels.get("legs")
-            if not isinstance(legs, list) or not legs:
-                fail(f'run "{label}" kernels: no legs recorded')
-            for leg in legs:
-                regime = leg.get("regime")
-                if leg.get("sim_cycles_match") is not True:
-                    fail(
-                        f'run "{label}" kernels regime "{regime}": '
-                        "simulated cycles diverged between legs"
-                    )
-            speedup = kernels.get("host_speedup")
-            if not isinstance(speedup, (int, float)) or speedup < 1.0:
-                fail(
-                    f'run "{label}" kernels: dispatched kernels '
-                    f"slower than scalar overall "
-                    f"(host_speedup {speedup})"
-                )
-            # With the arbiter in place, cross-cell scaling must not
-            # decay — but only a multi-slot cpuset can scale at all.
-            threads = run.get("host_threads")
-            par = run.get("end_to_end", {}).get("parallel_speedup")
-            if isinstance(threads, int) and threads >= 2:
-                if not isinstance(par, (int, float)) or par < 1.15:
-                    fail(
-                        f'run "{label}": parallel_speedup {par} below '
-                        "the 1.15 floor despite "
-                        f"{threads} host threads"
-                    )
 
     # End-to-end host-time regression: the newest full-mode run vs the
     # best earlier full-mode run, with 1.25x host-noise headroom.

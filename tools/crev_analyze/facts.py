@@ -58,8 +58,8 @@ _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 
 #: Uncharged accessors and the charging APIs that account for them.
 UNCHARGED_ACCESSORS = frozenset(
-    ("peekTag", "peekCap", "peekByte", "probeQuiet"))
-CHARGE_NAMES = frozenset(("chargeRead", "chargeReadPaddr", "chargeAccess"))
+    ("peekTag", "peekByte", "probeQuiet"))
+CHARGE_NAMES = frozenset(("chargeReadPaddr", "chargeAccess"))
 
 #: Epoch drivers checked by the phase-ordering pass.
 EPOCH_DRIVERS = frozenset(("doEpoch", "emergencyEpoch"))

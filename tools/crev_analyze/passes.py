@@ -141,7 +141,7 @@ def pass_lock_evidence(ctx):
 def pass_uncharged_reach(ctx):
     """Uncharged accessors may only be reached from off-clock
     observer roots or the vm cost-model layer; a simulation path
-    caller must show a charge (chargeRead/chargeAccess/...) in the
+    caller must show a charge (chargeReadPaddr/chargeAccess/...) in the
     same function."""
     findings = []
     graph = ctx.graph
