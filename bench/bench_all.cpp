@@ -458,6 +458,7 @@ main(int argc, char **argv)
                  benchutil::jsonEscape(label).c_str());
     std::fprintf(f, "      \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "      \"host_threads\": %u,\n", threads);
+    std::fprintf(f, "      \"host_cpus\": %u,\n", benchutil::hostCpus());
     std::fprintf(f, "      \"sweep_microbench\": [\n");
     for (std::size_t i = 0; i < regimes.size(); ++i) {
         const auto &row = regimes[i];

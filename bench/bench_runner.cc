@@ -108,13 +108,8 @@ staticCostEstimate(const std::string &name)
 } // namespace
 
 unsigned
-benchThreads()
+hostCpus()
 {
-    if (const char *env = std::getenv("CREV_BENCH_THREADS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-    }
     unsigned hw = std::thread::hardware_concurrency();
 #if defined(__linux__)
     // hardware_concurrency() reports the machine, not the cpuset this
@@ -128,6 +123,17 @@ benchThreads()
     }
 #endif
     return hw != 0 ? hw : 1;
+}
+
+unsigned
+benchThreads()
+{
+    if (const char *env = std::getenv("CREV_BENCH_THREADS")) {
+        const long n = std::strtol(env, nullptr, 10);
+        if (n > 0)
+            return static_cast<unsigned>(n);
+    }
+    return hostCpus();
 }
 
 void

@@ -30,9 +30,14 @@
 namespace crev::benchutil {
 
 /**
- * Worker count for host-parallel benching: the CREV_BENCH_THREADS
- * environment variable when set, else hardware concurrency capped at
+ * Host CPUs this process may run on: hardware concurrency capped at
  * the process's CPU-affinity set (min 1).
+ */
+unsigned hostCpus();
+
+/**
+ * Worker count for host-parallel benching: the CREV_BENCH_THREADS
+ * environment variable when set, else hostCpus().
  */
 unsigned benchThreads();
 

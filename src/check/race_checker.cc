@@ -358,16 +358,6 @@ RaceChecker::onStwScan(unsigned tid, Cycles at)
     }
 }
 
-void
-RaceChecker::onSchedStateRead(const char *what, bool locked)
-{
-    if (!locked) {
-        report("sched-unlocked-read", 0, 0, 0,
-               std::string("scheduler-state read (") + what +
-                   ") from a host thread without the scheduler mutex");
-    }
-}
-
 // ---------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------

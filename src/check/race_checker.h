@@ -49,9 +49,6 @@
  *                          +2/+3 epoch target
  *   stw-scan-outside-stw   register-file / kernel-hoard scanning
  *                          while mutators may run
- *   sched-unlocked-read    scheduler-state read (thread clocks,
- *                          statuses) from a host thread that does not
- *                          hold the scheduler mutex
  *
  * Deliberately *not* flagged (documented benign races): optimistic
  * PTE reads that re-verify under the lock (reloaded.cc), hardware-DBM
@@ -106,7 +103,7 @@ class VectorClock
  * The race detector. One instance per Machine, attached via
  * Scheduler::setChecker() and the components' setChecker() methods;
  * all hooks run on the simulated thread that holds the execution
- * token (the scheduler's mutex hand-off orders them host-side).
+ * token, so every hook runs on the machine's one host thread.
  */
 class RaceChecker
 {
@@ -160,15 +157,6 @@ class RaceChecker
                                std::uint64_t counter);
     /** Register-file / kernel-hoard scan (STW-only operation). */
     void onStwScan(unsigned tid, Cycles at);
-    /**
-     * Scheduler-state read (thread clocks, statuses) from a host
-     * thread; @p locked = the scheduler mutex is held. Off-token
-     * readers — metrics collection, the watchdog's stall detector —
-     * must synchronise with the mutex hand-off that orders all
-     * thread-state writes; an unlocked read is a host-level data race
-     * even though the simulation itself is deterministic.
-     */
-    void onSchedStateRead(const char *what, bool locked);
 
     // --- results ---
     const std::vector<Violation> &violations() const

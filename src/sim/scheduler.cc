@@ -7,21 +7,40 @@
 #include "check/race_checker.h"
 #include "trace/trace.h"
 
+// Sanitizer fiber annotations (DESIGN.md §14.2); no-ops otherwise.
+#if defined(__SANITIZE_ADDRESS__)
+#define CREV_ASAN 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define CREV_TSAN 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) && !defined(CREV_ASAN)
+#define CREV_ASAN 1
+#endif
+#if __has_feature(thread_sanitizer) && !defined(CREV_TSAN)
+#define CREV_TSAN 1
+#endif
+#endif
+#if defined(CREV_ASAN)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(CREV_TSAN)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace crev::sim {
 
 namespace {
 
 constexpr Cycles kInfinity = std::numeric_limits<Cycles>::max();
 
-#if CREV_SCHED_FIBERS
 /** Fiber stack size. Bodies are ordinary workload code; the generous
  *  size costs only address space (pages commit on first touch). */
 constexpr std::size_t kFiberStackBytes = std::size_t{4} << 20;
-#endif
 
 } // namespace
 
-#if CREV_SCHED_FIBERS
 namespace detail {
 
 void
@@ -36,7 +55,6 @@ fiberTrampoline(unsigned hi, unsigned lo)
 }
 
 } // namespace detail
-#endif
 
 // ---------------------------------------------------------------------
 // SimThread
@@ -98,8 +116,10 @@ SimThread::sleepUntil(Cycles t)
 }
 
 void
-SimThread::runBody()
+SimThread::fiberMain()
 {
+    // Entered on the first grant; status_ is already kRunning.
+    sched_.finishSwitch(nullptr);
     try {
         body_(*this);
     } catch (const std::exception &e) {
@@ -107,50 +127,16 @@ SimThread::runBody()
         // thread dies (as a signal would kill it); the machine runs on.
         warn("thread %s terminated by: %s", name_.c_str(), e.what());
     }
-    std::unique_lock<std::mutex> lk(sched_.mtx_);
     status_ = ThreadStatus::kDone;
     if (sched_.tracer_ != nullptr)
         sched_.tracer_->record(id_, core_, clock_,
                                trace::EventType::kThreadPark);
     sched_.core_free_at_[core_] = clock_;
     sched_.current_ = nullptr;
-#if !CREV_SCHED_FIBERS
-    sched_.sched_cv_.notify_one();
-#endif
-}
-
-#if CREV_SCHED_FIBERS
-void
-SimThread::fiberMain()
-{
-    // Entered on the first grant; status_ is already kRunning and the
-    // scheduler mutex is not held (the granting context released it
-    // before switching stacks).
-    runBody();
     // Return control to the run() driver, which picks the successor.
-    swapcontext(&fiber_ctx_, &sched_.sched_ctx_);
+    sched_.switchFiber(&fiber_ctx_, nullptr, true);
     panic("finished fiber resumed");
 }
-#else
-void
-SimThread::threadMain()
-{
-    {
-        std::unique_lock<std::mutex> lk(sched_.mtx_);
-        cv_.wait(lk, [this] {
-            return status_ == ThreadStatus::kRunning ||
-                   sched_.tearing_down_;
-        });
-        if (status_ != ThreadStatus::kRunning) {
-            // Scheduler destroyed before run(): exit without ever
-            // executing the body.
-            status_ = ThreadStatus::kDone;
-            return;
-        }
-    }
-    runBody();
-}
-#endif
 
 // ---------------------------------------------------------------------
 // Scheduler
@@ -166,16 +152,51 @@ Scheduler::Scheduler(unsigned num_cores, const CostModel &cm)
 
 Scheduler::~Scheduler()
 {
-#if !CREV_SCHED_FIBERS
-    {
-        std::unique_lock<std::mutex> lk(mtx_);
-        tearing_down_ = true;
-        for (auto &t : threads_)
-            t->cv_.notify_all();
-    }
+    // Fibers that never ran (a scheduler built but not run) need no
+    // teardown: their stacks are freed with their SimThreads.
+#if defined(CREV_TSAN)
     for (auto &t : threads_)
-        if (t->host_.joinable())
-            t->host_.join();
+        __tsan_destroy_fiber(t->tsan_fiber_);
+#endif
+}
+
+void
+Scheduler::switchFiber(ucontext_t *from, SimThread *to,
+                       [[maybe_unused]] bool last)
+{
+    ucontext_t *to_ctx = to != nullptr ? &to->fiber_ctx_ : &sched_ctx_;
+#if defined(CREV_ASAN)
+    // A finished fiber passes no fake-stack slot, so ASan frees its
+    // fake stack; the driver's bounds were learned by finishSwitch.
+    void *fake_stack = nullptr;
+    __sanitizer_start_switch_fiber(
+        last ? nullptr : &fake_stack,
+        to != nullptr ? to->fiber_stack_.get() : driver_stack_,
+        to != nullptr ? kFiberStackBytes : driver_stack_size_);
+#endif
+#if defined(CREV_TSAN)
+    __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber_ : tsan_driver_,
+                           0);
+#endif
+    swapcontext(from, to_ctx);
+#if defined(CREV_ASAN)
+    finishSwitch(fake_stack);
+#endif
+}
+
+void
+Scheduler::finishSwitch([[maybe_unused]] void *fake_stack)
+{
+#if defined(CREV_ASAN)
+    // The first switch of a run always leaves the driver, so the
+    // first finish reports the driver's stack.
+    const void *from_stack = nullptr;
+    std::size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(fake_stack, &from_stack, &from_size);
+    if (driver_stack_ == nullptr) {
+        driver_stack_ = from_stack;
+        driver_stack_size_ = from_size;
+    }
 #endif
 }
 
@@ -183,8 +204,9 @@ SimThread *
 Scheduler::spawn(std::string name, std::uint32_t core_mask,
                  std::function<void(SimThread &)> body, bool daemon)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
-    CREV_ASSERT((core_mask & ((1u << num_cores_) - 1)) == core_mask);
+    const auto valid =
+        static_cast<std::uint32_t>((std::uint64_t{1} << num_cores_) - 1);
+    CREV_ASSERT((core_mask & valid) == core_mask);
     const auto id = static_cast<unsigned>(threads_.size());
     threads_.emplace_back(new SimThread(*this, id, std::move(name),
                                         core_mask, daemon,
@@ -196,7 +218,6 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
         checker_->onThreadSpawn(
             current_ != nullptr ? static_cast<int>(current_->id_) : -1,
             id);
-#if CREV_SCHED_FIBERS
     t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
     CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
     t->fiber_ctx_.uc_stack.ss_sp = t->fiber_stack_.get();
@@ -207,8 +228,8 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
                 reinterpret_cast<void (*)()>(detail::fiberTrampoline), 2,
                 static_cast<unsigned>(p >> 32),
                 static_cast<unsigned>(p & 0xFFFFFFFFu));
-#else
-    t->host_ = std::thread([t] { t->threadMain(); });
+#if defined(CREV_TSAN)
+    t->tsan_fiber_ = __tsan_create_fiber(0);
 #endif
     return t;
 }
@@ -221,18 +242,14 @@ Scheduler::setQuantumScale(SimThread &t, double scale)
 }
 
 bool
-Scheduler::stwOwnedBy(const SimThread &t)
+Scheduler::stwOwnedBy(const SimThread &t) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     return stw_active_ && stw_owner_ == &t;
 }
 
 std::vector<unsigned>
-Scheduler::stalledThreads(Cycles now, Cycles horizon)
+Scheduler::stalledThreads(Cycles now, Cycles horizon) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("stalledThreads", true);
     std::vector<unsigned> out;
     for (const auto &tp : threads_) {
         if (tp->status_ == ThreadStatus::kDone)
@@ -246,23 +263,14 @@ Scheduler::stalledThreads(Cycles now, Cycles horizon)
 }
 
 bool
-Scheduler::finished(SimThread const &t)
+Scheduler::finished(const SimThread &t) const
 {
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("finished", true);
     return t.status_ == ThreadStatus::kDone;
 }
 
 Cycles
 Scheduler::maxClock() const
 {
-    // Thread clocks are written by their owning host threads; an
-    // off-token reader (metrics collection, the watchdog) must hold
-    // mtx_ so the hand-off orders the reads (sched-unlocked-read).
-    std::unique_lock<std::mutex> lk(mtx_);
-    if (checker_ != nullptr)
-        checker_->onSchedStateRead("maxClock", true);
     Cycles m = 0;
     for (const auto &t : threads_)
         m = std::max(m, t->clock_);
@@ -272,7 +280,7 @@ Scheduler::maxClock() const
 SimThread *
 Scheduler::chooseNext()
 {
-    // Requires mtx_ held. Pick the schedulable thread with the smallest
+    // Pick the schedulable thread with the smallest
     // effective start time; promote sleepers whose wake time arrived.
     SimThread *best = nullptr;
     Cycles best_est = kInfinity;
@@ -346,7 +354,7 @@ Scheduler::chooseNext()
 void
 Scheduler::updateYieldHorizon(SimThread &running)
 {
-    // Requires mtx_ held. The horizon is the earlier of the preemption
+    // The horizon is the earlier of the preemption
     // quantum and the point where another schedulable thread would fall
     // more than yield_slack behind us.
     Cycles horizon =
@@ -375,7 +383,6 @@ Scheduler::updateYieldHorizon(SimThread &running)
 void
 Scheduler::grant(SimThread *t)
 {
-    // Requires mtx_ held.
     const unsigned c = t->core_;
     t->clock_ = std::max(t->clock_, core_free_at_[c]);
     if (core_last_thread_[c] != t && core_last_thread_[c] != nullptr) {
@@ -389,17 +396,11 @@ Scheduler::grant(SimThread *t)
                         trace::EventType::kThreadRun);
     updateYieldHorizon(*t);
     current_ = t;
-    // Fibers: the granting context switches stacks itself; there is
-    // no parked host thread to notify.
-#if !CREV_SCHED_FIBERS
-    t->cv_.notify_one();
-#endif
 }
 
 void
 Scheduler::handoff(SimThread &self, ThreadStatus new_status)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     self.status_ = new_status;
     ++self.heartbeats_;
     self.last_beat_at_ = self.clock_;
@@ -411,41 +412,22 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
     core_free_at_[self.core_] = self.clock_;
 
     // Direct switch: pick the successor here instead of bouncing
-    // through the scheduler loop (halves host context switches).
+    // through the scheduler loop (halves stack switches).
     SimThread *next = chooseNext();
     if (next == &self) {
-        // Still the best candidate: continue without a host switch.
+        // Still the best candidate: continue without a switch.
         grant(next);
         return;
     }
-#if CREV_SCHED_FIBERS
-    // User-space stack switch: directly into the successor fiber, or
-    // back to the run() driver when nothing is runnable (shutdown,
-    // deadlock detection). When this fiber is granted again, control
-    // resumes right after the swap with status_ == kRunning already
-    // set by the grantor.
-    ucontext_t *to;
-    if (next != nullptr) {
+    // Switch directly into the successor fiber, or back to the run()
+    // driver when nothing is runnable (shutdown, deadlock detection).
+    // When this fiber is granted again, control resumes right after
+    // the switch with status_ == kRunning already set by the grantor.
+    if (next != nullptr)
         grant(next);
-        to = &next->fiber_ctx_;
-    } else {
+    else
         current_ = nullptr;
-        to = &sched_ctx_;
-    }
-    lk.unlock();
-    swapcontext(&self.fiber_ctx_, to);
-#else
-    if (next != nullptr) {
-        grant(next);
-    } else {
-        // Nothing runnable: let the scheduler loop decide (shutdown,
-        // deadlock detection).
-        current_ = nullptr;
-        sched_cv_.notify_one();
-    }
-    self.cv_.wait(lk,
-                  [&self] { return self.status_ == ThreadStatus::kRunning; });
-#endif
+    switchFiber(&self.fiber_ctx_, next, false);
 }
 
 void
@@ -457,7 +439,7 @@ Scheduler::block(SimThread &self)
 void
 Scheduler::applyWake(SimThread &t, Cycles at)
 {
-    // Requires mtx_ held; t is kBlocked.
+    // t is kBlocked.
     if (checker_ != nullptr && current_ != nullptr)
         checker_->onWake(current_->id_, t.id_);
     t.status_ = ThreadStatus::kReady;
@@ -471,7 +453,6 @@ Scheduler::applyWake(SimThread &t, Cycles at)
 void
 Scheduler::wake(SimThread &t, Cycles at)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     if (t.status_ == ThreadStatus::kBlocked)
         applyWake(t, at);
 }
@@ -479,7 +460,6 @@ Scheduler::wake(SimThread &t, Cycles at)
 void
 Scheduler::wakeMany(SimThread *const *ts, std::size_t n, Cycles at)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     for (std::size_t i = 0; i < n; ++i)
         if (ts[i]->status_ == ThreadStatus::kBlocked)
             applyWake(*ts[i], at);
@@ -492,7 +472,6 @@ Scheduler::stopTheWorld(SimThread &self)
     // are accurate.
     self.yieldNow();
 
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!stw_active_);
     stw_active_ = true;
     stw_owner_ = &self;
@@ -517,7 +496,6 @@ Scheduler::stopTheWorld(SimThread &self)
 void
 Scheduler::resumeWorld(SimThread &self)
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(stw_active_ && stw_owner_ == &self);
     const Cycles end = self.clock_;
     last_stw_end_ = end;
@@ -537,9 +515,11 @@ Scheduler::resumeWorld(SimThread &self)
 void
 Scheduler::run()
 {
-    std::unique_lock<std::mutex> lk(mtx_);
     CREV_ASSERT(!started_);
     started_ = true;
+#if defined(CREV_TSAN)
+    tsan_driver_ = __tsan_get_current_fiber();
+#endif
 
     for (;;) {
         // Initiate shutdown once every non-daemon thread has finished.
@@ -572,24 +552,11 @@ Scheduler::run()
             panic("scheduler deadlock: threads alive but none runnable");
         }
         grant(next);
-#if CREV_SCHED_FIBERS
         // Fibers hand off among themselves without returning here;
         // control comes back (with current_ == nullptr) only when a
         // fiber finishes or none is runnable.
-        lk.unlock();
-        swapcontext(&sched_ctx_, &next->fiber_ctx_);
-        lk.lock();
-#else
-        sched_cv_.wait(lk, [this] { return current_ == nullptr; });
-#endif
+        switchFiber(&sched_ctx_, next, false);
     }
-
-#if !CREV_SCHED_FIBERS
-    lk.unlock();
-    for (auto &tp : threads_)
-        if (tp->host_.joinable())
-            tp->host_.join();
-#endif
 }
 
 } // namespace crev::sim

@@ -11,14 +11,13 @@
  * race-free, yet workload bodies are written as ordinary sequential
  * C++.
  *
- * Simulated threads run as fibers on the host thread that calls
- * run() (CREV_SCHED_FIBERS below), so a token handoff is a user-space
- * stack switch rather than a futex round-trip. Cross-core wakes apply
- * at the instant they are posted, in call order. Where fibers are not
- * compiled in (the sanitizers, non-Linux hosts), each simulated thread
- * runs on its own host thread instead and the token passes through a
- * mutex and condition variable; grant order, clocks and RunMetrics are
- * the same either way (tests/golden_test.cpp).
+ * Simulated threads run as ucontext fibers on the host thread that
+ * calls run(), so a token handoff is a user-space stack switch and one
+ * simulated machine needs one host thread. Cross-core wakes apply at
+ * the instant they are posted, in call order. Under ASan and TSan the
+ * stack switches are announced to the sanitizer through its fiber API
+ * (DESIGN.md §14.2), so the sanitizer jobs check the same execution
+ * path as every release run.
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -30,45 +29,18 @@
 #ifndef CREV_SIM_SCHEDULER_H_
 #define CREV_SIM_SCHEDULER_H_
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/types.h"
 #include "cap/capability.h"
 #include "sim/cost_model.h"
-
-/**
- * Fiber execution (DESIGN.md §14.2): because exactly one simulated
- * thread runs at a time, bodies run as ucontext fibers on the driving
- * host thread. Disabled under the sanitizers (they must observe real
- * host-thread switches to instrument stacks correctly) and off-Linux,
- * where the scheduler falls back to one host thread per simulated
- * thread.
- */
-#if defined(__linux__) && !defined(__SANITIZE_THREAD__) && \
-    !defined(__SANITIZE_ADDRESS__)
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CREV_SCHED_FIBERS 0
-#else
-#define CREV_SCHED_FIBERS 1
-#endif
-#else
-#define CREV_SCHED_FIBERS 1
-#endif
-#else
-#define CREV_SCHED_FIBERS 0
-#endif
-
-#if CREV_SCHED_FIBERS
-#include <ucontext.h>
-#endif
 
 namespace crev::trace {
 class Tracer;
@@ -82,12 +54,10 @@ namespace crev::sim {
 
 class Scheduler;
 
-#if CREV_SCHED_FIBERS
 namespace detail {
 /** makecontext entry thunk (internal). */
 void fiberTrampoline(unsigned hi, unsigned lo);
 } // namespace detail
-#endif
 
 /** Lifecycle states of a simulated thread. */
 enum class ThreadStatus {
@@ -185,24 +155,16 @@ class SimThread
 
   private:
     friend class Scheduler;
-#if CREV_SCHED_FIBERS
     friend void detail::fiberTrampoline(unsigned hi, unsigned lo);
-#endif
 
     SimThread(Scheduler &sched, unsigned id, std::string name,
               std::uint32_t core_mask, bool daemon,
               std::function<void(SimThread &)> body);
 
     void yieldSlow();
-    /** Run the body, then mark the thread done (mtx_ not held). */
-    void runBody();
-#if CREV_SCHED_FIBERS
-    /** Fiber entry (reached on the first grant). */
+    /** Fiber entry (reached on the first grant): run the body, mark
+     *  the thread done and switch back to the run() driver. */
     void fiberMain();
-#else
-    /** Host-thread entry: wait for the first grant, then run. */
-    void threadMain();
-#endif
 
     Scheduler &sched_;
     const unsigned id_;
@@ -211,9 +173,8 @@ class SimThread
     const bool daemon_;
     std::function<void(SimThread &)> body_;
 
-    // --- state below is written only by the owning host thread or by
-    // the scheduler while the thread is parked (mutex hand-off orders
-    // all accesses) ---
+    // --- state below is written only by this fiber while it holds the
+    // token, or by the scheduler while the thread is parked ---
     Cycles clock_ = 0;
     Cycles busy_ = 0;
     std::uint64_t heartbeats_ = 0;
@@ -227,13 +188,10 @@ class SimThread
     double quantum_scale_ = 1.0;
 
     std::vector<cap::Capability> regs_;
-#if CREV_SCHED_FIBERS
     ucontext_t fiber_ctx_{};
     std::unique_ptr<char[]> fiber_stack_;
-#else
-    std::condition_variable cv_;
-    std::thread host_;
-#endif
+    /** TSan's context for this fiber (null outside TSan builds). */
+    void *tsan_fiber_ = nullptr;
 };
 
 /**
@@ -259,7 +217,8 @@ class Scheduler
                      std::function<void(SimThread &)> body,
                      bool daemon = false);
 
-    /** Run until all non-daemon threads complete (then join daemons). */
+    /** Run until all non-daemon threads complete and every daemon has
+     *  exited. */
     void run();
 
     /** Block the calling thread until wake()d. */
@@ -278,11 +237,10 @@ class Scheduler
     bool shuttingDown() const { return shutting_down_; }
 
     /**
-     * Whether @p t's body has returned (its host thread may still be
-     * joinable). The epoch watchdog uses this to detect sweeper
-     * threads that died mid-epoch.
+     * Whether @p t's body has returned. The epoch watchdog uses this
+     * to detect sweeper threads that died mid-epoch.
      */
-    bool finished(const SimThread &t);
+    bool finished(const SimThread &t) const;
 
     /**
      * Begin a stop-the-world phase on behalf of @p self. Returns the
@@ -300,20 +258,15 @@ class Scheduler
         return threads_;
     }
 
-    /**
-     * Largest virtual clock across all threads (wall-clock metric).
-     * Takes the scheduler mutex: thread clocks belong to the owning
-     * host threads, so off-token readers must synchronise (the
-     * sched-unlocked-read checker rule covers regressions here).
-     */
+    /** Largest virtual clock across all threads (wall-clock metric). */
     Cycles maxClock() const;
 
     const CostModel &costs() const { return cm_; }
     unsigned numCores() const { return num_cores_; }
 
-    /** Whether simulated threads run as fibers (CREV_SCHED_FIBERS).
-     *  Only perfbench/ still reads it. */
-    static constexpr bool fibers() { return CREV_SCHED_FIBERS != 0; }
+    /** Always true: simulated threads run as fibers. Only perfbench/
+     *  still reads it. */
+    static constexpr bool fibers() { return true; }
     /** Always 1: one host thread drives the committing slice. Only
      *  perfbench/ still reads it. */
     static constexpr unsigned laneCount() { return 1; }
@@ -337,7 +290,7 @@ class Scheduler
     check::RaceChecker *checker() const { return checker_; }
 
     /** Whether @p t currently owns an active stop-the-world window. */
-    bool stwOwnedBy(const SimThread &t);
+    bool stwOwnedBy(const SimThread &t) const;
 
     /**
      * Extra cycles a thread's core freezes for at a yield point (the
@@ -354,7 +307,8 @@ class Scheduler
      * heartbeat counter stopped while virtual time moved on). The
      * watchdog samples this while an epoch is overdue.
      */
-    std::vector<unsigned> stalledThreads(Cycles now, Cycles horizon);
+    std::vector<unsigned> stalledThreads(Cycles now,
+                                         Cycles horizon) const;
 
   private:
     friend class SimThread;
@@ -366,32 +320,35 @@ class Scheduler
     void handoff(SimThread &self, ThreadStatus new_status);
     /** Recompute a running thread's yield horizon hint. */
     void updateYieldHorizon(SimThread &running);
-    /** Apply one wake's clock clamp + horizon shrink (mtx_ held). */
+    /** Apply one wake's clock clamp + horizon shrink. */
     void applyWake(SimThread &t, Cycles at);
+    /**
+     * Switch stacks from @p from to @p to's fiber (nullptr = the run()
+     * driver), announcing the switch to ASan/TSan. @p last marks a
+     * finished fiber's final exit, whose stack never resumes.
+     */
+    void switchFiber(ucontext_t *from, SimThread *to, bool last);
+    /** Complete a switch on the resumed stack (ASan bookkeeping). */
+    void finishSwitch(void *fake_stack);
 
     const unsigned num_cores_;
     const CostModel cm_;
-#if CREV_SCHED_FIBERS
     /** The run() driver's context, resumed when no fiber is runnable. */
     ucontext_t sched_ctx_{};
-#endif
+    /** The driver's stack bounds (learned on the first switch) and
+     *  TSan context (taken in run()); used only under the sanitizers. */
+    const void *driver_stack_ = nullptr;
+    std::size_t driver_stack_size_ = 0;
+    void *tsan_driver_ = nullptr;
 
     trace::Tracer *tracer_ = nullptr;
     check::RaceChecker *checker_ = nullptr;
     StallHook stall_hook_;
 
-    mutable std::mutex mtx_;
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;
     bool started_ = false;
     bool shutting_down_ = false;
-#if !CREV_SCHED_FIBERS
-    std::condition_variable sched_cv_;
-    /** Set by the destructor so host threads parked before run() (a
-     *  scheduler built but never run) unblock and exit instead of
-     *  deadlocking the join. */
-    bool tearing_down_ = false;
-#endif
 
     // Stop-the-world state.
     bool stw_active_ = false;

@@ -4,12 +4,14 @@
  * ordering, core contention, sleep, blocking, stop-the-world
  * semantics (including STW hiding inside idle time), the
  * synchronisation primitives, events landing on quantum boundaries,
- * and the host threads a default machine starts.
+ * the widest core mask, construct-and-drop teardown, and the host
+ * threads a default machine starts.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
 #include <vector>
 
 #include "core/machine.h"
@@ -248,6 +250,39 @@ TEST(Scheduler, ContextSwitchChargedOnCoreHandover)
     EXPECT_GT(busy_a, 100'000u);
 }
 
+TEST(Scheduler, ThirtyTwoCoresRunThreadOnLastCore)
+{
+    // The widest machine the constructor accepts: the valid-core mask
+    // must cover core 31 without shifting a 32-bit value by 32.
+    Scheduler s(32, testCosts());
+    unsigned core = 0;
+    bool ran = false;
+    s.spawn("last", 1u << 31, [&](SimThread &t) {
+        t.accrue(10);
+        core = t.core();
+        ran = true;
+    });
+    s.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(core, 31u);
+}
+
+TEST(Scheduler, DestroyWithoutRunExecutesNoBody)
+{
+    // Spawned fibers never run until run() grants them, so dropping
+    // the scheduler first frees their stacks (ASan's leak check
+    // covers them) without executing any body.
+    int bodies = 0;
+    {
+        Scheduler s(2, testCosts());
+        for (unsigned i = 0; i < 4; ++i)
+            s.spawn("t" + std::to_string(i), 1u << (i % 2),
+                    [&](SimThread &) { ++bodies; }, i == 3);
+        EXPECT_EQ(s.threads().size(), 4u);
+    }
+    EXPECT_EQ(bodies, 0);
+}
+
 TEST(SimMutex, MutualExclusionAndFifoWake)
 {
     Scheduler s(2, testCosts());
@@ -454,7 +489,6 @@ TEST(Scheduler, NoYieldSpanningQuantumBoundary)
                               {"b", 24'350}}));
 }
 
-#if CREV_SCHED_FIBERS
 /** Host threads of this process (Linux: one /proc/self/task entry
  *  per thread). */
 std::size_t
@@ -501,7 +535,6 @@ TEST(HostThreads, DefaultMachineStartsNoHostThreads)
     EXPECT_EQ(during, before);
     EXPECT_EQ(hostThreadCount(), before);
 }
-#endif
 
 } // namespace
 } // namespace crev::sim

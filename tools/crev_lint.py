@@ -16,11 +16,12 @@ confirm every linted translation unit is actually part of the build:
                         traces) would break bit-for-bit determinism.
   raw-threading         host threading primitives (std::mutex,
                         std::thread, std::atomic, ...) are confined to
-                        src/sim (the cooperative scheduler's
-                        implementation) and the host-parallel bench
-                        runner; simulated code must use SimMutex /
-                        SimEvent so every blocking point is a
-                        deterministic scheduling point.
+                        the host-parallel bench runner; nothing in
+                        src/ uses one (the scheduler runs simulated
+                        threads as fibers on one host thread), and
+                        simulated code must use SimMutex / SimEvent so
+                        every blocking point is a deterministic
+                        scheduling point.
   pte-publish           in-place writes of PTE revocation fields (clg,
                         cap_load_trap, cap_dirty, cap_ever) are
                         confined to the vm layer and the
@@ -174,8 +175,6 @@ THREADING_PATTERNS = [
 def rule_raw_threading(path, lines):
     if not (in_dir(path, "src") or in_dir(path, "bench")):
         return
-    if in_dir(path, os.path.join("src", "sim")):
-        return  # the scheduler's own implementation
     if os.path.basename(path).startswith("bench_runner"):
         return  # the host-parallel bench runner
     for i, line in enumerate(lines):
@@ -183,7 +182,7 @@ def rule_raw_threading(path, lines):
             if pat.search(line) and not exempt(lines, i, "threading"):
                 yield Violation(
                     "raw-threading", path, i + 1,
-                    "%s outside src/sim and the bench runner: use "
+                    "%s outside the bench runner: use "
                     "SimMutex/SimEvent so blocking is a deterministic "
                     "scheduling point" % what)
 
