@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "cap/compression.h"
 #include "kern/kernel.h"
@@ -120,6 +121,125 @@ TEST(AddressSpace, ShadowRegionIsImplicit)
               FaultKind::kDemandZero);
     Pte &p = as.makeResident(shadow);
     EXPECT_FALSE(p.cap_store); // bitmap pages never hold capabilities
+}
+
+/** Page bases forEachResidentPage visits, in visiting order. */
+std::vector<Addr>
+residentWalk(AddressSpace &as)
+{
+    std::vector<Addr> pages;
+    as.forEachResidentPage([&](Addr va, Pte &) { pages.push_back(va); });
+    return pages;
+}
+
+TEST(AddressSpace, AlignmentGapIsNotMapped)
+{
+    mem::PhysMem pm;
+    AddressSpace as(pm);
+    const Addr small = as.reserve(kPageSize);
+    // 64 MiB needs a base aligned well beyond a page, so the second
+    // reservation starts past a hole that belongs to neither.
+    const Addr big = as.reserve(64 * 1024 * 1024);
+    const Addr gap = small + as.reservationFor(small)->length;
+    ASSERT_LT(gap, big);
+    EXPECT_EQ(as.reservationFor(gap), nullptr);
+    for (Addr va : {gap, big - kPageSize}) {
+        EXPECT_EQ(as.classify(va, false, false), FaultKind::kNotMapped);
+        EXPECT_EQ(as.classify(va, true, true), FaultKind::kNotMapped);
+        EXPECT_EQ(as.findPte(va), nullptr);
+    }
+    // Beyond the last reservation and outside both windows alike.
+    for (Addr va : {big + 64 * 1024 * 1024, kHeapCeiling,
+                    kHeapBase - kPageSize, Addr{0x1234'5678'0000ull}}) {
+        EXPECT_EQ(as.classify(va, false, false), FaultKind::kNotMapped);
+        EXPECT_EQ(as.findPte(va), nullptr);
+    }
+}
+
+TEST(AddressSpace, ReleasedReservationIsGuardedAndUnwalked)
+{
+    VmHarness h;
+    h.onThread([&](sim::SimThread &t) {
+        AddressSpace &as = h.as;
+        const Addr keep = as.reserve(kPageSize);
+        as.makeResident(keep);
+        const Addr base = as.reserve(kPageSize * 3);
+        for (int i = 0; i < 3; ++i)
+            as.makeResident(base + i * kPageSize);
+        const Reservation r = *as.reservationFor(base);
+
+        as.unmap(t, base, kPageSize * 3);
+        auto quarantined = as.takeNewlyQuarantined(t);
+        ASSERT_EQ(quarantined.size(), 1u);
+        as.release(t, quarantined[0]);
+
+        for (Addr va = r.base; va < r.base + r.length; va += kPageSize) {
+            EXPECT_EQ(as.classify(va, false, false), FaultKind::kGuard);
+            EXPECT_EQ(as.classify(va, true, true), FaultKind::kGuard);
+            EXPECT_EQ(as.findPte(va), nullptr);
+        }
+        EXPECT_EQ(residentWalk(as), std::vector<Addr>{keep});
+        EXPECT_EQ(as.residentPages(), 1u);
+    });
+}
+
+TEST(AddressSpace, WalkVisitsHeapThenShadowAscending)
+{
+    mem::PhysMem pm;
+    AddressSpace as(pm);
+    const Addr a = as.reserve(kPageSize * 4);
+    const Addr b = as.reserve(kPageSize * 2);
+    // Touch out of order; leave some pages of each reservation cold.
+    const Addr s_lo = shadowByteFor(kHeapBase) + 5;
+    const Addr s_hi = shadowByteFor(kHeapBase + 16 * 1024 * 1024);
+    as.makeResident(s_hi);
+    as.makeResident(b + kPageSize);
+    as.makeResident(a + 3 * kPageSize);
+    as.makeResident(s_lo);
+    as.makeResident(a);
+
+    const std::vector<Addr> expect = {a, a + 3 * kPageSize,
+                                      b + kPageSize, pageBase(s_lo),
+                                      pageBase(s_hi)};
+    const std::vector<Addr> walk = residentWalk(as);
+    EXPECT_EQ(walk, expect);
+    for (std::size_t i = 1; i < walk.size(); ++i)
+        EXPECT_LT(walk[i - 1], walk[i]);
+    EXPECT_EQ(walk.size(), as.residentPages());
+}
+
+TEST(AddressSpace, PtePointerStableAcrossGrowth)
+{
+    mem::PhysMem pm;
+    AddressSpace as(pm);
+    const Addr base = as.reserve(kPageSize);
+    Pte &resident = as.makeResident(base);
+    Pte *p = as.findPte(base);
+    ASSERT_EQ(p, &resident);
+    const Addr pfn = p->pfn;
+    Pte *shadow = &as.makeResident(shadowByteFor(base));
+
+    // Grow the table well past its first allocation, in both windows.
+    std::vector<Addr> bases;
+    for (int i = 0; i < 600; ++i)
+        bases.push_back(as.reserve(kPageSize * (1 + i % 3)));
+    bases.push_back(as.reserve(64 * 1024 * 1024));
+    for (Addr b : bases) {
+        as.makeResident(b);
+        as.makeResident(shadowByteFor(b));
+    }
+
+    EXPECT_EQ(as.findPte(base), p);
+    EXPECT_EQ(as.findPte(shadowByteFor(base)), shadow);
+    EXPECT_TRUE(p->valid);
+    EXPECT_EQ(p->pfn, pfn);
+    // Writes through the held pointer are what the table holds.
+    p->cap_dirty = true;
+    p->clg = 1;
+    EXPECT_TRUE(as.findPte(base)->cap_dirty);
+    EXPECT_EQ(as.findPte(base)->clg, 1u);
+    as.makeResident(base);
+    EXPECT_EQ(as.findPte(base)->pfn, pfn);
 }
 
 TEST(Tlb, InsertLookupInvalidate)
