@@ -2,19 +2,22 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths:
  * capability compression, bitmap painting, page sweeping, cache
- * accesses, and the simulated allocator. These measure *host*
- * performance of the simulator itself (how fast experiments run),
- * complementing the figure/table binaries which measure *simulated*
- * behaviour.
+ * accesses, address translation, capability loads, and the simulated
+ * allocator. These measure *host* performance of the simulator
+ * itself (how fast experiments run), complementing the figure/table
+ * binaries which measure *simulated* behaviour.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "bench_runner.h"
 #include "cap/compression.h"
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "mem/cache.h"
+#include "vm/mmu.h"
 #include "workload/spec.h"
 
 namespace {
@@ -56,6 +59,91 @@ BM_CacheAccess(benchmark::State &state)
             cache.access(rng.below(1 << 20), rng.chance(0.3)));
 }
 BENCHMARK(BM_CacheAccess);
+
+/**
+ * Run @p body on the one mutator of a baseline machine, handing it the
+ * MMU, the mutator's thread and a fresh reservation of @p pages pages.
+ */
+template <typename Body>
+void
+onBaselineMmu(std::size_t pages, Body body)
+{
+    core::MachineConfig cfg;
+    cfg.strategy = core::Strategy::kBaseline;
+    core::Machine m(cfg);
+    m.spawnMutator("app", 1u << 3, [&](core::Mutator &ctx) {
+        body(m.mmu(), ctx.thread(),
+             m.addressSpace().reserve(pages * kPageSize));
+    });
+    m.run();
+}
+
+/** Host ns per call of @p access(i), over @p n calls. */
+template <typename Access>
+double
+hostNsPerCall(std::uint64_t n, Access access)
+{
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t i = 0; i < n; ++i)
+        access(i);
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    return elapsed.count() / static_cast<double>(n);
+}
+
+void
+BM_Translate(benchmark::State &state)
+{
+    // Host cost of a simulated data load whose translation misses the
+    // TLB. The loads stride one page at a time over four times the
+    // TLB's 128 entries, so FIFO replacement makes every access walk
+    // the page table (walks_per_access reports it).
+    constexpr std::size_t kPages = 512;
+    constexpr std::uint64_t kAccesses = 1u << 21;
+    double ns = 0;
+    double walks = 0;
+    onBaselineMmu(kPages, [&](vm::Mmu &mmu, sim::SimThread &t, Addr base) {
+        for (std::size_t p = 0; p < kPages; ++p)
+            mmu.storeU64(t, base + p * kPageSize, p); // demand-fault
+        const std::uint64_t misses = mmu.tlb(t.core()).misses();
+        ns = hostNsPerCall(kAccesses, [&](std::uint64_t i) {
+            benchmark::DoNotOptimize(
+                mmu.loadU64(t, base + (i % kPages) * kPageSize));
+        });
+        walks = static_cast<double>(mmu.tlb(t.core()).misses() - misses) /
+                static_cast<double>(kAccesses);
+    });
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ns);
+    state.counters["host_ns_per_access"] = ns;
+    state.counters["walks_per_access"] = walks;
+}
+BENCHMARK(BM_Translate)->Iterations(1);
+
+void
+BM_LoadCap(benchmark::State &state)
+{
+    // Host cost of a tagged capability load through the load barrier
+    // (current generation, so it never traps): every granule of 16
+    // TLB-resident pages holds a capability, loaded in order.
+    constexpr std::size_t kPages = 16;
+    constexpr std::uint64_t kGranules = kPages * kPageSize / kGranuleSize;
+    constexpr std::uint64_t kAccesses = 1u << 21;
+    double ns = 0;
+    onBaselineMmu(kPages, [&](vm::Mmu &mmu, sim::SimThread &t, Addr base) {
+        const cap::Capability c = cap::Capability::root(base, base + 64);
+        for (std::uint64_t g = 0; g < kGranules; ++g)
+            mmu.storeCap(t, base + g * kGranuleSize, c);
+        ns = hostNsPerCall(kAccesses, [&](std::uint64_t i) {
+            benchmark::DoNotOptimize(
+                mmu.loadCap(t, base + (i % kGranules) * kGranuleSize));
+        });
+    });
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ns);
+    state.counters["host_ns_per_access"] = ns;
+}
+BENCHMARK(BM_LoadCap)->Iterations(1);
 
 void
 BM_SimulatedMallocFree(benchmark::State &state)

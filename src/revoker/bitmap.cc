@@ -131,12 +131,7 @@ RevocationBitmap::probe(sim::SimThread &t, Addr addr)
     if (auto *c = t.scheduler().checker())
         c->onShadowProbe(t.id(), t.now(), byte_va);
     std::uint8_t b = 0;
-    // Host fast path: when the probing core's TLB already maps the
-    // shadow page, loadData() would charge exactly one access — the
-    // MMU's fast shadow load issues that identical charge without the
-    // translate/segment machinery. Misses fall back to the full path.
-    if (!mmu_.tryKernelShadowLoad(t, byte_va, &b))
-        mmu_.loadData(t, byte_va, &b, 1);
+    mmu_.loadData(t, byte_va, &b, 1);
     const bool bit = (b >> (g & 7)) & 1;
     // Self-check: the simulated bitmap and host mirror must agree.
     // O(1) against the two-level summary, so it stays cheap enough to

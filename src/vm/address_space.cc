@@ -8,42 +8,45 @@ namespace crev::vm {
 
 namespace {
 
-// Flat-window extents (DESIGN.md §14.4). Every PTE the simulator ever
+// Window extents (DESIGN.md §14.4). Every PTE the simulator ever
 // creates lives in the heap window (reserve() hands out only
 // [kHeapBase, kHeapCeiling)) or the shadow window (implicit shadow
 // object, materialised by makeResident); guard pages exist only inside
 // heap reservations.
-constexpr std::size_t kHeapWindowPages =
-    static_cast<std::size_t>((kHeapCeiling - kHeapBase) / kPageSize);
 constexpr Addr kShadowWindowEnd = shadowByteFor(kHeapCeiling) + kPageSize;
-constexpr std::size_t kShadowWindowPages =
-    static_cast<std::size_t>((kShadowWindowEnd - kShadowBase) /
-                             kPageSize);
 
 } // namespace
 
+AddressSpace::Window::Window(Addr base, Addr end)
+    : base_(base), size_((end - base) / kPageSize),
+      leaves_((size_ + kLeafPages - 1) / kLeafPages)
+{
+}
+
+AddressSpace::Slot &
+AddressSpace::Window::at(Addr page)
+{
+    const Addr i = (page - base_) / kPageSize;
+    CREV_ASSERT(i < size_);
+    std::unique_ptr<Leaf> &leaf = leaves_[i / kLeafPages];
+    if (leaf == nullptr)
+        leaf = std::make_unique<Leaf>();
+    return (*leaf)[i % kLeafPages];
+}
+
+void
+AddressSpace::Window::erase(Addr page)
+{
+    Slot *s = find(page);
+    CREV_ASSERT(s != nullptr);
+    s->pte = Pte{};
+    s->present = false;
+}
+
 AddressSpace::AddressSpace(mem::PhysMem &pm)
-    : pm_(pm), heap_pte_(kHeapWindowPages, nullptr),
-      shadow_pte_(kShadowWindowPages, nullptr),
-      heap_guard_(kHeapWindowPages, 0)
+    : pm_(pm), heap_slots_(kHeapBase, kHeapCeiling),
+      shadow_slots_(kShadowBase, kShadowWindowEnd)
 {
-}
-
-Pte **
-AddressSpace::slot(Addr page)
-{
-    if (page >= kHeapBase && page < kHeapCeiling)
-        return &heap_pte_[(page - kHeapBase) / kPageSize];
-    if (page >= kShadowBase && page < kShadowWindowEnd)
-        return &shadow_pte_[(page - kShadowBase) / kPageSize];
-    return nullptr;
-}
-
-bool
-AddressSpace::guarded(Addr page) const
-{
-    return page >= kHeapBase && page < kHeapCeiling &&
-           heap_guard_[(page - kHeapBase) / kPageSize] != 0;
 }
 
 Addr
@@ -74,13 +77,13 @@ AddressSpace::reserve(Addr length, bool cap_store)
     // (paper footnote 26); they are part of the reservation but any
     // touch faults.
     for (Addr va = base; va < base + padded; va += kPageSize) {
-        Pte &p = pte(va);
-        p = Pte{};
-        p.cap_store = cap_store;
-        p.write = true;
+        Slot &s = heap_slots_.at(va);
+        s.pte = Pte{};
+        s.pte.cap_store = cap_store;
+        s.pte.write = true;
+        s.present = true;
+        s.guard = va >= base + req;
     }
-    for (Addr va = base + req; va < base + padded; va += kPageSize)
-        guardPage(va);
     return base;
 }
 
@@ -95,14 +98,6 @@ AddressSpace::canReserve(Addr length) const
     const Addr padded = roundUp(cap::representableLength(req), kPageSize);
     const Addr base = roundUp(next_va_, align);
     return base + padded <= kHeapCeiling;
-}
-
-void
-AddressSpace::guardPage(Addr va)
-{
-    const Addr page = pageBase(va);
-    CREV_ASSERT(page >= kHeapBase && page < kHeapCeiling);
-    heap_guard_[(page - kHeapBase) / kPageSize] = 1;
 }
 
 void
@@ -122,18 +117,18 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
     }
 
     for (Addr va = base; va < base + length; va += kPageSize) {
-        if (guarded(va))
+        Slot *s = heap_slots_.find(va);
+        CREV_ASSERT(s != nullptr && s->present);
+        if (s->guard)
             continue;
-        auto it = pages_.find(va);
-        CREV_ASSERT(it != pages_.end());
-        if (it->second.valid) {
-            pm_.freeFrame(it->second.pfn);
-            freed_frames_.push_back(it->second.pfn);
-            it->second.valid = false;
-            it->second.pfn = 0;
+        if (s->pte.valid) {
+            pm_.freeFrame(s->pte.pfn);
+            freed_frames_.push_back(s->pte.pfn);
+            s->pte.valid = false;
+            s->pte.pfn = 0;
             --resident_;
         }
-        guardPage(va);
+        s->guard = true;
         CREV_ASSERT(r->mapped_bytes >= kPageSize);
         r->mapped_bytes -= kPageSize;
         mapped_bytes_ -= kPageSize;
@@ -170,12 +165,10 @@ AddressSpace::release(sim::SimThread &t, Reservation *r)
              va += kPageSize)
             checker_->onPteTeardown(t.id(), t.now(), va, locked);
     }
-    for (Addr va = r->base; va < r->base + r->length; va += kPageSize) {
-        if (Pte **s = slot(va))
-            *s = nullptr;
-        pages_.erase(va);
-    }
-    ++pt_epoch_; // dangles any host-cached Pte pointers
+    // Reset in place, so a Pte pointer held across a yield reads an
+    // invalid entry rather than dangling. The guard bits stay.
+    for (Addr va = r->base; va < r->base + r->length; va += kPageSize)
+        heap_slots_.erase(va);
 
     // Virtual addresses are never recycled: address-space non-reuse is
     // exactly the property revocation protects.
@@ -194,61 +187,34 @@ AddressSpace::reservationFor(Addr va)
     return nullptr;
 }
 
-Pte &
-AddressSpace::pte(Addr va)
-{
-    const Addr page = pageBase(va);
-    if (Pte **s = slot(page)) {
-        if (*s == nullptr)
-            *s = &pages_[page];
-        return **s;
-    }
-    return pages_[page];
-}
-
 Pte *
 AddressSpace::findPte(Addr va)
 {
     const Addr page = pageBase(va);
-    if (Pte **s = slot(page))
-        return *s;
-    auto it = pages_.find(page);
-    return it == pages_.end() ? nullptr : &it->second;
+    Slot *s = windowFor(page).find(page);
+    return s != nullptr && s->present ? &s->pte : nullptr;
 }
 
 bool
 AddressSpace::inShadow(Addr va)
 {
-    return va >= kShadowBase &&
-           va < shadowByteFor(kHeapCeiling) + kPageSize;
+    return va >= kShadowBase && va < kShadowWindowEnd;
 }
 
 FaultKind
-AddressSpace::classify(Addr va, bool is_store, bool is_cap_store) const
+AddressSpace::classify(Addr va, bool is_store, bool is_cap_store,
+                       Pte **pte_out)
 {
     const Addr page = pageBase(va);
-    const Pte *p;
-    if (page >= kHeapBase && page < kHeapCeiling) {
-        const std::size_t i =
-            static_cast<std::size_t>((page - kHeapBase) / kPageSize);
-        if (heap_guard_[i])
-            return FaultKind::kGuard;
-        p = heap_pte_[i];
-        if (p == nullptr) // heap VA: never in the shadow region
-            return FaultKind::kNotMapped;
-    } else if (page >= kShadowBase && page < kShadowWindowEnd) {
-        // Shadow pages are never guarded (guards live inside heap
-        // reservations only).
-        p = shadow_pte_[(page - kShadowBase) / kPageSize];
-        if (p == nullptr) // implicit kernel-provided anonymous object
-            return FaultKind::kDemandZero;
-    } else {
-        // Outside both windows: never guarded, never shadow.
-        auto pit = pages_.find(page);
-        if (pit == pages_.end())
-            return FaultKind::kNotMapped;
-        p = &pit->second;
-    }
+    Slot *s = windowFor(page).find(page);
+    Pte *p = s != nullptr && s->present ? &s->pte : nullptr;
+    if (pte_out != nullptr)
+        *pte_out = p;
+    if (s != nullptr && s->guard)
+        return FaultKind::kGuard;
+    if (p == nullptr) // the shadow object is implicit and anonymous
+        return inShadow(page) ? FaultKind::kDemandZero
+                              : FaultKind::kNotMapped;
     if (!p->valid)
         return FaultKind::kDemandZero;
     if (is_store && !p->write)
@@ -262,8 +228,10 @@ Pte &
 AddressSpace::makeResident(Addr va)
 {
     const Addr page = pageBase(va);
-    CREV_ASSERT(!guarded(page));
-    Pte &p = pte(page);
+    Slot &s = windowFor(page).at(page);
+    CREV_ASSERT(!s.guard);
+    s.present = true;
+    Pte &p = s.pte;
     if (!p.valid) {
         if (inShadow(va)) {
             // The shadow bitmap never carries capabilities.
@@ -281,9 +249,12 @@ void
 AddressSpace::forEachResidentPage(
     const std::function<void(Addr, Pte &)> &fn)
 {
-    for (auto &[va, p] : pages_)
-        if (p.valid)
-            fn(va, p);
+    auto visit = [&](Addr page, Slot &s) {
+        if (s.present && s.pte.valid)
+            fn(page, s.pte);
+    };
+    heap_slots_.forEach(visit);
+    shadow_slots_.forEach(visit);
 }
 
 void

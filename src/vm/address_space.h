@@ -10,14 +10,17 @@
  * capabilities referencing it.
  *
  * Pages are demand-zero: the first touch allocates a physical frame.
- * The page table is an ordered map so sweeps iterate deterministically.
+ * The page table is one flat array of per-page slots for each of the
+ * two VA windows (heap, shadow), walked in ascending VA order.
  */
 
 #ifndef CREV_VM_ADDRESS_SPACE_H_
 #define CREV_VM_ADDRESS_SPACE_H_
 
+#include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "base/types.h"
@@ -113,13 +116,19 @@ class AddressSpace
     /** The reservation containing @p va, or nullptr. */
     Reservation *reservationFor(Addr va);
 
-    /** PTE for @p va, creating an empty entry if absent. */
-    Pte &pte(Addr va);
-    /** PTE lookup without creation. */
+    /**
+     * PTE for @p va, or nullptr where the page has no entry: outside
+     * every reservation (alignment gaps included) or in a released
+     * one. Entries never move, so the pointer stays valid.
+     */
     Pte *findPte(Addr va);
 
-    /** Classify a touch of @p va (no side effects). */
-    FaultKind classify(Addr va, bool is_store, bool is_cap_store) const;
+    /**
+     * Classify a touch of @p va (no side effects). @p pte_out, when
+     * given, receives findPte(va) from the same table lookup.
+     */
+    FaultKind classify(Addr va, bool is_store, bool is_cap_store,
+                       Pte **pte_out = nullptr);
 
     /** Make the page containing @p va resident (demand-zero). */
     Pte &makeResident(Addr va);
@@ -160,44 +169,88 @@ class AddressSpace
     /** Whether @p va lies in the shadow-bitmap region. */
     static bool inShadow(Addr va);
 
-    /**
-     * Monotone counter bumped whenever page-table entries are erased
-     * (reservation release). Host-side translation caches holding Pte
-     * pointers must revalidate against it; insertions never move
-     * existing entries, so they need no bump.
-     */
-    std::uint64_t pageTableEpoch() const { return pt_epoch_; }
-
   private:
-    /** Turn the page containing @p va into a guard page. */
-    void guardPage(Addr va);
+    /** One page's slot: its PTE plus the table's own state for it. */
+    struct Slot
+    {
+        Pte pte;
+        bool present = false; //!< has an entry: findPte() is non-null
+        bool guard = false;   //!< guard page: every touch faults
+    };
 
-    /** Flat-window slot for page base @p page; null if outside. */
-    Pte **slot(Addr page);
+    /**
+     * One window of the page table (DESIGN.md §14.4): the slots for
+     * the pages of [base, end), indexed by (va - base) / kPageSize.
+     * They live in fixed-size leaves allocated on first use, so memory
+     * grows only with the VA range in use, and a slot never moves:
+     * revokers hold Pte pointers across yields, and release() resets
+     * slots in place.
+     */
+    class Window
+    {
+      public:
+        Window(Addr base, Addr end);
 
-    /** Whether page base @p page is a guard page. */
-    bool guarded(Addr page) const;
+        /** Slot of page base @p page; null outside the window or
+         *  before its leaf exists. */
+        Slot *
+        find(Addr page) const
+        {
+            const Addr i = (page - base_) / kPageSize; // wraps if below
+            if (i >= size_)
+                return nullptr;
+            Leaf *leaf = leaves_[i / kLeafPages].get();
+            return leaf == nullptr ? nullptr : &(*leaf)[i % kLeafPages];
+        }
+
+        /** Slot of page base @p page, which must lie in the window;
+         *  allocates its leaf. */
+        Slot &at(Addr page);
+
+        /** Reset the slot of page base @p page to "no entry" in
+         *  place; its guard state stays. */
+        void erase(Addr page);
+
+        /** Visit every allocated slot in ascending VA order. Leaves
+         *  @p fn allocates ahead of the walk are visited too. */
+        template <typename Fn>
+        void
+        forEach(Fn fn) const
+        {
+            for (std::size_t l = 0; l < leaves_.size(); ++l) {
+                Leaf *leaf = leaves_[l].get();
+                if (leaf == nullptr)
+                    continue;
+                const Addr first = base_ + l * kLeafPages * kPageSize;
+                for (std::size_t i = 0; i < kLeafPages; ++i)
+                    fn(first + i * kPageSize, (*leaf)[i]);
+            }
+        }
+
+      private:
+        static constexpr std::size_t kLeafPages = 512;
+        using Leaf = std::array<Slot, kLeafPages>;
+
+        Addr base_;
+        Addr size_;
+        std::vector<std::unique_ptr<Leaf>> leaves_;
+    };
+
+    /** The window that would hold page base @p page. */
+    Window &
+    windowFor(Addr page)
+    {
+        return page < kShadowBase ? heap_slots_ : shadow_slots_;
+    }
 
     mem::PhysMem &pm_;
-    std::map<Addr, Pte> pages_; //!< keyed by page base VA
-    /**
-     * Flat page-table windows (DESIGN.md §14.4): direct-indexed
-     * Pte-pointer mirrors of pages_ for the heap and shadow regions,
-     * so classify()/findPte()/pte() resolve without ordered-map
-     * lookups. Slots point at std::map nodes (stable until release()
-     * erases them, which also nulls the slot).
-     */
-    std::vector<Pte *> heap_pte_;
-    std::vector<Pte *> shadow_pte_;
-    /** One byte per heap page: set for guard pages. Guard pages only
-     *  ever exist inside heap reservations. */
-    std::vector<std::uint8_t> heap_guard_;
+    Window heap_slots_;
+    Window shadow_slots_;
     std::map<Addr, Reservation> reservations_; //!< keyed by base
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
     sim::SimMutex pmap_lock_;
     check::RaceChecker *checker_ = nullptr;
-    std::uint64_t pt_epoch_ = 0;
     Addr next_va_ = kHeapBase;
     Addr mapped_bytes_ = 0;
     std::size_t resident_ = 0;

@@ -48,7 +48,6 @@ Mmu::flipAllCoreGens(sim::SimThread &t)
     // Generation checks are made against TLB-resident PTE copies; the
     // flip takes effect immediately on all cores (they are already
     // synchronised: this happens inside the STW window).
-    invalidatePteCache();
     t.accrueNoYield(cm_.pte_update);
 }
 
@@ -56,9 +55,6 @@ void
 Mmu::shootdownPage(sim::SimThread &t, Addr va)
 {
     const Addr page = pageBase(va);
-    // Shootdowns follow in-place PTE rewrites (self-heals, trap-bit
-    // arming): the one-entry cache may hold the page being rewritten.
-    invalidatePteCache();
     ++stats_.tlb_shootdowns;
     if (tracer_ != nullptr)
         tracer_->record(t.id(), t.core(), t.now(),
@@ -126,7 +122,6 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
 void
 Mmu::purgeFreedFrames()
 {
-    invalidatePteCache();
     for (Addr pfn : as_.takeFreedFrames())
         ms_.invalidateFrame(pfn);
 }
@@ -152,22 +147,23 @@ Mmu::translate(sim::SimThread &t, Addr va, bool is_store,
             }
         }
 
-        // TLB miss (or cached entry is insufficient): walk.
+        // TLB miss (or cached entry is insufficient): one walk finds
+        // the page's PTE and classifies the access.
         t.accrue(cm_.tlb_fill);
-        const FaultKind fk = as_.classify(va, is_store, is_cap_store);
+        Pte *p = nullptr;
+        const FaultKind fk = as_.classify(va, is_store, is_cap_store, &p);
         switch (fk) {
           case FaultKind::kNone:
             break;
-          case FaultKind::kDemandZero: {
+          case FaultKind::kDemandZero:
             t.accrue(cm_.trap + cm_.page_fault_service);
-            Pte &p = as_.makeResident(va);
+            p = &as_.makeResident(va);
             // New mappings adopt the current load generation so a
             // fresh page never traps spuriously (§4.1: pages kept up
             // to date).
-            p.clg = gen_;
+            p->clg = gen_;
             ++stats_.demand_faults;
             break;
-          }
           case FaultKind::kNotMapped:
           case FaultKind::kGuard:
             t.accrue(cm_.trap);
@@ -180,7 +176,6 @@ Mmu::translate(sim::SimThread &t, Addr va, bool is_store,
             panic("classify() does not raise load-barrier faults");
         }
 
-        Pte *p = as_.findPte(va);
         CREV_ASSERT(p != nullptr && p->valid);
         tlbs_[core].insert(vpn, *p);
         // Loop: the next iteration hits in the TLB and re-checks.
@@ -301,34 +296,17 @@ Mmu::storeCap(sim::SimThread &t, Addr va, const cap::Capability &c)
             // Hardware-managed dirty bit update (§4.2).
             p->cap_dirty = true;
             p->cap_ever = true;
-            invalidatePteCache();
             t.accrue(cm_.pte_update);
             tlbs_[t.core()].insert(pageOf(va), *p);
         }
     }
 }
 
-Pte *
-Mmu::findPteCached(Addr va)
-{
-    const Addr vpn = pageOf(va);
-    if (cached_pte_ != nullptr && cached_vpn_ == vpn &&
-        cached_pt_epoch_ == as_.pageTableEpoch())
-        return cached_pte_;
-    Pte *p = as_.findPte(va);
-    if (p != nullptr) {
-        cached_vpn_ = vpn;
-        cached_pte_ = p;
-        cached_pt_epoch_ = as_.pageTableEpoch();
-    }
-    return p;
-}
-
 cap::Capability
 Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
 {
     CREV_ASSERT(va % kGranuleSize == 0);
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, kGranuleSize, false);
@@ -340,7 +318,7 @@ Mmu::kernelLoadCap(sim::SimThread &t, Addr va)
 void
 Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     CREV_ASSERT(p != nullptr && p->valid);
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
     chargeAccess(t, t.core(), paddr, 1, true);
@@ -350,7 +328,7 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 bool
 Mmu::peekTag(Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
@@ -360,7 +338,7 @@ Mmu::peekTag(Addr va)
 bool
 Mmu::pageHasTags(Addr va)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     return pm_.frameHasTags(p->pfn);
@@ -369,25 +347,10 @@ Mmu::pageHasTags(Addr va)
 bool
 Mmu::peekByte(Addr va, std::uint8_t *out)
 {
-    Pte *p = findPteCached(va);
+    Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)
         return false;
     pm_.read((p->pfn << kPageBits) | pageOffset(va), out, 1);
-    return true;
-}
-
-bool
-Mmu::tryKernelShadowLoad(sim::SimThread &t, Addr va, std::uint8_t *out)
-{
-    const unsigned core = t.core();
-    const Pte *cached = tlbs_[core].peek(pageOf(va));
-    if (cached == nullptr || !cached->valid)
-        return false;
-    // Identical to loadData()'s TLB-hit path for a 1-byte read: one
-    // charged access, no fill, no fault classification.
-    const Addr paddr = (cached->pfn << kPageBits) | pageOffset(va);
-    chargeAccess(t, core, paddr, 1, false);
-    pm_.read(paddr, out, 1);
     return true;
 }
 

@@ -14,21 +14,11 @@ Tlb::Tlb(std::size_t capacity) : capacity_(capacity)
     slot_pte_.assign(n, Pte{});
 }
 
-std::size_t
-Tlb::findIndex(Addr vpn) const
-{
-    for (std::size_t i = homeOf(vpn); slot_vpn_[i] != 0;
-         i = (i + 1) & slotMask())
-        if (slot_vpn_[i] == vpn)
-            return i;
-    return ~std::size_t{0};
-}
-
 bool
 Tlb::erase(Addr vpn)
 {
     std::size_t i = findIndex(vpn);
-    if (i == ~std::size_t{0})
+    if (i == kNotFound)
         return false;
     // Backward-shift deletion: no tombstones, probes stay short.
     std::size_t j = i;
@@ -53,7 +43,7 @@ Tlb::insert(Addr vpn, const Pte &pte)
 {
     CREV_ASSERT(vpn != 0);
     const std::size_t found = findIndex(vpn);
-    if (found != ~std::size_t{0}) {
+    if (found != kNotFound) {
         slot_pte_[found] = pte;
         return;
     }
@@ -81,14 +71,6 @@ void
 Tlb::invalidatePage(Addr vpn)
 {
     erase(vpn);
-}
-
-void
-Tlb::invalidateAll()
-{
-    slot_vpn_.assign(slot_vpn_.size(), 0);
-    size_ = 0;
-    fifo_.clear();
 }
 
 } // namespace crev::vm

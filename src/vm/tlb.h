@@ -32,29 +32,15 @@ class Tlb
 
     /** Look up @p vpn; returns nullptr on miss. */
     const Pte *
-    lookup(Addr vpn) const
+    lookup(Addr vpn)
     {
-        const Pte *p = peek(vpn);
-        if (p == nullptr) {
+        const std::size_t i = findIndex(vpn);
+        if (i == kNotFound) {
             ++misses_;
             return nullptr;
         }
         ++hits_;
-        return p;
-    }
-
-    /**
-     * Counter-free lookup for host-side fast paths that must observe
-     * the TLB without perturbing hit/miss statistics.
-     */
-    const Pte *
-    peek(Addr vpn) const
-    {
-        for (std::size_t i = homeOf(vpn); slot_vpn_[i] != 0;
-             i = (i + 1) & slotMask())
-            if (slot_vpn_[i] == vpn)
-                return &slot_pte_[i];
-        return nullptr;
+        return &slot_pte_[i];
     }
 
     /** Install a translation, evicting FIFO if full. */
@@ -62,9 +48,6 @@ class Tlb
 
     /** Drop one page's translation. */
     void invalidatePage(Addr vpn);
-
-    /** Drop everything (e.g. on generation flip). */
-    void invalidateAll();
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -82,8 +65,19 @@ class Tlb
                slotMask();
     }
 
-    /** Index of @p vpn's slot, or npos when absent. */
-    std::size_t findIndex(Addr vpn) const;
+    static constexpr std::size_t kNotFound = ~std::size_t{0};
+
+    /** Index of @p vpn's slot, or kNotFound when absent. */
+    std::size_t
+    findIndex(Addr vpn) const
+    {
+        for (std::size_t i = homeOf(vpn); slot_vpn_[i] != 0;
+             i = (i + 1) & slotMask())
+            if (slot_vpn_[i] == vpn)
+                return i;
+        return kNotFound;
+    }
+
     /** Remove @p vpn; returns whether it was present. */
     bool erase(Addr vpn);
 
@@ -98,8 +92,8 @@ class Tlb
     std::vector<Addr> slot_vpn_;
     std::vector<Pte> slot_pte_; //!< payloads, parallel to slot_vpn_
     std::size_t size_ = 0;
-    mutable std::uint64_t hits_ = 0;
-    mutable std::uint64_t misses_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
 };
 
 } // namespace crev::vm

@@ -432,12 +432,11 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
 }
 
 /**
- * Regression for the one-entry PTE pointer cache (PR 2): in-place PTE
- * mutations — the epoch-open CLG flip, load-fault self-heals behind
- * shootdownPage, the cap-dirty bit — do not bump the page-table
- * epoch that keys the cache, so each such site must invalidate it
- * explicitly. A stale cached walk here would let a load slip past
- * the barrier untrapped.
+ * In-place PTE mutations — the epoch-open CLG flip, load-fault
+ * self-heals behind shootdownPage, the cap-dirty bit — must be what
+ * the next translation sees: no host-side PTE copy other than the
+ * TLB, which shootdowns clear, may sit in front of the page table. A
+ * stale copy here would let a load slip past the barrier untrapped.
  */
 TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
 {
@@ -455,13 +454,12 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
             cap::Capability::root(base, base + 64);
         h.mmu.storeCap(t, base, c);
 
-        // Warm both the TLB and the PTE pointer cache.
+        // Warm the TLB.
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 0);
 
         // Epoch open: generations flip via in-place PTE mutation.
-        // The next load walks through whatever the cache returns and
-        // MUST still observe the stale CLG and trap.
+        // The next load MUST observe the stale CLG and trap.
         h.mmu.flipAllCoreGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
@@ -471,7 +469,7 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
 
-        // A second flip re-arms through the same cached entry.
+        // A second flip re-arms the same page.
         h.mmu.flipAllCoreGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 2);

@@ -89,10 +89,8 @@ def mutation_re(member):
 SHARED_STATE = [
     (mutation_re("gen_"), "gen_", "vm",
      "the MMU's load-barrier generation bit (domain: gen-flip)"),
-    (mutation_re("pages_"), "pages_", "vm",
-     "the page-table map (domains: pte-publish/pte-teardown)"),
-    (mutation_re("pt_epoch_"), "pt_epoch_", "vm",
-     "the PTE-pointer-cache epoch (domain: pte-teardown)"),
+    (mutation_re("heap_slots_"), "heap_slots_", "vm",
+     "the heap page-table slots (domains: pte-publish/pte-teardown)"),
     (mutation_re("newly_quarantined_"), "newly_quarantined_", "vm",
      "the unmap->reap hand-off queue (domain: quarantine)"),
     (mutation_re("blocks_"), "blocks_", "revoker",

@@ -26,9 +26,9 @@ confirm every linted translation unit is actually part of the build:
                         cap_load_trap, cap_dirty, cap_ever) are
                         confined to the vm layer and the
                         SweepEngine::publishPage choke point, which
-                        pairs them with PTE-pointer-cache invalidation
-                        and TLB shootdown (the PR 3 stale-PTE-cache bug
-                        class); a file using them must also invalidate.
+                        pairs them with a TLB shootdown (the
+                        stale-PTE-cache bug class); a file using them
+                        must also shoot down.
 
 Two former rules — uncharged-access and shared-mutation — are retired:
 their line-level heuristics (a path allowlist; evidence-in-the-same-
@@ -190,8 +190,7 @@ def rule_raw_threading(path, lines):
 PTE_WRITE = re.compile(
     r"(?:\.|->)\s*(clg|cap_load_trap|cap_dirty|cap_ever)\s*"
     r"(?:=[^=]|\|=|&=|\^=)")
-PTE_INVALIDATE = re.compile(
-    r"\b(shootdownPage|invalidatePteCache|flushTlbs)\s*\(")
+PTE_INVALIDATE = re.compile(r"\bshootdownPage\s*\(")
 
 
 def rule_pte_publish(path, lines):
@@ -208,14 +207,14 @@ def rule_pte_publish(path, lines):
                 "pte-publish", path, i + 1,
                 "in-place write of Pte::%s outside the vm layer and "
                 "SweepEngine::publishPage: route it through "
-                "publishPage so cache invalidation and shootdown are "
-                "paired with the mutation" % m.group(1))
+                "publishPage so a TLB shootdown is paired with the "
+                "mutation" % m.group(1))
         elif not file_invalidates:
             yield Violation(
                 "pte-publish", path, i + 1,
-                "Pte::%s written in a file that never invalidates "
-                "PTE-pointer caches (shootdownPage/invalidatePteCache "
-                "missing): the PR 3 stale-cache bug class" % m.group(1))
+                "Pte::%s written in a file that never shoots down "
+                "TLB copies of the PTE (shootdownPage missing): the "
+                "stale-PTE-cache bug class" % m.group(1))
 
 
 RULES = ("host-nondeterminism", "unordered-iteration", "raw-threading",
