@@ -72,27 +72,11 @@ fingerprint(const core::RunMetrics &m)
        << " quar@=" << m.quarantine.sum_quar_at_trigger
        << " blk=" << m.quarantine.blocked_ops
        << " blkcyc=" << m.quarantine.blocked_cycles
-       << " max=" << m.quarantine.max_quarantine_bytes
-       << " rsend=" << m.quarantine.remote_free_sends
-       << " rbatch=" << m.quarantine.remote_batches
-       << " rdrain=" << m.quarantine.remote_drained << "\n";
+       << " max=" << m.quarantine.max_quarantine_bytes << "\n";
     os << "alloc a=" << m.allocator.allocs
        << " f=" << m.allocator.frees
        << " ba=" << m.allocator.bytes_allocated_total
        << " bf=" << m.allocator.bytes_freed_total << "\n";
-    for (std::size_t i = 0; i < m.alloc_shards.size(); ++i) {
-        const auto &sh = m.alloc_shards[i];
-        os << "ashard" << i << " a=" << sh.allocs
-           << " f=" << sh.frees << " ba=" << sh.bytes_allocated_total
-           << " bf=" << sh.bytes_freed_total << "\n";
-    }
-    for (std::size_t i = 0; i < m.quarantine_shards.size(); ++i) {
-        const auto &sh = m.quarantine_shards[i];
-        os << "qshard" << i << " rs=" << sh.remote_sends
-           << " rb=" << sh.remote_batches
-           << " rd=" << sh.remote_drained
-           << " trig=" << sh.triggers << "\n";
-    }
     os << "mmu df=" << m.mmu.demand_faults
        << " lbf=" << m.mmu.load_barrier_faults
        << " shoot=" << m.mmu.tlb_shootdowns
