@@ -10,13 +10,6 @@
 
 namespace crev::alloc {
 
-namespace {
-/** Remote frees per outbound batch before it is spliced onto the
- *  owner's inbox (snmalloc's RemoteDeallocCache batching shape; any
- *  partial batch is flushed at the sender's next allocation). */
-constexpr std::size_t kRemoteBatch = 8;
-} // namespace
-
 QuarantineShim::QuarantineShim(SnmallocLite &snm, kern::Kernel &kernel,
                                revoker::Revoker *revoker,
                                revoker::RevocationBitmap *bitmap,
@@ -25,29 +18,14 @@ QuarantineShim::QuarantineShim(SnmallocLite &snm, kern::Kernel &kernel,
       policy_(policy)
 {
     CREV_ASSERT((revoker_ == nullptr) == (bitmap_ == nullptr));
-    const unsigned shards = snm_.shardCount();
-    shards_.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) {
-        auto sh = std::make_unique<Shard>();
-        sh->outbound.resize(shards);
-        shards_.push_back(std::move(sh));
-    }
 }
 
 void
 QuarantineShim::setChecker(check::RaceChecker *c)
 {
     checker_ = c;
-    if (c == nullptr)
-        return;
-    if (shards_.size() == 1) {
-        c->nameLock(&shards_[0]->lock, "heap");
-        return;
-    }
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-        const std::string name = "heap" + std::to_string(i);
-        c->nameLock(&shards_[i]->lock, name.c_str());
-    }
+    if (c != nullptr)
+        c->nameLock(&heap_lock_, "heap");
 }
 
 std::size_t
@@ -59,13 +37,13 @@ QuarantineShim::threshold() const
 }
 
 void
-QuarantineShim::maybeDequarantine(sim::SimThread &t, Shard &sh)
+QuarantineShim::maybeDequarantine(sim::SimThread &t)
 {
     const std::uint64_t now = kernel_.epoch().value();
     if (checker_ != nullptr)
         checker_->onQuarantineAccess(t.id(), t.now(),
-                                     sh.lock.heldBy(t));
-    for (Buffer &b : sh.buffers) {
+                                     heap_lock_.heldBy(t));
+    for (Buffer &b : buffers_) {
         if (!b.awaiting || now < b.target)
             continue;
         if (checker_ != nullptr)
@@ -73,8 +51,8 @@ QuarantineShim::maybeDequarantine(sim::SimThread &t, Shard &sh)
                                             now);
         // Detach the buffer *before* releasing its entries: the
         // release path yields (simulated memory traffic), and another
-        // thread sharing this shard may re-enter; detaching first
-        // makes the release idempotent.
+        // heap user may re-enter; detaching first makes the release
+        // idempotent.
         std::vector<Entry> entries;
         entries.swap(b.entries);
         b.bytes = 0;
@@ -93,13 +71,13 @@ QuarantineShim::maybeDequarantine(sim::SimThread &t, Shard &sh)
 }
 
 void
-QuarantineShim::maybeTrigger(sim::SimThread &t, Shard &sh)
+QuarantineShim::maybeTrigger(sim::SimThread &t)
 {
-    Buffer &b = sh.buffers[sh.cur];
-    Buffer &other = sh.buffers[sh.cur ^ 1];
+    Buffer &b = buffers_[cur_];
+    Buffer &other = buffers_[cur_ ^ 1];
     if (checker_ != nullptr)
         checker_->onQuarantineAccess(t.id(), t.now(),
-                                     sh.lock.heldBy(t));
+                                     heap_lock_.heldBy(t));
     // Trigger on the *total* quarantine, not this buffer's share:
     // comparing only b.bytes let quarantine reach ~2x the policy
     // ratio while the other buffer awaited its epoch (its bytes
@@ -120,13 +98,12 @@ QuarantineShim::maybeTrigger(sim::SimThread &t, Shard &sh)
     b.target = kernel_.epoch().dequarantineTarget(e);
     b.awaiting = true;
     ++stats_.revocations_triggered;
-    ++sh.stats.triggers;
     stats_.sum_alloc_at_trigger += snm_.liveBytes();
     stats_.sum_quar_at_trigger += quarantine_bytes_;
     sendEpochRequest(t);
 
     // Frees continue into the other buffer meanwhile.
-    sh.cur ^= 1;
+    cur_ ^= 1;
 }
 
 bool
@@ -202,7 +179,7 @@ QuarantineShim::waitForCounterRecovering(sim::SimThread &t,
 }
 
 void
-QuarantineShim::maybeBlock(sim::SimThread &t, Shard &sh)
+QuarantineShim::maybeBlock(sim::SimThread &t)
 {
     // mrs blocks an allocation or free when quarantine is
     // pathologically oversized (the "over twice full" condition,
@@ -211,9 +188,9 @@ QuarantineShim::maybeBlock(sim::SimThread &t, Shard &sh)
     // epoch is in flight — wait for the oldest awaiting target so a
     // buffer drains.
     for (;;) {
-        maybeDequarantine(t, sh);
-        const bool awaiting0 = sh.buffers[0].awaiting;
-        const bool awaiting1 = sh.buffers[1].awaiting;
+        maybeDequarantine(t);
+        const bool awaiting0 = buffers_[0].awaiting;
+        const bool awaiting1 = buffers_[1].awaiting;
         const bool both = awaiting0 && awaiting1;
         const bool over =
             (awaiting0 || awaiting1) &&
@@ -224,7 +201,7 @@ QuarantineShim::maybeBlock(sim::SimThread &t, Shard &sh)
             return;
         ++stats_.blocked_ops;
         std::uint64_t target = ~std::uint64_t{0};
-        for (const Buffer &b : sh.buffers)
+        for (const Buffer &b : buffers_)
             if (b.awaiting)
                 target = std::min(target, b.target);
         const Cycles wait_begin = t.now();
@@ -244,121 +221,8 @@ QuarantineShim::maybeBlock(sim::SimThread &t, Shard &sh)
 }
 
 void
-QuarantineShim::remoteFree(sim::SimThread &t, Shard &sh,
-                           unsigned owner, const cap::Capability &c)
-{
-    // A second free — from any core — of a message still in flight is
-    // a detected double free.
-    snm_.markInFlight(c.base);
-    t.accrue(t.scheduler().costs().free_overhead);
-
-    Outbound &ob = sh.outbound[owner];
-    // Thread the message through the freed object's first granule:
-    // the link target is the previous batch head, which is NOT yet
-    // painted (painting happens when the owner drains), so a sweep
-    // can never invalidate an in-flight queue link.
-    kernel_.mmu().storeCap(t, c.base, ob.head_cap);
-    if (ob.count == 0)
-        ob.tail = c.base;
-    ob.head = c.base;
-    ob.head_cap = c;
-    ++ob.count;
-    ++stats_.remote_free_sends;
-    ++sh.stats.remote_sends;
-    if (ob.count >= kRemoteBatch)
-        flushBatch(t, sh, owner);
-}
-
-void
-QuarantineShim::flushBatch(sim::SimThread &t, Shard &from,
-                           unsigned dst)
-{
-    Outbound &ob = from.outbound[dst];
-    if (ob.count == 0)
-        return;
-    Shard &to = *shards_[dst];
-    {
-        // The splice is the modeled lock-free MPSC push: rewrite our
-        // tail link to the destination's current inbox head and
-        // publish our head as the new inbox head, all without taking
-        // the destination's lock. NoYield makes the exchange atomic
-        // in virtual time; the race checker audits exactly that.
-        sim::SimThread::NoYield atomic(t);
-        if (checker_ != nullptr)
-            checker_->onRemoteQueueAccess(t.id(), t.now(),
-                                          t.inNoYield());
-        kernel_.mmu().storeCap(t, ob.tail, to.inbox_head_cap);
-        to.inbox_head = ob.head;
-        to.inbox_head_cap = ob.head_cap;
-        to.inbox_count += ob.count;
-    }
-    ++stats_.remote_batches;
-    ++from.stats.remote_batches;
-    ob.head = 0;
-    ob.tail = 0;
-    ob.head_cap = cap::Capability{};
-    ob.count = 0;
-}
-
-void
-QuarantineShim::flushOutbound(sim::SimThread &t, Shard &from)
-{
-    for (unsigned dst = 0; dst < shards_.size(); ++dst)
-        flushBatch(t, from, dst);
-}
-
-void
-QuarantineShim::drainInbox(sim::SimThread &t, Shard &sh)
-{
-    if (sh.inbox_count == 0)
-        return;
-    cap::Capability head_cap;
-    std::size_t n = 0;
-    {
-        // Detach the whole chain atomically (the owner's half of the
-        // MPSC exchange); senders splicing afterwards start a fresh
-        // chain for the next drain.
-        sim::SimThread::NoYield atomic(t);
-        if (checker_ != nullptr)
-            checker_->onRemoteQueueAccess(t.id(), t.now(),
-                                          t.inNoYield());
-        head_cap = sh.inbox_head_cap;
-        n = sh.inbox_count;
-        sh.inbox_head = 0;
-        sh.inbox_head_cap = cap::Capability{};
-        sh.inbox_count = 0;
-    }
-
-    // Walk the in-band chain — charged capability loads through the
-    // load barrier, like any free-list pop — newest message first...
-    std::vector<cap::Capability> objs;
-    objs.reserve(n);
-    cap::Capability cur = head_cap;
-    while (cur.tag) {
-        objs.push_back(cur);
-        cur = kernel_.mmu().loadCap(t, cur.base);
-    }
-    CREV_ASSERT(objs.size() == n);
-    // ...then retire in send order (oldest first): the drain order is
-    // a deterministic function of the sim-ordered sends.
-    std::reverse(objs.begin(), objs.end());
-    stats_.remote_drained += n;
-    sh.stats.remote_drained += n;
-
-    for (const cap::Capability &c : objs) {
-        snm_.clearInFlight(c.base);
-        snm_.retire(c.base);
-        if (!enabled()) {
-            snm_.deallocRaw(t, c.base);
-            continue;
-        }
-        quarantineLocked(t, sh, c.base, snm_.objectSize(c.base));
-    }
-}
-
-void
-QuarantineShim::quarantineLocked(sim::SimThread &t, Shard &sh,
-                                 Addr base, std::size_t size)
+QuarantineShim::quarantineLocked(sim::SimThread &t, Addr base,
+                                 std::size_t size)
 {
     // Paint the revocation bitmap over the whole allocation.
     bitmap_->paint(t, base, size);
@@ -367,14 +231,14 @@ QuarantineShim::quarantineLocked(sim::SimThread &t, Shard &sh,
     // entry would be recycled without having been revoked. Blocking
     // guarantees a non-awaiting buffer exists (except at shutdown,
     // when no reuse happens anyway).
-    maybeBlock(t, sh);
-    if (sh.buffers[sh.cur].awaiting && !sh.buffers[sh.cur ^ 1].awaiting)
-        sh.cur ^= 1;
+    maybeBlock(t);
+    if (buffers_[cur_].awaiting && !buffers_[cur_ ^ 1].awaiting)
+        cur_ ^= 1;
 
-    Buffer &b = sh.buffers[sh.cur];
+    Buffer &b = buffers_[cur_];
     if (checker_ != nullptr)
         checker_->onQuarantineAccess(t.id(), t.now(),
-                                     sh.lock.heldBy(t));
+                                     heap_lock_.heldBy(t));
     b.entries.push_back(Entry{base, size});
     b.bytes += size;
     quarantine_bytes_ += size;
@@ -383,33 +247,27 @@ QuarantineShim::quarantineLocked(sim::SimThread &t, Shard &sh,
         std::max<std::uint64_t>(stats_.max_quarantine_bytes,
                                 quarantine_bytes_);
 
-    maybeTrigger(t, sh);
+    maybeTrigger(t);
 }
 
 cap::Capability
 QuarantineShim::malloc(sim::SimThread &t, std::size_t size)
 {
-    const unsigned s = shardOf(t);
-    Shard &sh = *shards_[s];
-    Locked guard(sh.lock, t);
-    // The allocation boundary is where remote-free traffic moves:
-    // push out our pending batches, then accept what others sent us.
-    flushOutbound(t, sh);
-    drainInbox(t, sh);
+    Locked guard(heap_lock_, t);
     if (enabled()) {
-        maybeDequarantine(t, sh);
-        maybeTrigger(t, sh);
-        maybeBlock(t, sh);
-        ensureAddressSpaceFor(t, sh, s, size);
+        maybeDequarantine(t);
+        maybeTrigger(t);
+        maybeBlock(t);
+        ensureAddressSpaceFor(t, size);
     }
-    return snm_.alloc(t, size, s);
+    return snm_.alloc(t, size);
 }
 
 void
-QuarantineShim::ensureAddressSpaceFor(sim::SimThread &t, Shard &sh,
-                                      unsigned s, std::size_t size)
+QuarantineShim::ensureAddressSpaceFor(sim::SimThread &t,
+                                      std::size_t size)
 {
-    const std::size_t demand = snm_.mmapDemandFor(size, s);
+    const std::size_t demand = snm_.mmapDemandFor(size);
     if (demand == 0)
         return;
     vm::AddressSpace &as = kernel_.mmu().addressSpace();
@@ -417,16 +275,13 @@ QuarantineShim::ensureAddressSpaceFor(sim::SimThread &t, Shard &sh,
         return;
 
     // Address space exhausted while bytes sit in quarantine: degrade
-    // to an emergency drain of this shard — every object it
-    // quarantined is revoked and recycled — instead of letting
-    // reserve() assert. Other shards' locks are never taken here
-    // (no nested shard locking anywhere), so this cannot deadlock.
+    // to an emergency drain — every quarantined object is revoked and
+    // recycled — instead of letting reserve() assert.
     ++stats_.emergency_reclaims;
     warn("quarantine: address space exhausted (demand=%zu bytes); "
          "forcing emergency reclaim",
          demand);
-    drainInbox(t, sh);
-    drainShardLocked(t, sh);
+    drainLocked(t);
     if (!as.canReserve(demand))
         throw std::bad_alloc();
 }
@@ -434,21 +289,9 @@ QuarantineShim::ensureAddressSpaceFor(sim::SimThread &t, Shard &sh,
 void
 QuarantineShim::free(sim::SimThread &t, const cap::Capability &c)
 {
-    const unsigned s = shardOf(t);
-    Shard &sh = *shards_[s];
-    Locked guard(sh.lock, t);
+    Locked guard(heap_lock_, t);
     if (!c.tag)
         throw std::logic_error("free of an untagged capability");
-
-    const unsigned owner =
-        shards_.size() == 1 ? 0u : snm_.ownerOf(c.base);
-    if (owner != s) {
-        // Cross-core free: the object travels back to its owner as a
-        // batched remote-dealloc message; retirement, painting, and
-        // quarantine all happen on the owner's side at drain.
-        remoteFree(t, sh, owner, c);
-        return;
-    }
 
     if (!enabled()) {
         snm_.dealloc(t, c);
@@ -461,57 +304,29 @@ QuarantineShim::free(sim::SimThread &t, const cap::Capability &c)
     snm_.retire(c.base);
     const std::size_t size = snm_.objectSize(c.base);
     t.accrue(t.scheduler().costs().free_overhead);
-    quarantineLocked(t, sh, c.base, size);
+    quarantineLocked(t, c.base, size);
 }
 
 void
 QuarantineShim::drain(sim::SimThread &t)
 {
-    // The single-shard baseline has no queues and no quarantine:
-    // preserve the historical no-op (no lock traffic at all).
-    if (!enabled() && shards_.size() == 1)
+    // The baseline has no quarantine: no lock traffic at all.
+    if (!enabled())
         return;
-    // Flushing shard A's outbound fills shard B's inbox, and draining
-    // B's inbox can trigger revocations; iterate to a global fixed
-    // point. Shards are visited in ascending order with locks taken
-    // one at a time (never nested): concurrent drainers interleave
-    // safely.
-    for (;;) {
-        for (auto &shp : shards_) {
-            Locked guard(shp->lock, t);
-            flushOutbound(t, *shp);
-        }
-        for (auto &shp : shards_) {
-            Locked guard(shp->lock, t);
-            drainInbox(t, *shp);
-            if (enabled())
-                drainShardLocked(t, *shp);
-        }
-        if (t.scheduler().shuttingDown())
-            return;
-        bool dirty = quarantine_bytes_ > 0;
-        for (const auto &shp : shards_) {
-            if (shp->inbox_count > 0)
-                dirty = true;
-            for (const Outbound &ob : shp->outbound)
-                if (ob.count > 0)
-                    dirty = true;
-        }
-        if (!dirty)
-            return;
-    }
+    Locked guard(heap_lock_, t);
+    drainLocked(t);
 }
 
 void
-QuarantineShim::drainShardLocked(sim::SimThread &t, Shard &sh)
+QuarantineShim::drainLocked(sim::SimThread &t)
 {
     for (;;) {
         const bool pending =
-            sh.buffers[0].bytes > 0 || sh.buffers[1].bytes > 0 ||
-            sh.buffers[0].awaiting || sh.buffers[1].awaiting;
+            buffers_[0].bytes > 0 || buffers_[1].bytes > 0 ||
+            buffers_[0].awaiting || buffers_[1].awaiting;
         if (!pending)
             return;
-        for (Buffer &b : sh.buffers) {
+        for (Buffer &b : buffers_) {
             if (b.bytes > 0 && !b.awaiting) {
                 const std::uint64_t e = kernel_.epoch().read(t);
                 b.target = kernel_.epoch().dequarantineTarget(e);
@@ -520,13 +335,13 @@ QuarantineShim::drainShardLocked(sim::SimThread &t, Shard &sh)
             }
         }
         std::uint64_t target = 0;
-        for (const Buffer &b : sh.buffers)
+        for (const Buffer &b : buffers_)
             if (b.awaiting)
                 target = std::max(target, b.target);
         waitForCounterRecovering(t, target);
         if (t.scheduler().shuttingDown())
             return;
-        maybeDequarantine(t, sh);
+        maybeDequarantine(t);
     }
 }
 

@@ -15,25 +15,15 @@
  * configured minimum; operations *block* when quarantine exceeds
  * block_factor times the threshold, as mrs does (§5.3 discussion).
  *
- * Sharding (DESIGN.md §15): with alloc_cores > 1 the shim holds one
- * heap shard per simulated core — its own lock, free lists (in the
- * allocator), and quarantine double-buffer. A free of an object
- * another shard owns does NOT touch that shard's state: it is
- * appended to a per-destination *outbound batch* threaded in-band
- * through the freed objects' first granules (snmalloc's message-
- * passing remote deallocation), and the batch is spliced onto the
- * owner's inbox — a modeled lock-free MPSC push — when it fills or at
- * the sender's next allocation boundary. The owner drains its inbox
- * at its own allocation boundaries in deterministic FIFO order,
- * retiring + painting + quarantining each object then. All shards
- * feed the one shared revocation epoch.
+ * There is one heap: every malloc and free, from any core, takes the
+ * one heap lock, and every free lands in the one double-buffered
+ * quarantine.
  */
 
 #ifndef CREV_ALLOC_QUARANTINE_H_
 #define CREV_ALLOC_QUARANTINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "alloc/snmalloc_lite.h"
@@ -81,12 +71,6 @@ struct QuarantineStats
     std::uint64_t emergency_reclaims = 0;
     /** Epoch hand-off requests re-sent after a detected loss. */
     std::uint64_t handoff_resends = 0;
-    /** Cross-shard frees enqueued as remote-dealloc messages. */
-    std::uint64_t remote_free_sends = 0;
-    /** Outbound batches spliced onto an owner's inbox. */
-    std::uint64_t remote_batches = 0;
-    /** Remote-freed objects drained (retired) by their owner. */
-    std::uint64_t remote_drained = 0;
 
     double
     meanAllocAtTrigger() const
@@ -106,15 +90,6 @@ struct QuarantineStats
     }
 };
 
-/** Per-shard quarantine activity (RunMetrics "quarantine.shardN.*"). */
-struct QuarantineShardStats
-{
-    std::uint64_t remote_sends = 0;   //!< messages sent BY this shard
-    std::uint64_t remote_batches = 0; //!< batches spliced by this shard
-    std::uint64_t remote_drained = 0; //!< messages drained as owner
-    std::uint64_t triggers = 0;       //!< revocations this shard asked
-};
-
 /** The malloc/free interposer providing heap temporal safety. */
 class QuarantineShim
 {
@@ -131,38 +106,23 @@ class QuarantineShim
     cap::Capability malloc(sim::SimThread &t, std::size_t size);
     void free(sim::SimThread &t, const cap::Capability &c);
 
-    /** Bytes currently in quarantine (all shards). */
+    /** Bytes currently in quarantine. */
     std::size_t quarantineBytes() const { return quarantine_bytes_; }
 
     bool enabled() const { return revoker_ != nullptr; }
 
     const QuarantineStats &stats() const { return stats_; }
 
-    /** Number of heap shards (mirrors the allocator's). */
-    unsigned
-    shardCount() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
-
-    const QuarantineShardStats &
-    shardStats(unsigned shard) const
-    {
-        return shards_[shard]->stats;
-    }
-
-    /** Drain: flush every remote queue, request revocation, and wait
-     *  until every shard's quarantine empties (used by examples/tests
-     *  to force determinism at the end). Shard locks are taken one at
-     *  a time, never nested, so concurrent drainers cannot deadlock. */
+    /** Drain: request revocation and wait until quarantine empties
+     *  (used by examples/tests to force determinism at the end). */
     void drain(sim::SimThread &t);
 
     /** Attach an event tracer (null = off); backpressure waits become
      *  kQuarantineBlock/kQuarantineUnblock spans. */
     void setTracer(trace::Tracer *t) { tracer_ = t; }
 
-    /** Attach the race checker (null = off); names the heap locks and
-     *  observes quarantine-buffer and remote-queue accesses. */
+    /** Attach the race checker (null = off); names the heap lock and
+     *  observes quarantine-buffer accesses. */
     void setChecker(check::RaceChecker *c);
 
     /** Attach the fault injector (null = off): arms the dropped /
@@ -191,74 +151,19 @@ class QuarantineShim
         std::uint64_t target = 0; //!< epoch counter to wait for
     };
 
-    /** One pending outbound batch of remote frees for a destination
-     *  shard: a LIFO chain threaded through the freed objects' first
-     *  granules (head = most recent; tail's link is null until the
-     *  splice rewrites it to the destination's inbox head). */
-    struct Outbound
-    {
-        Addr head = 0;
-        Addr tail = 0;
-        cap::Capability head_cap; //!< retained cap to the chain head
-        std::size_t count = 0;
-    };
-
-    /** One per-core heap shard. */
-    struct Shard
-    {
-        sim::SimMutex lock;
-        Buffer buffers[2];
-        int cur = 0;
-        /** Outbound batches, indexed by destination shard. */
-        std::vector<Outbound> outbound;
-        /** Inbox: MPSC chain of remote-freed objects, in-band. Only
-         *  mutated inside NoYield windows (the modeled atomic
-         *  exchange); see RaceChecker::onRemoteQueueAccess. */
-        Addr inbox_head = 0;
-        cap::Capability inbox_head_cap;
-        std::size_t inbox_count = 0;
-        QuarantineShardStats stats;
-    };
-
-    /** The shard serving @p t: per-core ownership. */
-    unsigned
-    shardOf(const sim::SimThread &t) const
-    {
-        return static_cast<unsigned>(t.core()) %
-               static_cast<unsigned>(shards_.size());
-    }
-
     /** Current policy threshold in bytes. */
     std::size_t threshold() const;
     /** Release any buffer whose epoch target has been reached. */
-    void maybeDequarantine(sim::SimThread &t, Shard &sh);
+    void maybeDequarantine(sim::SimThread &t);
     /** Submit the current buffer for revocation if total quarantine
      *  is over policy. */
-    void maybeTrigger(sim::SimThread &t, Shard &sh);
+    void maybeTrigger(sim::SimThread &t);
     /** Block while quarantine is pathologically oversized. */
-    void maybeBlock(sim::SimThread &t, Shard &sh);
+    void maybeBlock(sim::SimThread &t);
 
-    /** Park an already-retired object (lock of @p sh held): paint,
-     *  push into the non-awaiting buffer, and maybe trigger. */
-    void quarantineLocked(sim::SimThread &t, Shard &sh, Addr base,
-                          std::size_t size);
-
-    /** Append a cross-shard free to the outbound batch for @p owner
-     *  (splicing the batch onto the owner's inbox when full). */
-    void remoteFree(sim::SimThread &t, Shard &sh, unsigned owner,
-                    const cap::Capability &c);
-
-    /** Splice the outbound batch for @p dst onto @p dst's inbox (the
-     *  modeled lock-free MPSC push; no destination lock taken). */
-    void flushBatch(sim::SimThread &t, Shard &from, unsigned dst);
-
-    /** Flush every non-empty outbound batch of @p from, ascending
-     *  destination order. */
-    void flushOutbound(sim::SimThread &t, Shard &from);
-
-    /** Detach and process @p sh's inbox (lock of @p sh held):
-     *  retire + quarantine each remote-freed object in send order. */
-    void drainInbox(sim::SimThread &t, Shard &sh);
+    /** Park an already-retired object (heap lock held): paint, push
+     *  into the non-awaiting buffer, and maybe trigger. */
+    void quarantineLocked(sim::SimThread &t, Addr base, std::size_t size);
 
     /**
      * Send the epoch request through the (possibly faulty) hand-off
@@ -283,22 +188,20 @@ class QuarantineShim
     /** Whether the dropped/duplicated hand-off domain is armed. */
     bool handoffFaultsArmed() const;
 
-    /** Drain @p sh's quarantine buffers; its lock must be held. */
-    void drainShardLocked(sim::SimThread &t, Shard &sh);
+    /** Drain both quarantine buffers; the heap lock must be held. */
+    void drainLocked(sim::SimThread &t);
 
     /**
-     * Ensure the allocator can satisfy an mmap for @p size bytes on
-     * shard @p s: on address-space exhaustion, degrade to an
-     * emergency drain of this shard (revoke-and-reclaim everything it
-     * quarantined — other shards' locks are never taken here) and
-     * throw std::bad_alloc only if the space is still insufficient.
+     * Ensure the allocator can satisfy an mmap for @p size bytes: on
+     * address-space exhaustion, degrade to an emergency drain
+     * (revoke-and-reclaim everything quarantined) and throw
+     * std::bad_alloc only if the space is still insufficient.
      */
-    void ensureAddressSpaceFor(sim::SimThread &t, Shard &sh,
-                               unsigned s, std::size_t size);
+    void ensureAddressSpaceFor(sim::SimThread &t, std::size_t size);
 
-    /** RAII shard lock: malloc/free on the same shard serialise
-     *  here (snmalloc proper uses per-thread allocators; per-core
-     *  locked shards are the simpler faithful-enough model). */
+    /** RAII heap lock: every malloc and free serialises here
+     *  (snmalloc proper uses per-thread allocators; one locked heap is
+     *  the simpler faithful-enough model). */
     class Locked
     {
       public:
@@ -318,10 +221,10 @@ class QuarantineShim
     revoker::Revoker *revoker_;
     revoker::RevocationBitmap *bitmap_;
     QuarantinePolicy policy_;
-    /** Shards are pointer-stable: SimMutex is not movable, and splice
-     *  paths hold references across yields. */
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::size_t quarantine_bytes_ = 0; //!< total across shards
+    sim::SimMutex heap_lock_;
+    Buffer buffers_[2];
+    int cur_ = 0; //!< the buffer frees go into
+    std::size_t quarantine_bytes_ = 0;
     QuarantineStats stats_;
     trace::Tracer *tracer_ = nullptr;
     check::RaceChecker *checker_ = nullptr;

@@ -27,12 +27,9 @@ constexpr auto kClassLut = [] {
 }();
 } // namespace
 
-SnmallocLite::SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu,
-                           unsigned shards)
+SnmallocLite::SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu)
     : kernel_(kernel), mmu_(mmu)
 {
-    CREV_ASSERT(shards >= 1);
-    shards_.resize(shards);
     constexpr std::size_t kHeapPages = static_cast<std::size_t>(
         (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
     constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
@@ -50,21 +47,21 @@ SnmallocLite::sizeClassFor(std::size_t size)
 }
 
 Addr
-SnmallocLite::carveChunk(sim::SimThread &t, Shard &sh,
-                         std::size_t bytes, std::size_t align)
+SnmallocLite::carveChunk(sim::SimThread &t, std::size_t bytes,
+                         std::size_t align)
 {
     CREV_ASSERT(bytes % kPageSize == 0);
-    Addr base = roundUp(sh.arena_bump, align);
-    if (base + bytes > sh.arena_end) {
+    Addr base = roundUp(arena_bump_, align);
+    if (base + bytes > arena_end_) {
         const std::size_t arena_bytes = std::max<std::size_t>(
             kArenaSize, roundUp(bytes, kPageSize));
-        sh.arena_cap = kernel_.sysMmap(t, arena_bytes);
-        sh.arena_bump = sh.arena_cap.base;
-        sh.arena_end = sh.arena_cap.top;
-        base = roundUp(sh.arena_bump, align);
-        CREV_ASSERT(base + bytes <= sh.arena_end);
+        arena_cap_ = kernel_.sysMmap(t, arena_bytes);
+        arena_bump_ = arena_cap_.base;
+        arena_end_ = arena_cap_.top;
+        base = roundUp(arena_bump_, align);
+        CREV_ASSERT(base + bytes <= arena_end_);
     }
-    sh.arena_bump = base + bytes;
+    arena_bump_ = base + bytes;
     return base;
 }
 
@@ -95,13 +92,6 @@ SnmallocLite::liveBitIndex(Addr base) const
                                     kGranuleBits);
 }
 
-bool
-SnmallocLite::liveBitTest(Addr base) const
-{
-    const std::size_t i = liveBitIndex(base);
-    return (live_bits_[i >> 6] >> (i & 63)) & 1u;
-}
-
 void
 SnmallocLite::liveBitSet(Addr base)
 {
@@ -122,12 +112,9 @@ SnmallocLite::liveBitClear(Addr base)
 }
 
 cap::Capability
-SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
-                    unsigned shard)
+SnmallocLite::alloc(sim::SimThread &t, std::size_t size)
 {
     CREV_ASSERT(size > 0);
-    CREV_ASSERT(shard < shards_.size());
-    Shard &sh = shards_[shard];
     t.accrue(mmu_.costs().malloc_overhead);
 
     const int sc = sizeClassFor(size);
@@ -138,17 +125,17 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
         // cached free chunk of the same length when available
         // (snmalloc never munmaps — paper §6.2).
         const std::size_t bytes = roundUp(size, kPageSize);
-        auto it = sh.large_free.find(bytes);
-        if (it != sh.large_free.end() && !it->second.empty()) {
+        auto it = large_free_.find(bytes);
+        if (it != large_free_.end() && !it->second.empty()) {
             result = it->second.back();
             it->second.pop_back();
         } else {
             result = kernel_.sysMmap(t, bytes);
-            addChunk(ChunkMeta{result.base, bytes, -1, shard, result});
+            addChunk(ChunkMeta{result.base, bytes, -1, result});
         }
     } else {
         const std::size_t csize = kSizeClasses[sc];
-        ClassState &cs = sh.classes[sc];
+        ClassState &cs = classes_[sc];
         Addr base;
         if (cs.free_head != 0) {
             // Pop the in-band free list; this capability load goes
@@ -159,12 +146,11 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
             cs.free_head_cap = next;
         } else {
             if (cs.bump + csize > cs.slab_end) {
-                const Addr chunk =
-                    carveChunk(t, sh, kChunkSize, kPageSize);
-                const cap::Capability ccap = sh.arena_cap.setBounds(
-                    chunk, chunk + kChunkSize);
+                const Addr chunk = carveChunk(t, kChunkSize, kPageSize);
+                const cap::Capability ccap =
+                    arena_cap_.setBounds(chunk, chunk + kChunkSize);
                 CREV_ASSERT(ccap.tag);
-                addChunk(ChunkMeta{chunk, kChunkSize, sc, shard, ccap});
+                addChunk(ChunkMeta{chunk, kChunkSize, sc, ccap});
                 cs.bump = chunk;
                 cs.slab_end = chunk + kChunkSize;
             }
@@ -180,33 +166,29 @@ SnmallocLite::alloc(sim::SimThread &t, std::size_t size,
     live_bytes_ += result.length();
     ++stats_.allocs;
     stats_.bytes_allocated_total += result.length();
-    ++sh.stats.allocs;
-    sh.stats.bytes_allocated_total += result.length();
     return result;
 }
 
 std::size_t
-SnmallocLite::mmapDemandFor(std::size_t size, unsigned shard) const
+SnmallocLite::mmapDemandFor(std::size_t size) const
 {
-    CREV_ASSERT(shard < shards_.size());
-    const Shard &sh = shards_[shard];
     const int sc = sizeClassFor(size);
     if (sc < 0) {
         const std::size_t bytes = roundUp(size, kPageSize);
-        auto it = sh.large_free.find(bytes);
-        if (it != sh.large_free.end() && !it->second.empty())
+        auto it = large_free_.find(bytes);
+        if (it != large_free_.end() && !it->second.empty())
             return 0;
         return bytes;
     }
-    const ClassState &cs = sh.classes[sc];
+    const ClassState &cs = classes_[sc];
     if (cs.free_head != 0)
         return 0;
     if (cs.bump + kSizeClasses[sc] <= cs.slab_end)
         return 0;
     // A fresh chunk is needed; in the worst case the arena is
     // exhausted too and carveChunk() mmaps a whole new one.
-    const Addr base = roundUp(sh.arena_bump, kPageSize);
-    if (base + kChunkSize <= sh.arena_end)
+    const Addr base = roundUp(arena_bump_, kPageSize);
+    if (base + kChunkSize <= arena_end_)
         return 0;
     return std::max<std::size_t>(kArenaSize,
                                  roundUp(kChunkSize, kPageSize));
@@ -226,28 +208,8 @@ SnmallocLite::objectSize(Addr base) const
 }
 
 void
-SnmallocLite::markInFlight(Addr base)
-{
-    if (!isLive(base) || !in_flight_.insert(base).second)
-        throw std::logic_error(
-            "remote free of a pointer that is not live "
-            "(double free or invalid free)");
-}
-
-void
-SnmallocLite::clearInFlight(Addr base)
-{
-    const std::size_t erased = in_flight_.erase(base);
-    CREV_ASSERT(erased == 1);
-}
-
-void
 SnmallocLite::retire(Addr base)
 {
-    if (!in_flight_.empty() && in_flight_.count(base) != 0)
-        throw std::logic_error(
-            "free of a pointer whose remote free is still in flight "
-            "(double free)");
     if (!liveBitClear(base))
         throw std::logic_error("free of a pointer that is not live "
                                "(double free or invalid free)");
@@ -256,9 +218,6 @@ SnmallocLite::retire(Addr base)
     live_bytes_ -= size;
     ++stats_.frees;
     stats_.bytes_freed_total += size;
-    Shard &owner = shards_[chunkFor(base).owner];
-    ++owner.stats.frees;
-    owner.stats.bytes_freed_total += size;
 }
 
 void
@@ -266,13 +225,12 @@ SnmallocLite::deallocRaw(sim::SimThread &t, Addr base)
 {
     t.accrue(mmu_.costs().free_overhead);
     const ChunkMeta &m = chunkFor(base);
-    Shard &sh = shards_[m.owner];
     if (m.size_class < 0) {
-        sh.large_free[m.length].push_back(m.chunk_cap);
+        large_free_[m.length].push_back(m.chunk_cap);
         return;
     }
     const std::size_t csize = kSizeClasses[m.size_class];
-    ClassState &cs = sh.classes[m.size_class];
+    ClassState &cs = classes_[m.size_class];
     // Push onto the in-band free list: the (possibly null) old head
     // capability is stored into the object's first granule.
     mmu_.storeCap(t, base, cs.free_head_cap);

@@ -321,19 +321,6 @@ RaceChecker::onMappingHandoff(unsigned tid, Cycles at,
 }
 
 void
-RaceChecker::onRemoteQueueAccess(unsigned tid, Cycles at, bool atomic)
-{
-    thread(tid);
-    if (!atomic) {
-        report("remote-queue-nonatomic-access", tid, at, 0,
-               "remote-dealloc inbox splice/detach outside a NoYield "
-               "window (the modeled MPSC exchange is not atomic); "
-               "locks held " +
-                   lockNames(tid));
-    }
-}
-
-void
 RaceChecker::onDequarantineRelease(unsigned tid, Cycles at,
                                    std::uint64_t target,
                                    std::uint64_t counter)

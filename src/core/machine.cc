@@ -56,19 +56,6 @@ defaultOracle()
     return env != nullptr && std::strcmp(env, "0") != 0;
 }
 
-unsigned
-defaultAllocCores()
-{
-    if (const char *env = std::getenv("CREV_ALLOC_CORES")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 64)
-            return static_cast<unsigned>(v);
-        warn("ignoring malformed CREV_ALLOC_CORES=%s", env);
-    }
-    return 1;
-}
-
 Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 {
     if (const std::string err = cfg.faults.validate(); !err.empty())
@@ -129,10 +116,8 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         mmu_->setSafetyOracle(oracle_.get());
     }
 
-    const unsigned alloc_shards = std::max(1u, cfg.alloc_cores);
     if (cfg.strategy == Strategy::kBaseline) {
-        snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
-                                                     alloc_shards);
+        snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
         shim_ = std::make_unique<alloc::QuarantineShim>(
             *snm_, *kernel_, nullptr, nullptr, cfg.policy);
         shim_->setTracer(tracer_.get());
@@ -233,8 +218,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
             auditor_->check(&self);
         });
 
-    snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_,
-                                                 alloc_shards);
+    snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
     shim_ = std::make_unique<alloc::QuarantineShim>(
         *snm_, *kernel_, revoker_.get(), bitmap_.get(), cfg.policy);
     shim_->setTracer(tracer_.get());
@@ -354,10 +338,6 @@ Machine::metrics() const
     }
     m.quarantine = shim_->stats();
     m.allocator = snm_->stats();
-    for (unsigned s = 0; s < snm_->shardCount(); ++s)
-        m.alloc_shards.push_back(snm_->shardStats(s));
-    for (unsigned s = 0; s < shim_->shardCount(); ++s)
-        m.quarantine_shards.push_back(shim_->shardStats(s));
     m.mmu = mmu_->stats();
     if (watchdog_)
         m.recovery = watchdog_->stats();

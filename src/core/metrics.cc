@@ -94,21 +94,6 @@ RunMetrics::exportTo(trace::MetricsRegistry &reg) const
     reg.counter("alloc.frees", allocator.frees);
     reg.counter("alloc.bytes_allocated", allocator.bytes_allocated_total);
     reg.counter("alloc.bytes_freed", allocator.bytes_freed_total);
-    reg.counter("alloc.shards", alloc_shards.size());
-    // Per-shard keys are only emitted for sharded heaps: the
-    // single-shard reference model keeps its historical key set.
-    if (alloc_shards.size() > 1) {
-        for (std::size_t i = 0; i < alloc_shards.size(); ++i) {
-            const std::string p =
-                "alloc.shard" + std::to_string(i) + ".";
-            reg.counter(p + "allocs", alloc_shards[i].allocs);
-            reg.counter(p + "frees", alloc_shards[i].frees);
-            reg.counter(p + "bytes_allocated",
-                        alloc_shards[i].bytes_allocated_total);
-            reg.counter(p + "bytes_freed",
-                        alloc_shards[i].bytes_freed_total);
-        }
-    }
 
     reg.counter("quarantine.revocations_triggered",
                 quarantine.revocations_triggered);
@@ -121,22 +106,6 @@ RunMetrics::exportTo(trace::MetricsRegistry &reg) const
                 quarantine.emergency_reclaims);
     reg.counter("quarantine.handoff_resends",
                 quarantine.handoff_resends);
-    reg.counter("quarantine.remote_free_sends",
-                quarantine.remote_free_sends);
-    reg.counter("quarantine.remote_batches", quarantine.remote_batches);
-    reg.counter("quarantine.remote_drained", quarantine.remote_drained);
-    if (quarantine_shards.size() > 1) {
-        for (std::size_t i = 0; i < quarantine_shards.size(); ++i) {
-            const std::string p =
-                "quarantine.shard" + std::to_string(i) + ".";
-            const alloc::QuarantineShardStats &st =
-                quarantine_shards[i];
-            reg.counter(p + "remote_sends", st.remote_sends);
-            reg.counter(p + "remote_batches", st.remote_batches);
-            reg.counter(p + "remote_drained", st.remote_drained);
-            reg.counter(p + "triggers", st.triggers);
-        }
-    }
     if (quarantine.revocations_triggered > 0) {
         const double n =
             static_cast<double>(quarantine.revocations_triggered);

@@ -56,6 +56,25 @@ TEST(RaceCheckerRules, TeardownDuringOddEpochFlagged)
     EXPECT_EQ(countRule(c, "pte-teardown-during-epoch"), 1u);
 }
 
+/** The unmap->reap hand-off must drain at an even epoch counter
+ *  (munmap quiesces while an epoch is in flight, §4.3); only the final
+ *  drain during shutdown is excused. */
+TEST(RaceCheckerRules, MappingHandoffDuringOddEpochFlagged)
+{
+    check::RaceChecker c;
+    c.onEpochAdvance(0, 100, 1); // epoch in progress
+    c.onMappingHandoff(1, 200, /*shutting_down=*/false);
+    EXPECT_EQ(countRule(c, "mapping-handoff-during-epoch"), 1u);
+
+    c.onEpochAdvance(0, 300, 2); // epoch complete
+    c.onMappingHandoff(1, 400, /*shutting_down=*/false);
+    EXPECT_EQ(c.violations().size(), 1u) << c.reportJson();
+
+    c.onEpochAdvance(0, 500, 3); // next epoch, torn down mid-flight
+    c.onMappingHandoff(1, 600, /*shutting_down=*/true);
+    EXPECT_EQ(c.violations().size(), 1u) << c.reportJson();
+}
+
 TEST(RaceCheckerRules, TeardownLockedOrBetweenEpochsSilent)
 {
     check::RaceChecker c;

@@ -98,26 +98,5 @@ TEST(Determinism, OraclePreservesChaosMetricsAllStrategies)
     }
 }
 
-/** Per-core allocator sharding (DESIGN.md §15): the cross-core churn
- *  must actually drive the remote-dealloc path once the heap is
- *  sharded — and never in the single-heap model. Each shard count's
- *  full fingerprint is pinned by golden_test's xcore-a* rows. */
-TEST(Determinism, AllocShardingDrivesRemoteFreesOnlyWhenSharded)
-{
-    for (Strategy s : core::kAllStrategies) {
-        for (unsigned ac : {1u, 2u, 4u}) {
-            const RunMetrics m =
-                test::runCrossCore(test::crossCoreConfig(s, ac, false));
-            if (ac == 1)
-                EXPECT_EQ(m.quarantine.remote_free_sends, 0u)
-                    << "strategy " << core::strategyName(s);
-            else
-                EXPECT_GT(m.quarantine.remote_free_sends, 0u)
-                    << "strategy " << core::strategyName(s)
-                    << " alloc_cores " << ac;
-        }
-    }
-}
-
 } // namespace
 } // namespace crev

@@ -10,8 +10,8 @@
  * configurations; golden_test compares their hashes against a
  * checked-in table.
  *
- * Also the cross-core producer/consumer churn that drives the
- * allocator's remote-dealloc queues (DESIGN.md §15).
+ * Also the cross-core producer/consumer churn, where most objects
+ * are freed on a different core than the one that allocated them.
  */
 
 #ifndef CREV_TESTS_FINGERPRINT_H_
@@ -231,10 +231,10 @@ runChaos(const core::MachineConfig &cfg)
 }
 
 /** Producer/consumer churn where the bulk of frees happen on a
- *  different core than the allocation, driving the remote-dealloc
- *  message queues (DESIGN.md §15). Exactly one simulated thread runs
- *  at a time, so the shared host-side queue needs no host locking and
- *  hand-off order is fully scheduler-determined. */
+ *  different core than the allocation, so both cores contend for the
+ *  one heap lock. Exactly one simulated thread runs at a time, so the
+ *  shared host-side queue needs no host locking and hand-off order is
+ *  fully scheduler-determined. */
 inline void
 crossCoreChurn(core::Machine &m, int iters)
 {
@@ -271,17 +271,15 @@ crossCoreChurn(core::Machine &m, int iters)
     });
 }
 
-/** The cross-core churn's machine: @p alloc_cores allocator shards
- *  and, with @p chaos, most fault domains armed plus the audit. Run
- *  it with runCrossCore(). */
+/** The cross-core churn's machine: with @p chaos, most fault domains
+ *  armed plus the audit. Run it with runCrossCore(). */
 inline core::MachineConfig
-crossCoreConfig(core::Strategy s, unsigned alloc_cores, bool chaos)
+crossCoreConfig(core::Strategy s, bool chaos)
 {
     core::MachineConfig cfg;
     cfg.strategy = s;
     cfg.policy = workload::specPolicy();
     cfg.policy.min_bytes = 32 * 1024;
-    cfg.alloc_cores = alloc_cores;
     cfg.seed = 7;
     if (chaos) {
         cfg.audit = true;

@@ -2,9 +2,8 @@
  * @file
  * Golden RunMetrics fingerprints: every strategy on a fixed cell set
  * (three SPEC profiles, a short pgbench run, a short gRPC run, the
- * chaos plan, and the cross-core churn at 1/2/4 allocator shards with
- * and without faults) must reproduce the hash recorded in
- * tests/golden_fingerprints.txt.
+ * chaos plan, and the cross-core churn with and without faults) must
+ * reproduce the hash recorded in tests/golden_fingerprints.txt.
  *
  * The table is the reference for every host-side change: there is no
  * second "reference" code path to compare against, so any edit that
@@ -98,13 +97,9 @@ goldenCells()
         });
         add("chaos", [s] { return test::runChaos(test::chaosConfig(s)); });
         for (bool chaos : {false, true})
-            for (unsigned ac : {1u, 2u, 4u})
-                add("xcore-a" + std::to_string(ac) +
-                        (chaos ? "-chaos" : ""),
-                    [s, ac, chaos] {
-                        return test::runCrossCore(
-                            test::crossCoreConfig(s, ac, chaos));
-                    });
+            add(chaos ? "xcore-chaos" : "xcore", [s, chaos] {
+                return test::runCrossCore(test::crossCoreConfig(s, chaos));
+            });
     }
     return cells;
 }

@@ -1,11 +1,10 @@
-// Analyze fixture: the LEGAL remote-dealloc splice idiom (the
-// drainInbox / flushBatch shape from src/alloc): a NoYield window
-// whose only calls are the noyield-aware accrue and a race-checker
-// domain registration, with the inbox mutation covered by that
-// registration. Must stay CLEAN under every pass -- this pins the
-// satellite verification of the splice and the accrue cut policy
-// (accrue consults noyield_depth_ before yielding, so the window may
-// charge cycles even though accrue can reach yieldSlow).
+// Analyze fixture: a LEGAL NoYield window -- a synthetic lock-free
+// queue detach whose only calls are the noyield-aware accrue and a
+// race-checker hook. Must stay CLEAN under every pass -- this pins
+// the analyzer's NoYield/accrue cut policy (accrue consults
+// noyield_depth_ before yielding, so the window may charge cycles
+// even though accrue can reach yieldSlow). The names are the
+// fixture's own; nothing in src/ has this shape.
 // Not compiled -- input for the self-test only.
 
 namespace csfix {

@@ -245,9 +245,9 @@ def run_self_test():
         print("self-test: missing waivers.cc fixture")
         ok = False
 
-    # 3. The clean-splice fixture pins the legal remote-dealloc splice
-    #    idiom (NoYield window around the inbox RMW, with charging via
-    #    the noyield-aware accrue): it must stay clean.
+    # 3. The clean-splice fixture pins the NoYield/accrue cut policy
+    #    (a synthetic NoYield window around a queue detach, charging
+    #    via the noyield-aware accrue): it must stay clean.
     clean = os.path.join(FIXTURE_DIR, "clean_splice.cc")
     if os.path.exists(clean):
         _ctx, findings = analyze([clean])

@@ -1,0 +1,98 @@
+#!/usr/bin/env bash
+# Per-module host profile of the simulator.
+#
+# Builds the `profile` CMake preset (Release plus gprof instrumentation,
+# with the IPA clone/SRA/partial-inlining passes off so every sample is
+# filed under the function it belongs to), runs fig1 (SPEC), fig5
+# (pgbench) and fig8 (gRPC) on one bench thread, and prints, per
+# figure, the share of gprof's flat-profile self time that falls in
+# each src/<module>. Symbols are mapped by their crev::<ns>:: prefix
+# (crev:: itself and crev::simd:: are src/base, crev::benchutil:: is
+# bench/, a std::function invoker goes with its callable); everything
+# else (the C++ library, libc, main) is "other".
+#
+# Only the flat profile is used: fiber switches garble gprof's call
+# graph.
+#
+# Usage, from the repository root:
+#     tools/profile.sh [OUT_DIR]
+# OUT_DIR (default build/profile/runs) keeps each figure's gmon.out and
+# flat profile.
+
+set -euo pipefail
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+out=${1:-$root/build/profile/runs}
+figs=(fig1_spec_wallclock fig5_pgbench_time fig8_grpc_latency)
+
+cd "$root"
+cmake --preset profile >/dev/null
+cmake --build --preset profile -j "$(nproc)" --target "${figs[@]}" >/dev/null
+
+mkdir -p "$out"
+for fig in "${figs[@]}"; do
+    mkdir -p "$out/$fig"
+    echo "profile: running $fig" >&2
+    # gmon.out is written to the working directory at exit.
+    (cd "$out/$fig" &&
+        CREV_BENCH_THREADS=1 "$root/build/profile/bench/$fig" >stdout.txt)
+    gprof -b -p "$root/build/profile/bench/$fig" "$out/$fig/gmon.out" \
+        >"$out/$fig/flat.txt"
+done
+
+python3 - "$out" "${figs[@]}" <<'EOF'
+import os
+import re
+import sys
+
+out, figs = sys.argv[1], sys.argv[2:]
+MODULES = {"alloc", "base", "cap", "check", "core", "kern", "mem",
+           "revoker", "sim", "stats", "trace", "vm", "workload"}
+ROW = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+"
+                 r"(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(\S.*)$")
+
+
+# A std::function's invoker holds the inlined body of the callable
+# named by its second template argument, such as a workload lambda.
+FUNCTION = re.compile(r"^std::_Function_handler<[^()]*\([^()]*\), (.*)$")
+
+
+def module(name):
+    m = FUNCTION.match(name)
+    if m:
+        name = m.group(1)
+    if not name.startswith("crev::"):
+        return "other"
+    ns = name[len("crev::"):].split("::", 1)[0]
+    if ns in MODULES:
+        return "src/" + ns
+    if ns == "benchutil":
+        return "bench"
+    return "src/base"  # crev::, crev::simd::
+
+
+shares = {}
+for fig in figs:
+    self_s = {}
+    with open(os.path.join(out, fig, "flat.txt")) as f:
+        for line in f:
+            m = ROW.match(line)
+            if m:
+                mod = module(m.group(2))
+                self_s[mod] = self_s.get(mod, 0.0) + float(m.group(1))
+    total = sum(self_s.values()) or 1.0
+    shares[fig] = ({k: 100.0 * v / total for k, v in self_s.items()},
+                   total)
+
+mods = sorted({m for s, _ in shares.values() for m in s},
+              key=lambda m: -sum(s.get(m, 0.0) for s, _ in
+                                 shares.values()))
+heads = [f.split("_")[0] for f in figs]
+print("| module | " + " | ".join(h + " self %" for h in heads) + " |")
+print("|---" * (len(figs) + 1) + "|")
+for m in mods:
+    print("| %s | %s |" % (m, " | ".join(
+        "%.1f" % shares[f][0].get(m, 0.0) for f in figs)))
+print("| total self s | %s |" % " | ".join(
+    "%.2f" % shares[f][1] for f in figs))
+EOF
