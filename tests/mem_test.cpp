@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "base/rng.h"
 #include "cap/compression.h"
 #include "mem/cache.h"
 #include "mem/memory_system.h"
@@ -173,6 +177,124 @@ TEST(Cache, ResidentLineCountsTrackFillsEvictionsInvalidations)
     EXPECT_EQ(c.residentLinesOf(7), 0u);
 }
 
+/**
+ * Reference model for the differential test: each set is a list of
+ * resident lines, most recently used first. A miss fills the front and
+ * evicts from the back once the set holds `assoc` lines.
+ */
+class LruModel
+{
+  public:
+    LruModel(std::size_t size_bytes, unsigned assoc)
+        : assoc_(assoc), sets_(size_bytes / (kLineSize * assoc))
+    {
+    }
+
+    CacheResult
+    access(Addr addr, bool write)
+    {
+        const Addr line = addr >> kLineBits;
+        std::vector<Entry> &set = sets_[line % sets_.size()];
+        CacheResult res;
+        auto it = std::find_if(set.begin(), set.end(), [&](const Entry &e) {
+            return e.line == line;
+        });
+        if (it != set.end()) {
+            Entry e = *it;
+            e.dirty |= write;
+            set.erase(it);
+            set.insert(set.begin(), e);
+            res.hit = true;
+            ++hits;
+            return res;
+        }
+        ++misses;
+        if (set.size() == assoc_) {
+            if (set.back().dirty) {
+                res.evicted_dirty = true;
+                res.victim_line = set.back().line << kLineBits;
+            }
+            set.pop_back();
+        }
+        set.insert(set.begin(), Entry{line, write});
+        return res;
+    }
+
+    void
+    invalidateFrame(Addr pfn)
+    {
+        for (auto &set : sets_)
+            std::erase_if(set, [&](const Entry &e) {
+                return (e.line >> (kPageBits - kLineBits)) == pfn;
+            });
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+  private:
+    struct Entry
+    {
+        Addr line;
+        bool dirty;
+    };
+
+    std::size_t assoc_;
+    std::vector<std::vector<Entry>> sets_;
+};
+
+void
+checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed)
+{
+    Cache c(cfg);
+    LruModel model(cfg.size_bytes, cfg.assoc);
+    Rng rng(seed);
+    // Eight frames: enough lines to force conflicts in every set, few
+    // enough that re-accesses and invalidations find resident lines.
+    constexpr Addr kFirstPfn = 3;
+    constexpr Addr kFrames = 8;
+    std::vector<Addr> recent(16, kFirstPfn << kPageBits);
+    for (int i = 0; i < 120'000; ++i) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 2) {
+            const Addr pfn = kFirstPfn + rng.below(kFrames);
+            c.invalidateFrame(pfn);
+            model.invalidateFrame(pfn);
+            continue;
+        }
+        // Half the accesses revisit a recent address (hits, including
+        // repeated hits on one way); the rest pick any line.
+        Addr addr;
+        if (op < 50) {
+            addr = recent[rng.below(recent.size())];
+        } else {
+            addr = ((kFirstPfn + rng.below(kFrames)) << kPageBits) +
+                   rng.below(kPageSize);
+            recent[rng.below(recent.size())] = addr;
+        }
+        const bool write = rng.below(3) == 0;
+        const CacheResult got = c.access(addr, write);
+        const CacheResult want = model.access(addr, write);
+        ASSERT_EQ(got.hit, want.hit) << "op " << i;
+        ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << i;
+        ASSERT_EQ(got.victim_line, want.victim_line) << "op " << i;
+    }
+    EXPECT_EQ(c.hits(), model.hits);
+    EXPECT_EQ(c.misses(), model.misses);
+    EXPECT_GT(model.hits, 0u);
+    EXPECT_GT(model.misses, 0u);
+}
+
+TEST(Cache, TwoWayMatchesLruReferenceModel)
+{
+    checkAgainstLruModel(CacheConfig{1024, 2}, 17);
+}
+
+TEST(Cache, FourWayMatchesLruReferenceModel)
+{
+    checkAgainstLruModel(CacheConfig{4096, 4}, 29);
+}
+
 TEST(MemorySystem, LatenciesByLevel)
 {
     MemLatency lat;
@@ -220,6 +342,35 @@ TEST(MemorySystem, InvalidateFramePurgesAllLevels)
     // Re-access goes all the way to DRAM again.
     EXPECT_EQ(ms.access(0, 5 << kPageBits, 8, false),
               lat.l1_hit + lat.llc_hit + lat.dram);
+}
+
+TEST(MemorySystem, InvalidateFrameLeavesNeighbourFrameCached)
+{
+    MemLatency lat;
+    MemorySystem ms(2, CacheConfig{4096, 4}, CacheConfig{65536, 8}, lat);
+    const Addr p = 5 << kPageBits;
+    const Addr q = 6 << kPageBits; // the neighbouring frame
+    ms.access(0, p, 8, true);
+    ms.access(0, q, 8, true);
+    ms.access(1, p + kLineSize, 8, true);
+    ms.access(1, q + kLineSize, 8, false);
+    const MemCounters before = ms.totalCounters();
+
+    ms.invalidateFrame(5);
+    // Each core's own lines of the neighbour still hit its L1, and the
+    // other core's line of it still hits the shared LLC.
+    EXPECT_EQ(ms.access(0, q, 8, false), lat.l1_hit);
+    EXPECT_EQ(ms.access(1, q + kLineSize, 8, false), lat.l1_hit);
+    EXPECT_EQ(ms.access(1, q, 8, false), lat.l1_hit + lat.llc_hit);
+    // The invalidated frame's lines are gone from every level, from
+    // either core.
+    EXPECT_EQ(ms.access(0, p, 8, false),
+              lat.l1_hit + lat.llc_hit + lat.dram);
+    EXPECT_EQ(ms.access(1, p + kLineSize, 8, false),
+              lat.l1_hit + lat.llc_hit + lat.dram);
+    // Dropping dirty lines writes nothing back.
+    EXPECT_EQ(ms.totalCounters().bus_writes, before.bus_writes);
+    EXPECT_EQ(ms.totalCounters().bus_reads, before.bus_reads + 2);
 }
 
 } // namespace
