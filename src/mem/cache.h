@@ -5,17 +5,8 @@
  * The cache tracks only line addresses and dirtiness; actual data lives
  * in PhysMem. That is all the paper's bus-traffic experiments need: a
  * bus transaction happens when a line is fetched from, or written back
- * to, the level below.
- *
- * A host-side per-frame resident-line count is maintained alongside
- * (updated on fill/eviction/invalidation, i.e. only on misses), so
- * frame-reuse invalidation can prove in O(1) that a cache holds no
- * line of a frame instead of walking all of the frame's sets.
- *
- * A per-set MRU-way hint is probed before the set scan (DESIGN.md
- * §14.4). A hint hit performs exactly the transitions the scan would
- * have, so hit/miss outcomes, LRU victim choices, and writeback
- * sequences are those of the plain LRU scan.
+ * to, the level below. Replacement is true LRU within a set, ordered by
+ * a per-cache access tick.
  */
 
 #ifndef CREV_MEM_CACHE_H_
@@ -24,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/logging.h"
 #include "base/types.h"
 
 namespace crev::mem {
@@ -51,84 +41,19 @@ class Cache
     explicit Cache(const CacheConfig &cfg);
 
     /**
-     * Access the line containing @p addr; allocates on miss.
+     * Access the line containing @p addr; allocates on miss, evicting
+     * the set's least recently used line. Inline so MemorySystem's
+     * per-line loop compiles to one frame.
      * @param write marks the line dirty.
      */
-    CacheResult access(Addr addr, bool write);
-
-    /** Drop a line if present (no writeback); used on frame reuse. */
-    void invalidateLine(Addr addr);
-
-    /**
-     * Drop every resident line of frame @p pfn (no writebacks).
-     * Returns immediately when the frame provably has no lines here;
-     * otherwise walks the frame's sets, stopping once the resident
-     * count says the rest cannot match.
-     */
-    void invalidateFrame(Addr pfn);
-
-    /** Resident lines belonging to frame @p pfn (host-side count). */
-    unsigned residentLinesOf(Addr pfn) const;
-
-    /** Whether the line containing @p addr is resident. */
-    bool contains(Addr addr) const;
-
-    /**
-     * Hint-only probe backing MemorySystem's single-line fast path.
-     * On an MRU-way hit it performs exactly the transitions access()
-     * would (tick/lru/dirty/hits) and returns true; otherwise it
-     * changes nothing and returns false so the caller can fall back
-     * to the full access() path.
-     */
-    bool
-    tryHintAccess(Addr addr, bool write)
-    {
-        const Addr line_addr = addr >> kLineBits;
-        const std::size_t set =
-            static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
-        Line &h = lines_[set * assoc_ + mru_[set]];
-        if (h.valid && h.tag == line_addr) {
-            h.lru = ++tick_;
-            h.dirty |= write;
-            ++hits_;
-            return true;
-        }
-        return false;
-    }
-
-    /**
-     * The access state machine, inline so MemorySystem's miss path
-     * can fuse the L1 and LLC transitions into one frame with no
-     * cross-TU calls. access() is a thin wrapper around this.
-     */
     CacheResult
-    accessInline(Addr addr, bool write, bool try_hint = true)
+    access(Addr addr, bool write)
     {
         const Addr line_addr = addr >> kLineBits;
-        const std::size_t set =
-            static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
-        Line *ways = &lines_[set * assoc_];
+        Line *ways = &lines_[setIndex(line_addr) * assoc_];
         ++tick_;
 
         CacheResult res;
-        // @p try_hint lets callers that already probed the hint (or
-        // know it rarely pays, e.g. the LLC legs of a miss) skip the
-        // redundant probe; the scan still refreshes mru_ on every hit
-        // and fill, so later probes stay accurate either way.
-        if (try_hint) {
-            // MRU-way hint: a hint hit performs exactly the
-            // transitions the set scan below would have (same
-            // lru/dirty/hit updates); a mismatch falls through to the
-            // unmodified scan.
-            Line &h = ways[mru_[set]];
-            if (h.valid && h.tag == line_addr) {
-                h.lru = tick_;
-                h.dirty |= write;
-                ++hits_;
-                res.hit = true;
-                return res;
-            }
-        }
         Line *victim = &ways[0];
         for (unsigned w = 0; w < assoc_; ++w) {
             Line &line = ways[w];
@@ -137,7 +62,6 @@ class Cache
                 line.dirty |= write;
                 ++hits_;
                 res.hit = true;
-                mru_[set] = static_cast<std::uint8_t>(w);
                 return res;
             }
             if (!line.valid) {
@@ -148,21 +72,25 @@ class Cache
         }
 
         ++misses_;
-        mru_[set] = static_cast<std::uint8_t>(victim - ways);
-        if (victim->valid) {
-            trackDrop(victim->tag);
-            if (victim->dirty) {
-                res.evicted_dirty = true;
-                res.victim_line = victim->tag << kLineBits;
-            }
+        if (victim->valid && victim->dirty) {
+            res.evicted_dirty = true;
+            res.victim_line = victim->tag << kLineBits;
         }
         victim->tag = line_addr;
         victim->valid = true;
         victim->dirty = write;
         victim->lru = tick_;
-        trackFill(line_addr);
         return res;
     }
+
+    /** Drop a line if present (no writeback); used on frame reuse. */
+    void invalidateLine(Addr addr);
+
+    /** Drop every resident line of frame @p pfn (no writebacks). */
+    void invalidateFrame(Addr pfn);
+
+    /** Whether the line containing @p addr is resident. */
+    bool contains(Addr addr) const;
 
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
@@ -176,30 +104,10 @@ class Cache
         std::uint64_t lru = 0;
     };
 
-    std::size_t setIndex(Addr line_addr) const;
-
-    /** Frame of a line address (line_addr is already >> kLineBits). */
-    static Addr
-    frameOfLine(Addr line_addr)
+    std::size_t
+    setIndex(Addr line_addr) const
     {
-        return line_addr >> (kPageBits - kLineBits);
-    }
-
-    void
-    trackFill(Addr line_addr)
-    {
-        const auto pfn = static_cast<std::size_t>(frameOfLine(line_addr));
-        if (pfn >= frame_lines_.size())
-            frame_lines_.resize(pfn + 1, 0);
-        ++frame_lines_[pfn];
-    }
-
-    void
-    trackDrop(Addr line_addr)
-    {
-        const auto pfn = static_cast<std::size_t>(frameOfLine(line_addr));
-        CREV_ASSERT(pfn < frame_lines_.size() && frame_lines_[pfn] > 0);
-        --frame_lines_[pfn];
+        return static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
     }
 
     unsigned assoc_;
@@ -208,12 +116,6 @@ class Cache
     std::uint64_t tick_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
-
-    std::vector<std::uint8_t> mru_; //!< per-set last-touched way
-
-    /** pfn -> resident line count, indexed directly (PhysMem hands
-     *  out dense pfns, so this stays small); grown on first fill. */
-    std::vector<unsigned> frame_lines_;
 };
 
 } // namespace crev::mem

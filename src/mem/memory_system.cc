@@ -15,36 +15,25 @@ MemorySystem::MemorySystem(unsigned num_cores, const CacheConfig &l1,
 }
 
 Cycles
-MemorySystem::accessLine(unsigned core, Addr line_paddr, bool write,
-                         bool l1_hint)
+MemorySystem::accessLine(unsigned core, Addr line_paddr, bool write)
 {
-    // Through accessInline so the L1 and LLC state machines fuse into
-    // this frame with no cross-TU calls.
     MemCounters &ctr = counters_[core];
     ++ctr.accesses;
 
-    const CacheResult l1r =
-        l1_[core].accessInline(line_paddr, write, l1_hint);
+    const CacheResult l1r = l1_[core].access(line_paddr, write);
     if (l1r.hit)
         return lat_.l1_hit;
     ++ctr.l1_misses;
 
     if (l1r.evicted_dirty) {
-        // LLC legs of a miss: the streaming sweeps that dominate the
-        // heavy cells rarely repeat an LLC set back-to-back, so the
-        // hint probe is skipped (mru_ is still refreshed by the scan).
-        const CacheResult wb =
-            llc_.accessInline(l1r.victim_line, true, false);
-        if (!wb.hit) {
+        const CacheResult wb = llc_.access(l1r.victim_line, true);
+        if (!wb.hit)
             ++ctr.bus_reads;
-            if (wb.evicted_dirty)
-                ++ctr.bus_writes;
-        } else if (wb.evicted_dirty) {
+        if (wb.evicted_dirty)
             ++ctr.bus_writes;
-        }
     }
 
-    const CacheResult llcr = llc_.accessInline(line_paddr, false, false);
+    const CacheResult llcr = llc_.access(line_paddr, false);
     if (llcr.hit)
         return lat_.l1_hit + lat_.llc_hit;
 
@@ -55,8 +44,8 @@ MemorySystem::accessLine(unsigned core, Addr line_paddr, bool write,
 }
 
 Cycles
-MemorySystem::accessSlow(unsigned core, Addr paddr, std::size_t len,
-                         bool write)
+MemorySystem::access(unsigned core, Addr paddr, std::size_t len,
+                     bool write)
 {
     CREV_ASSERT(core < l1_.size());
     CREV_ASSERT(len > 0);
@@ -71,9 +60,6 @@ MemorySystem::accessSlow(unsigned core, Addr paddr, std::size_t len,
 void
 MemorySystem::invalidateFrame(Addr pfn)
 {
-    // Each cache proves absence in O(1) via its per-frame resident
-    // count before any per-line walk (frame reuse mostly hits caches
-    // that never touched the frame).
     for (auto &l1 : l1_)
         l1.invalidateFrame(pfn);
     llc_.invalidateFrame(pfn);

@@ -6,7 +6,9 @@
  * front of DRAM. "Bus transactions" are counted at the LLC<->DRAM
  * boundary and attributed to the requesting core — the analogue of the
  * paper's system-mode pmcstat bus-access counters used as a proxy for
- * DRAM traffic (figs. 4 and 6).
+ * DRAM traffic (figs. 4 and 6). Every access walks each line it touches
+ * through the requesting core's L1 and then the LLC; a dirty L1 victim
+ * is written into the LLC before the missing line is filled.
  */
 
 #ifndef CREV_MEM_MEMORY_SYSTEM_H_
@@ -59,29 +61,7 @@ class MemorySystem
      * from @p core; returns the latency in cycles. Accesses spanning
      * line boundaries touch each line once.
      */
-    Cycles
-    access(unsigned core, Addr paddr, std::size_t len, bool write)
-    {
-        // Single-line fast path (DESIGN.md §14.4): the common L1
-        // MRU-way hit skips the per-line loop and cross-TU calls.
-        // Counter and cache transitions are identical to accessSlow's
-        // (tryHintAccess performs exactly the scan's hit updates).
-        // `len - 1 < kLineSize` also routes len == 0 to the slow
-        // path's assert.
-        if (len - 1 < kLineSize &&
-            (paddr & ~Addr{kLineSize - 1}) ==
-                ((paddr + len - 1) & ~Addr{kLineSize - 1})) {
-            if (l1_[core].tryHintAccess(paddr, write)) {
-                ++counters_[core].accesses;
-                return lat_.l1_hit;
-            }
-            // The hint already missed: take the fused line path with
-            // the redundant L1 hint probe skipped.
-            return accessLine(core, paddr & ~Addr{kLineSize - 1},
-                              write, false);
-        }
-        return accessSlow(core, paddr, len, write);
-    }
+    Cycles access(unsigned core, Addr paddr, std::size_t len, bool write);
 
     /** Invalidate all cached copies of a frame (on frame reuse). */
     void invalidateFrame(Addr pfn);
@@ -93,13 +73,8 @@ class MemorySystem
     unsigned numCores() const { return static_cast<unsigned>(l1_.size()); }
 
   private:
-    Cycles accessSlow(unsigned core, Addr paddr, std::size_t len,
-                      bool write);
-    /** One line through L1 and LLC, built on Cache::accessInline.
-     *  @p l1_hint: probe the L1 MRU hint (false when the caller
-     *  already did). */
-    Cycles accessLine(unsigned core, Addr line_paddr, bool write,
-                      bool l1_hint = true);
+    /** One line through the core's L1 and the shared LLC. */
+    Cycles accessLine(unsigned core, Addr line_paddr, bool write);
 
     std::vector<Cache> l1_;
     Cache llc_;

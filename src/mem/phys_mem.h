@@ -8,27 +8,21 @@
  * words"). Frames are allocated/freed by the simulated VM layer;
  * occupancy high-water marks feed the peak-RSS experiment (fig. 3).
  *
- * Host-performance layer (DESIGN.md §9): tags are stored as packed
- * 64-bit *tag-summary words* so the sweep can scan a whole cache
- * line's granules with one shift instead of per-granule calls, and
- * every frame maintains a 64-bit *line-tag summary* (one bit per cache
- * line, set iff any granule of the line is tagged) kept up to date on
- * every tag set/clear. Neither structure affects simulated cycle
- * accounting; the Auditor cross-checks the summary invariant.
+ * Tags are stored as packed 64-bit words (TagWords) so the sweep reads
+ * a whole cache line's four granule tags with one shift and a frame's
+ * "any tag?" test is an OR of four words (DESIGN.md §9.1).
  */
 
 #ifndef CREV_MEM_PHYS_MEM_H_
 #define CREV_MEM_PHYS_MEM_H_
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "base/logging.h"
-#include "base/simd.h"
 #include "base/types.h"
 #include "cap/compression.h"
 
@@ -37,11 +31,12 @@ namespace crev::mem {
 /** Granules per cache line (the sweep's nibble width). */
 constexpr std::size_t kGranulesPerLine = kLineSize / kGranuleSize;
 
-/** Packed per-granule tag bits of one frame (the summary words). */
+/** Packed per-granule tag bits of one frame. */
 class TagWords
 {
   public:
     static constexpr std::size_t kWords = kGranulesPerPage / 64;
+    static_assert(kWords == 4, "any() ORs exactly four words");
 
     bool
     test(std::size_t g) const
@@ -61,13 +56,10 @@ class TagWords
         w_[g >> 6] &= ~(std::uint64_t{1} << (g & 63));
     }
 
-    bool any() const { return simd::anySet(w_.data(), kWords); }
-
-    std::size_t
-    count() const
+    bool
+    any() const
     {
-        return static_cast<std::size_t>(
-            simd::popcountWords(w_.data(), kWords));
+        return (w_[0] | w_[1] | w_[2] | w_[3]) != 0;
     }
 
     /** The 4 tag bits of intra-page cache line @p line. */
@@ -92,36 +84,20 @@ class Frame
     /** Tag bit of granule @p g. */
     bool testTag(std::size_t g) const { return tags_.test(g); }
 
-    /** Set/clear granule @p g's tag, maintaining the line summary. */
+    /** Set/clear granule @p g's tag. */
     void
     setTag(std::size_t g, bool v)
     {
-        if (v) {
+        if (v)
             tags_.set(g);
-            line_summary_ |= std::uint64_t{1} << lineOf(g);
-        } else {
-            clearTag(g);
-        }
+        else
+            tags_.reset(g);
     }
 
-    void
-    clearTag(std::size_t g)
-    {
-        tags_.reset(g);
-        const std::size_t line = lineOf(g);
-        if (tags_.lineNibble(line) == 0)
-            line_summary_ &= ~(std::uint64_t{1} << line);
-    }
+    void clearTag(std::size_t g) { tags_.reset(g); }
 
-    /** Whether any granule of the frame is tagged (O(1)). */
-    bool anyTags() const { return line_summary_ != 0; }
-
-    /** Tagged-granule count (audit/debug). */
-    std::size_t tagCount() const { return tags_.count(); }
-
-    /** One bit per cache line: set iff the line holds a tagged
-     *  granule. The sweep's clean-line skip reads this. */
-    std::uint64_t lineTagSummary() const { return line_summary_; }
+    /** Whether any granule of the frame is tagged. */
+    bool anyTags() const { return tags_.any(); }
 
     /** Tag nibble of intra-page cache line @p line. */
     unsigned lineNibble(std::size_t line) const
@@ -129,29 +105,8 @@ class Frame
         return tags_.lineNibble(line);
     }
 
-    /**
-     * Summary invariant check (Auditor): every line-summary bit must
-     * be set iff the line's nibble is non-zero. Returns true when
-     * consistent.
-     */
-    bool
-    summaryConsistent() const
-    {
-        std::uint64_t recomputed = 0;
-        for (std::size_t line = 0; line < kPageSize / kLineSize; ++line)
-            if (tags_.lineNibble(line) != 0)
-                recomputed |= std::uint64_t{1} << line;
-        return recomputed == line_summary_;
-    }
-
   private:
-    static std::size_t lineOf(std::size_t g)
-    {
-        return g / kGranulesPerLine;
-    }
-
     TagWords tags_;
-    std::uint64_t line_summary_ = 0;
 };
 
 /**
@@ -236,15 +191,6 @@ class PhysMem
 
     /** Whether any granule of frame @p pfn is tagged. */
     bool frameHasTags(Addr pfn) const { return frame(pfn).anyTags(); }
-
-    /** Tag nibble of the cache line containing @p paddr. */
-    unsigned
-    lineTagNibble(Addr paddr) const
-    {
-        return frame(pageOf(paddr))
-            .lineNibble(static_cast<std::size_t>(pageOffset(paddr)) >>
-                        kLineBits);
-    }
 
     /** Store a capability (16-byte aligned @p paddr) with its tag. */
     void

@@ -33,39 +33,20 @@ Auditor::findViolations()
     std::vector<std::string> out;
     mem::PhysMem &pm = mmu_.physMem();
 
-    // 0. The two-level painted-set summaries. Every sweep probe's
-    // self-check and every clean-region skip trusts the level-1 words
-    // and running count, so their agreement with the level-0 ground
-    // truth is an audited invariant, not an assumption.
+    // 0. The two-level painted-set summaries. Every membership test
+    // (the sweep probe's self-check included) reads the level-1 word
+    // first and the running count feeds the metrics, so their
+    // agreement with the level-0 ground truth is an audited
+    // invariant, not an assumption.
     for (const std::string &v :
          revoker_.bitmap().painted().checkConsistent())
         out.push_back("painted-set summary: " + v);
     for (const std::string &v : revoker_.auditSet().checkConsistent())
         out.push_back("audit-set summary: " + v);
 
-    // 1. All of user memory. While walking, cross-check the host
-    // tag-summary structures against the ground-truth tag words: a
-    // desynchronised line summary would silently corrupt the sweep's
-    // fast path, so it is an audited invariant, not an assumption.
+    // 1. All of user memory.
     mmu_.addressSpace().forEachResidentPage([&](Addr va, vm::Pte &p) {
         const mem::Frame &f = pm.frame(p.pfn);
-        if (!f.summaryConsistent()) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "line-tag summary desync on frame pfn=0x%llx "
-                          "(page va=0x%llx)",
-                          static_cast<unsigned long long>(p.pfn),
-                          static_cast<unsigned long long>(va));
-            out.push_back(buf);
-        }
-        if (f.anyTags() != (f.tagCount() != 0)) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "anyTags()/tagCount() desync on frame "
-                          "pfn=0x%llx",
-                          static_cast<unsigned long long>(p.pfn));
-            out.push_back(buf);
-        }
         if (!f.anyTags())
             return;
         for (std::size_t g = 0; g < kGranulesPerPage; ++g) {

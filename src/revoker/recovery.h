@@ -11,7 +11,7 @@
  * protocol, asks permission for each attempt (denied once retries are
  * exhausted or the protocol deadline has passed), spaces attempts with
  * the saturating exponential backoff the watchdog ladder established
- * (identical arithmetic — see backoff()), and closes the ticket with a
+ * (one shared helper, saturatingBackoff()), and closes the ticket with a
  * terminal outcome. Every attempt and outcome emits a trace instant
  * and feeds per-protocol counters plus a recovery-latency histogram
  * exported through the MetricsRegistry.
@@ -27,6 +27,7 @@
 #ifndef CREV_REVOKER_RECOVERY_H_
 #define CREV_REVOKER_RECOVERY_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -40,6 +41,24 @@ namespace crev::revoker {
 
 using trace::RecoveryOutcome;
 using trace::RecoveryProtocol;
+
+/**
+ * Saturating exponential backoff: @p base << min(@p attempt, 6), capped
+ * at @p cap, with a zero base or cap counting as 1. `base << shift`
+ * overflows Cycles once base > 2^58, so the check compares against the
+ * pre-shifted cap instead. The watchdog ladder and every recovery
+ * ticket share this one arithmetic.
+ */
+inline Cycles
+saturatingBackoff(Cycles base, Cycles cap, unsigned attempt)
+{
+    cap = std::max<Cycles>(cap, 1);
+    base = std::max<Cycles>(base, 1);
+    const unsigned shift = std::min(attempt, 6u);
+    if (base > (cap >> shift))
+        return cap;
+    return std::min(base << shift, cap);
+}
 
 /** Per-protocol retry/deadline/backoff envelope. */
 struct RecoveryPolicy
@@ -140,10 +159,8 @@ class RecoveryManager
 
     /**
      * Saturating exponential backoff before the ticket's *next*
-     * attempt: base << attempts, capped at max_backoff. The arithmetic
-     * mirrors the watchdog ladder's established overflow-safe form
-     * (pre-shifted-cap compare) so ladder timings are unchanged by the
-     * refactor.
+     * attempt (saturatingBackoff over the policy); a policy with zero
+     * base and cap means no delay at all.
      */
     Cycles
     backoff(const Ticket &tk) const
@@ -151,13 +168,8 @@ class RecoveryManager
         const RecoveryPolicy &pol = policy(tk.proto);
         if (pol.backoff_base == 0 && pol.max_backoff == 0)
             return 0;
-        const Cycles cap = pol.max_backoff > 1 ? pol.max_backoff : 1;
-        const Cycles base = pol.backoff_base > 1 ? pol.backoff_base : 1;
-        const unsigned shift = tk.attempts < 6u ? tk.attempts : 6u;
-        if (base > (cap >> shift))
-            return cap;
-        const Cycles shifted = base << shift;
-        return shifted < cap ? shifted : cap;
+        return saturatingBackoff(pol.backoff_base, pol.max_backoff,
+                                 tk.attempts);
     }
 
     /** True when the ticket's attempt budget is spent. */

@@ -8,8 +8,8 @@
  * replaces it with the hierarchy PoisonCap argues for: a dense level-0
  * bitmap (one bit per 16-byte heap granule, in lazily allocated
  * 4096-granule blocks) under a level-1 "any bit set in this block"
- * bitmap. Membership tests are two word probes; clean-region skipping
- * is one.
+ * bitmap. A membership test is at most two word probes, and one when
+ * the granule's block is clean.
  *
  * The structure is pure host state — updates happen at exactly the
  * points the old mirror updated (inside the same NoYield windows), so
@@ -65,20 +65,6 @@ class ShadowSummary
             return false;
         const std::vector<std::uint64_t> &blk = blocks_[b];
         return ((blk[(i / 64) % kWordsPerBlock] >> (i & 63)) & 1) != 0;
-    }
-
-    /**
-     * Whether *any* granule in the 64 KiB block containing @p addr is
-     * painted — the O(1) clean-region test (level-1 word only).
-     */
-    bool anyInBlockOf(Addr addr) const
-    {
-        const Addr g = addr >> kGranuleBits;
-        if (g < kGranuleFloor || g - kGranuleFloor >= kGranuleCount)
-            return false;
-        const std::size_t b = static_cast<std::size_t>(
-            (g - kGranuleFloor) / kGranulesPerBlock);
-        return ((l1_[b >> 6] >> (b & 63)) & 1) != 0;
     }
 
     /**

@@ -25,14 +25,8 @@ EpochWatchdog::deadline() const
 Cycles
 EpochWatchdog::backoffDelay(unsigned attempt) const
 {
-    const Cycles cap = std::max<Cycles>(policy_.max_backoff, 1);
-    const Cycles base = std::max<Cycles>(policy_.backoff_base, 1);
-    const unsigned shift = std::min(attempt, 6u);
-    // Saturating doubling: `base << shift` overflows Cycles once
-    // base > 2^58, so compare against the pre-shifted cap instead.
-    if (base > (cap >> shift))
-        return cap;
-    return std::min(base << shift, cap);
+    return saturatingBackoff(policy_.backoff_base, policy_.max_backoff,
+                             attempt);
 }
 
 void

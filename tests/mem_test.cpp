@@ -31,36 +31,37 @@ TEST(PhysMem, AllocZeroedAndReuse)
     EXPECT_FALSE(pm.frame(b).testTag(0)); // zeroed on reuse
 }
 
-TEST(PhysMem, LineSummaryTracksTags)
+TEST(PhysMem, LineNibblesTrackTags)
 {
     PhysMem pm;
     const Addr pfn = pm.allocFrame();
     Frame &f = pm.frame(pfn);
     EXPECT_FALSE(f.anyTags());
-    EXPECT_EQ(f.lineTagSummary(), 0u);
 
-    // Granules 0 and 3 share line 0; granule 7 lives in line 1.
+    // Granules 0 and 3 share line 0; granule 7 lives in line 1 and
+    // granule 255 in the frame's last line, in the last tag word.
     f.setTag(0, true);
     f.setTag(3, true);
     f.setTag(7, true);
+    f.setTag(255, true);
     EXPECT_TRUE(f.anyTags());
-    EXPECT_EQ(f.lineTagSummary(), 0b11u);
     EXPECT_EQ(f.lineNibble(0), 0b1001u);
     EXPECT_EQ(f.lineNibble(1), 0b1000u);
-    EXPECT_TRUE(f.summaryConsistent());
+    EXPECT_EQ(f.lineNibble(2), 0u);
+    EXPECT_EQ(f.lineNibble(63), 0b1000u);
 
-    // Clearing one granule of a two-tag line keeps the summary bit.
+    // Clearing one granule of a two-tag line keeps the other's bit.
     f.clearTag(0);
-    EXPECT_EQ(f.lineTagSummary(), 0b11u);
-    // Clearing the last granule of a line drops it.
-    f.clearTag(3);
-    EXPECT_EQ(f.lineTagSummary(), 0b10u);
+    EXPECT_EQ(f.lineNibble(0), 0b1000u);
+    f.setTag(3, false);
+    EXPECT_EQ(f.lineNibble(0), 0u);
     f.clearTag(7);
+    EXPECT_TRUE(f.anyTags()); // granule 255 is still tagged
+    f.clearTag(255);
     EXPECT_FALSE(f.anyTags());
-    EXPECT_TRUE(f.summaryConsistent());
 }
 
-TEST(PhysMem, LineTagNibbleByPaddr)
+TEST(PhysMem, StoreCapSetsLineNibble)
 {
     PhysMem pm;
     const Addr pfn = pm.allocFrame();
@@ -68,10 +69,14 @@ TEST(PhysMem, LineTagNibbleByPaddr)
     const cap::Capability c = cap::Capability::root(0x1000, 0x2000);
     // Second granule of the second cache line.
     pm.storeCap(base + kLineSize + kGranuleSize, cap::encode(c), true);
-    EXPECT_EQ(pm.lineTagNibble(base), 0u);
-    EXPECT_EQ(pm.lineTagNibble(base + kLineSize), 0b0010u);
-    // Any address within the line resolves to the same nibble.
-    EXPECT_EQ(pm.lineTagNibble(base + kLineSize + 63), 0b0010u);
+    EXPECT_TRUE(pm.frameHasTags(pfn));
+    EXPECT_EQ(pm.frame(pfn).lineNibble(0), 0u);
+    EXPECT_EQ(pm.frame(pfn).lineNibble(1), 0b0010u);
+    // A data store anywhere in the granule clears the line's tag.
+    const std::uint8_t byte = 0;
+    pm.write(base + kLineSize + kGranuleSize + 7, &byte, 1);
+    EXPECT_EQ(pm.frame(pfn).lineNibble(1), 0u);
+    EXPECT_FALSE(pm.frameHasTags(pfn));
 }
 
 TEST(PhysMem, PeakTracksHighWater)
@@ -154,27 +159,41 @@ TEST(Cache, InvalidateLineDropsWithoutWriteback)
     EXPECT_FALSE(r.evicted_dirty);
 }
 
-TEST(Cache, ResidentLineCountsTrackFillsEvictionsInvalidations)
+TEST(Cache, InvalidateFrameDropsOnlyThatFrame)
 {
+    // 2-way, 8 sets of 64B lines: frame 5's lines sit in sets 1 and
+    // 3, frame 6's in set 2, and page 0's 0x0000/0x0200/0x0400 in
+    // set 0.
     Cache c(CacheConfig{1024, 2});
-    c.access(5 << kPageBits, false);
-    c.access((5 << kPageBits) + 64, true);
-    EXPECT_EQ(c.residentLinesOf(5), 2u);
-    EXPECT_EQ(c.residentLinesOf(6), 0u);
+    const Addr f5 = 5 << kPageBits;
+    const Addr f6 = 6 << kPageBits;
+    c.access(f5 + 64, true);
+    c.access(f5 + 192, false);
+    c.access(f6 + 128, false);
+    EXPECT_TRUE(c.contains(f5 + 64));
+    EXPECT_TRUE(c.contains(f5 + 192));
 
-    // Eviction decrements the victim's frame count: lines 0x0000,
-    // 0x0200, 0x0400 of page 0 share a set in this 2-way geometry.
+    // Eviction drops the set's LRU line.
     c.access(0x0000, false);
     c.access(0x0200, false);
     c.access(0x0400, false); // evicts 0x0000
-    EXPECT_EQ(c.residentLinesOf(0), 2u);
+    EXPECT_FALSE(c.contains(0x0000));
+    EXPECT_TRUE(c.contains(0x0200));
+    EXPECT_TRUE(c.contains(0x0400));
 
     c.invalidateFrame(5);
-    EXPECT_EQ(c.residentLinesOf(5), 0u);
-    EXPECT_FALSE(c.contains(5 << kPageBits));
-    // Invalidating an absent frame is the O(1) no-op path.
+    EXPECT_FALSE(c.contains(f5 + 64));
+    EXPECT_FALSE(c.contains(f5 + 192));
+    EXPECT_TRUE(c.contains(f6 + 128));
+    EXPECT_TRUE(c.contains(0x0200));
+    // Invalidating a frame with no resident line changes nothing.
     c.invalidateFrame(7);
-    EXPECT_EQ(c.residentLinesOf(7), 0u);
+    EXPECT_TRUE(c.contains(f6 + 128));
+    EXPECT_TRUE(c.contains(0x0400));
+    // The dropped dirty line was not written back and now misses.
+    const CacheResult r = c.access(f5 + 64, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_FALSE(r.evicted_dirty);
 }
 
 /**
