@@ -18,12 +18,9 @@ Cache::invalidateLine(Addr addr)
 {
     const Addr line_addr = addr >> kLineBits;
     Line *ways = &lines_[setIndex(line_addr) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w) {
-        if (ways[w].valid && ways[w].tag == line_addr) {
-            ways[w].valid = false;
-            ways[w].dirty = false;
-        }
-    }
+    for (unsigned w = 0; w < assoc_; ++w)
+        if (ways[w].valid && ways[w].tag == line_addr)
+            ways[w] = Line{};
 }
 
 void

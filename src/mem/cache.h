@@ -64,11 +64,11 @@ class Cache
                 res.hit = true;
                 return res;
             }
-            if (!line.valid) {
+            // One compare per way (an invalid line's lru 0 beats any
+            // valid one) lets the compiler pick the victim with a
+            // conditional move instead of an unpredictable branch.
+            if (line.lru < victim->lru)
                 victim = &line;
-            } else if (victim->valid && line.lru < victim->lru) {
-                victim = &line;
-            }
         }
 
         ++misses_;
@@ -101,6 +101,8 @@ class Cache
         Addr tag = 0;
         bool valid = false;
         bool dirty = false;
+        /** Tick of the last access; 0 iff the line is invalid (ticks
+         *  start at 1), so the least lru in a set is the victim. */
         std::uint64_t lru = 0;
     };
 
