@@ -10,7 +10,7 @@
  *
  * Tags are stored as packed 64-bit words (TagWords) so the sweep reads
  * a whole cache line's four granule tags with one shift and a frame's
- * "any tag?" test is an OR of four words (DESIGN.md §9.1).
+ * "any tag?" test ORs the frame's four words (DESIGN.md §9.1).
  */
 
 #ifndef CREV_MEM_PHYS_MEM_H_
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "base/logging.h"
+#include "base/simd.h"
 #include "base/types.h"
 #include "cap/compression.h"
 
@@ -36,7 +37,6 @@ class TagWords
 {
   public:
     static constexpr std::size_t kWords = kGranulesPerPage / 64;
-    static_assert(kWords == 4, "any() ORs exactly four words");
 
     bool
     test(std::size_t g) const
@@ -56,11 +56,7 @@ class TagWords
         w_[g >> 6] &= ~(std::uint64_t{1} << (g & 63));
     }
 
-    bool
-    any() const
-    {
-        return (w_[0] | w_[1] | w_[2] | w_[3]) != 0;
-    }
+    bool any() const { return simd::anySet(w_.data(), kWords); }
 
     /** The 4 tag bits of intra-page cache line @p line. */
     unsigned
