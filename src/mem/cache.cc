@@ -19,7 +19,7 @@ Cache::invalidateLine(Addr addr)
     const Addr line_addr = addr >> kLineBits;
     Line *ways = &lines_[setIndex(line_addr) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w)
-        if (ways[w].valid && ways[w].tag == line_addr)
+        if (ways[w].lru != 0 && ways[w].tag == line_addr)
             ways[w] = Line{};
 }
 
@@ -37,7 +37,7 @@ Cache::contains(Addr addr) const
     const Addr line_addr = addr >> kLineBits;
     const Line *ways = &lines_[setIndex(line_addr) * assoc_];
     for (unsigned w = 0; w < assoc_; ++w)
-        if (ways[w].valid && ways[w].tag == line_addr)
+        if (ways[w].lru != 0 && ways[w].tag == line_addr)
             return true;
     return false;
 }

@@ -57,7 +57,9 @@ class Cache
         Line *victim = &ways[0];
         for (unsigned w = 0; w < assoc_; ++w) {
             Line &line = ways[w];
-            if (line.valid && line.tag == line_addr) {
+            // lru != 0 keeps an invalid line's tag 0 from matching
+            // physical line 0.
+            if (line.lru != 0 && line.tag == line_addr) {
                 line.lru = tick_;
                 line.dirty |= write;
                 ++hits_;
@@ -72,12 +74,11 @@ class Cache
         }
 
         ++misses_;
-        if (victim->valid && victim->dirty) {
+        if (victim->dirty) {
             res.evicted_dirty = true;
             res.victim_line = victim->tag << kLineBits;
         }
         victim->tag = line_addr;
-        victim->valid = true;
         victim->dirty = write;
         victim->lru = tick_;
         return res;
@@ -99,10 +100,10 @@ class Cache
     struct Line
     {
         Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
+        bool dirty = false; //!< never set on an invalid line
         /** Tick of the last access; 0 iff the line is invalid (ticks
-         *  start at 1), so the least lru in a set is the victim. */
+         *  start at 1, and invalidation resets the line to Line{}), so
+         *  the least lru in a set is the victim. */
         std::uint64_t lru = 0;
     };
 
