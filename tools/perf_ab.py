@@ -3,7 +3,7 @@
 
 Usage, from anywhere inside the repository:
     python3 tools/perf_ab.py REV_A REV_B [--pairs N] [--seconds S]
-        [--workloads spec,pgbench,grpc] [--seed N] [--out FILE]
+        [--workloads spec,pgbench,grpc] [--seed N]
 
 Each revision's committed tree is exported (git archive) into its own
 temporary directory, and that revision's own perfbench/run.py runs
@@ -11,13 +11,15 @@ there with a separate build directory (CARGO_TARGET_DIR), so neither
 side builds or measures the other's code. For every workload the tool
 runs N pairs, alternating which revision goes first, then prints, for
 each end-to-end metric in BENCHMARK.json, both sides' median and IQR,
-how many pairs B won, B's median change against A's, and whether B is
-worse than A by more than the metric's relative bound.
+how many pairs B won, B's median change against A's, and a verdict:
+"unresolved" if either side's IQR, relative to its median, is wider than
+the metric's relative bound and B did not beat A in every pair; else
+"OVER" if B is worse than A by more than the bound; else "ok".
 
---seconds defaults to BENCHMARK.json's run_seconds. --out writes every
-run's metrics as JSON. The exit status is 1 if any run fails or reports
-"correct": false, and 0 otherwise; a metric over its bound is reported
-but does not change the exit status.
+--seconds defaults to BENCHMARK.json's run_seconds. The exit status is 1
+if any run fails or reports "correct": false, and 0 otherwise; a metric
+that is over its bound or unresolved is reported but does not change the
+exit status.
 """
 
 import argparse
@@ -83,7 +85,14 @@ def report(workload, runs, metrics):
         wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
         change = (bm - am) / abs(am) if am != 0 else 0.0
         worse = change if lower else -change
-        verdict = "OVER %.2f" % m["bound"] if worse > m["bound"] else "ok"
+        noisy = any(q3 - q1 > m["bound"] * abs(q2)
+                    for q1, q2, q3 in ((a1, am, a3), (b1, bm, b3)))
+        if noisy and wins < len(a):
+            verdict = "unresolved"
+        elif worse > m["bound"]:
+            verdict = "OVER %.2f" % m["bound"]
+        else:
+            verdict = "ok"
         print("%-24s %12.4g %10.3g %12.4g %10.3g %3d/%-2d %+7.1f%%  %s"
               % (name, am, a3 - a1, bm, b3 - b1, wins, len(a),
                  100 * change, verdict))
@@ -97,13 +106,13 @@ def main():
     ap.add_argument("--seconds", type=float)
     ap.add_argument("--workloads", default="spec,pgbench,grpc")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", help="write every run's metrics here (JSON)")
     args = ap.parse_args()
 
     root = git("rev-parse", "--show-toplevel")
     with open(os.path.join(root, "BENCHMARK.json")) as f:
         bench = json.load(f)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = (args.seconds if args.seconds is not None
+               else bench["run_seconds"])
     workloads = [w for w in args.workloads.split(",") if w]
     if args.pairs < 1 or seconds <= 0 or not workloads:
         ap.error("need --pairs >= 1, --seconds > 0 and a workload")
@@ -117,8 +126,6 @@ def main():
 
     tmp = tempfile.mkdtemp(prefix="perf_ab.")
     failed = 0
-    record = {"revs": revs, "seed": args.seed, "seconds": seconds,
-              "runs": {}}
     try:
         checkout = {s: os.path.join(tmp, s) for s in revs}
         build = {s: os.path.join(tmp, "build-" + s) for s in revs}
@@ -143,15 +150,10 @@ def main():
                 if pair["a"] is not None and pair["b"] is not None:
                     runs["a"].append(pair["a"])
                     runs["b"].append(pair["b"])
-            record["runs"][w] = runs
             if runs["a"]:
                 report(w, runs, bench["end_to_end"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-        if args.out:
-            with open(args.out, "w") as f:
-                json.dump(record, f, indent=1, sort_keys=True)
-                f.write("\n")
 
     if failed:
         print("\nperf_ab: %d run(s) failed or reported correct: false"
