@@ -82,22 +82,25 @@ hostNsPerCall(std::uint64_t n, Access access)
     return elapsed.count() / static_cast<double>(n);
 }
 
+/**
+ * Host cost of one simulated access to a cache of geometry @p cfg:
+ * random lines over @p span bytes, 30% of them writes. The address and
+ * write streams are drawn before the timed loop, so the RNG is not
+ * measured.
+ */
 void
-BM_CacheAccess(benchmark::State &state)
+cacheAccess(benchmark::State &state, const mem::CacheConfig &cfg,
+            Addr span)
 {
-    // Host cost of one simulated L1 access: random lines over 1 MiB
-    // (32x the cache), 30% of them writes. The address and write
-    // streams are drawn before the timed loop, so the RNG is not
-    // measured.
     constexpr std::uint64_t kAccesses = 1u << 21;
     Rng rng(2);
     std::vector<Addr> addrs(kAccesses);
     std::vector<std::uint8_t> writes(kAccesses);
     for (std::uint64_t i = 0; i < kAccesses; ++i) {
-        addrs[i] = rng.below(1 << 20);
+        addrs[i] = rng.below(span);
         writes[i] = rng.chance(0.3) ? 1 : 0;
     }
-    mem::Cache cache(mem::CacheConfig{32 * 1024, 4});
+    mem::Cache cache(cfg);
     const double ns = hostNsPerCall(kAccesses, [&](std::uint64_t i) {
         benchmark::DoNotOptimize(cache.access(addrs[i], writes[i] != 0));
     });
@@ -107,7 +110,22 @@ BM_CacheAccess(benchmark::State &state)
     state.counters["miss_ratio"] = static_cast<double>(cache.misses()) /
                                    static_cast<double>(kAccesses);
 }
+
+void
+BM_CacheAccess(benchmark::State &state)
+{
+    // The L1 geometry, over 32x its size.
+    cacheAccess(state, mem::CacheConfig{32 * 1024, 4}, 1 << 20);
+}
 BENCHMARK(BM_CacheAccess)->Iterations(1);
+
+void
+BM_CacheAccessLlc(benchmark::State &state)
+{
+    // The LLC geometry, over 8x its size.
+    cacheAccess(state, mem::CacheConfig{1 << 20, 8}, 8 << 20);
+}
+BENCHMARK(BM_CacheAccessLlc)->Iterations(1);
 
 void
 BM_Translate(benchmark::State &state)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 #include <vector>
 
@@ -108,6 +109,89 @@ TEST(Mutator, DataStoreShreddsOverlappingCapability)
         EXPECT_TRUE(ctx.loadCap(holder, 16).tag);
         ctx.store64(holder, 24, 0x0abcdef0); // within the granule
         EXPECT_FALSE(ctx.loadCap(holder, 16).tag);
+    });
+    m.run();
+}
+
+/** What a data read leaves behind on the machine's clocks and counters. */
+struct ReadFootprint
+{
+    Cycles clock = 0;
+    Cycles busy = 0;
+    mem::MemCounters mem;
+    std::uint64_t tlb_hits = 0;
+    std::uint64_t tlb_misses = 0;
+};
+
+/**
+ * Run @p read on the one mutator of a fresh baseline machine, handing
+ * it a 3-page allocation and the offset of a 1000-byte span in it that
+ * crosses a page boundary 100 bytes in; returns the footprint.
+ */
+template <typename Read>
+ReadFootprint
+readFootprint(Read read)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kBaseline;
+    Machine m(cfg);
+    ReadFootprint fp;
+    m.spawnMutator("app", 1u << 3, [&](Mutator &ctx) {
+        const cap::Capability c = ctx.malloc(3 * kPageSize);
+        const Addr off =
+            roundUp(c.address + 1, kPageSize) - 100 - c.address;
+        read(ctx, c, off, std::size_t{1000});
+        fp.clock = ctx.now();
+        fp.busy = ctx.thread().busyCycles();
+        fp.mem = m.memorySystem().totalCounters();
+        fp.tlb_hits = m.mmu().tlb(ctx.thread().core()).hits();
+        fp.tlb_misses = m.mmu().tlb(ctx.thread().core()).misses();
+    });
+    m.run();
+    return fp;
+}
+
+TEST(Mutator, ReadBytesChargesLikeChunkedLoadData)
+{
+    // readBytes discards what it reads, but must translate and charge
+    // exactly like loading the span into a buffer 256 bytes at a time.
+    const ReadFootprint got = readFootprint(
+        [](Mutator &ctx, const cap::Capability &c, Addr off,
+           std::size_t len) { ctx.readBytes(c, off, len); });
+    const ReadFootprint want = readFootprint(
+        [](Mutator &ctx, const cap::Capability &c, Addr off,
+           std::size_t len) {
+            ctx.thread().accrue(1); // the capability check
+            std::uint8_t buf[256];
+            for (std::size_t done = 0; done < len;) {
+                const std::size_t n = std::min(len - done, sizeof(buf));
+                ctx.machine().mmu().loadData(ctx.thread(),
+                                             c.address + off + done, buf,
+                                             n);
+                done += n;
+            }
+        });
+    EXPECT_GT(want.mem.accesses, 0u);
+    EXPECT_EQ(got.clock, want.clock);
+    EXPECT_EQ(got.busy, want.busy);
+    EXPECT_EQ(got.mem.accesses, want.mem.accesses);
+    EXPECT_EQ(got.mem.l1_misses, want.mem.l1_misses);
+    EXPECT_EQ(got.mem.bus_reads, want.mem.bus_reads);
+    EXPECT_EQ(got.mem.bus_writes, want.mem.bus_writes);
+    EXPECT_EQ(got.tlb_hits, want.tlb_hits);
+    EXPECT_EQ(got.tlb_misses, want.tlb_misses);
+}
+
+TEST(Mutator, ReadBytesWithoutLoadPermissionFaults)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kBaseline;
+    Machine m(cfg);
+    m.spawnMutator("app", 1u << 3, [](Mutator &ctx) {
+        const cap::Capability c = ctx.malloc(256);
+        const cap::Capability wo = c.andPerms(cap::kPermStore);
+        EXPECT_THROW(ctx.readBytes(wo, 0, 128), vm::CapabilityFault);
+        ctx.readBytes(c, 0, 128);
     });
     m.run();
 }

@@ -107,6 +107,40 @@ TEST(PhysMem, DataWriteClearsOverlappedTags)
     EXPECT_FALSE(pm.tagAt(base + 16));
 }
 
+TEST(PhysMem, DataWriteClearsExactlyTheOverlappedGranules)
+{
+    struct Case
+    {
+        std::size_t off;
+        std::size_t len;
+    };
+    const Case cases[] = {
+        {0x235, 1},                 // one byte inside granule 0x23
+        {0x105, 0x2A},              // unaligned start and end: 0x10-0x12
+        {0x100, 0x20},              // aligned end: 0x10-0x11, not 0x12
+        {63 * kGranuleSize + 8, 16}, // granules 63 and 64, two tag words
+        {64 * kGranuleSize - 1, 2},  // the last byte of 63, first of 64
+        {0xFF0, 0x10},              // the frame's last granule only
+        {0, kPageSize},             // the whole frame
+    };
+    PhysMem pm;
+    const Addr pfn = pm.allocFrame();
+    const Addr base = pfn << kPageBits;
+    std::vector<std::uint8_t> data(kPageSize, 0x5A);
+    for (const Case &k : cases) {
+        Frame &f = pm.frame(pfn);
+        for (std::size_t g = 0; g < kGranulesPerPage; ++g)
+            f.setTag(g, true);
+        pm.write(base + k.off, data.data(), k.len);
+        const std::size_t first = k.off / kGranuleSize;
+        const std::size_t last = (k.off + k.len - 1) / kGranuleSize;
+        for (std::size_t g = 0; g < kGranulesPerPage; ++g)
+            EXPECT_EQ(f.testTag(g), g < first || g > last)
+                << "write at " << k.off << " of " << k.len
+                << ", granule " << g;
+    }
+}
+
 TEST(PhysMem, CapRoundTrip)
 {
     PhysMem pm;
@@ -240,6 +274,14 @@ class LruModel
     }
 
     void
+    invalidateLine(Addr addr)
+    {
+        const Addr line = addr >> kLineBits;
+        std::erase_if(sets_[line % sets_.size()],
+                      [&](const Entry &e) { return e.line == line; });
+    }
+
+    void
     invalidateFrame(Addr pfn)
     {
         for (auto &set : sets_)
@@ -262,23 +304,36 @@ class LruModel
     std::vector<std::vector<Entry>> sets_;
 };
 
+/** First pfn of a frame range whose line addresses need more than 20
+ *  bits above the page offset, so a victim's line address is rebuilt
+ *  from a wide tag plus its set index. */
+constexpr Addr kHighPfn = (Addr{1} << 20) + 3;
+
 void
-checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed)
+checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed,
+                     Addr first_pfn = 3)
 {
     Cache c(cfg);
     LruModel model(cfg.size_bytes, cfg.assoc);
     Rng rng(seed);
     // Eight frames: enough lines to force conflicts in every set, few
     // enough that re-accesses and invalidations find resident lines.
-    constexpr Addr kFirstPfn = 3;
     constexpr Addr kFrames = 8;
-    std::vector<Addr> recent(16, kFirstPfn << kPageBits);
+    std::vector<Addr> recent(16, first_pfn << kPageBits);
     for (int i = 0; i < 120'000; ++i) {
         const std::uint64_t op = rng.below(100);
         if (op < 2) {
-            const Addr pfn = kFirstPfn + rng.below(kFrames);
+            const Addr pfn = first_pfn + rng.below(kFrames);
             c.invalidateFrame(pfn);
             model.invalidateFrame(pfn);
+            continue;
+        }
+        if (op < 5) {
+            // Single-line invalidations, mostly of resident lines.
+            const Addr addr = recent[rng.below(recent.size())];
+            c.invalidateLine(addr);
+            model.invalidateLine(addr);
+            ASSERT_FALSE(c.contains(addr)) << "op " << i;
             continue;
         }
         // Half the accesses revisit a recent address (hits, including
@@ -287,7 +342,7 @@ checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed)
         if (op < 50) {
             addr = recent[rng.below(recent.size())];
         } else {
-            addr = ((kFirstPfn + rng.below(kFrames)) << kPageBits) +
+            addr = ((first_pfn + rng.below(kFrames)) << kPageBits) +
                    rng.below(kPageSize);
             recent[rng.below(recent.size())] = addr;
         }
@@ -297,6 +352,7 @@ checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed)
         ASSERT_EQ(got.hit, want.hit) << "op " << i;
         ASSERT_EQ(got.evicted_dirty, want.evicted_dirty) << "op " << i;
         ASSERT_EQ(got.victim_line, want.victim_line) << "op " << i;
+        ASSERT_TRUE(c.contains(addr)) << "op " << i;
     }
     EXPECT_EQ(c.hits(), model.hits);
     EXPECT_EQ(c.misses(), model.misses);
@@ -312,6 +368,18 @@ TEST(Cache, TwoWayMatchesLruReferenceModel)
 TEST(Cache, FourWayMatchesLruReferenceModel)
 {
     checkAgainstLruModel(CacheConfig{4096, 4}, 29);
+}
+
+TEST(Cache, EightWayMatchesLruReferenceModel)
+{
+    // The LLC's associativity; 32 sets hold half of the eight frames.
+    checkAgainstLruModel(CacheConfig{16384, 8}, 41);
+}
+
+TEST(Cache, HighFramesMatchLruReferenceModel)
+{
+    checkAgainstLruModel(CacheConfig{4096, 4}, 53, kHighPfn);
+    checkAgainstLruModel(CacheConfig{16384, 8}, 67, kHighPfn);
 }
 
 TEST(MemorySystem, LatenciesByLevel)
