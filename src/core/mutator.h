@@ -7,6 +7,11 @@
  *
  * Offsets are relative to the capability's *address* (cursor), which
  * equals its base for freshly allocated pointers.
+ *
+ * Bulk operations run in 256-byte chunks, each one MMU call, so a long
+ * fill or read reaches a yield point as often as a workload's own loop
+ * would. readBytes models a read whose bytes the workload never looks
+ * at: it translates and charges every chunk but copies nothing.
  */
 
 #ifndef CREV_CORE_MUTATOR_H_
@@ -43,9 +48,11 @@ class Mutator
     void storeCap(const cap::Capability &c, Addr off,
                   const cap::Capability &v);
 
-    /** Bulk data fill / read (charged per cache line). */
+    /** Bulk data fill (charged per cache line). */
     void fill(const cap::Capability &c, Addr off, std::size_t len,
               std::uint8_t byte);
+    /** Bulk data read, charged per cache line; the bytes are not
+     *  copied anywhere. */
     void readBytes(const cap::Capability &c, Addr off,
                    std::size_t len);
 

@@ -1,5 +1,7 @@
 #include "mem/cache.h"
 
+#include <bit>
+
 #include "base/logging.h"
 
 namespace crev::mem {
@@ -10,17 +12,26 @@ Cache::Cache(const CacheConfig &cfg) : assoc_(cfg.assoc)
     num_sets_ = cfg.size_bytes / (kLineSize * cfg.assoc);
     CREV_ASSERT(num_sets_ > 0);
     CREV_ASSERT((num_sets_ & (num_sets_ - 1)) == 0);
-    lines_.resize(num_sets_ * assoc_);
+    set_bits_ = static_cast<unsigned>(std::countr_zero(num_sets_));
+    entries_.resize(num_sets_ * assoc_);
 }
 
 void
 Cache::invalidateLine(Addr addr)
 {
     const Addr line_addr = addr >> kLineBits;
-    Line *ways = &lines_[setIndex(line_addr) * assoc_];
-    for (unsigned w = 0; w < assoc_; ++w)
-        if (ways[w].lru != 0 && ways[w].tag == line_addr)
-            ways[w] = Line{};
+    const Addr key = keyOf(line_addr);
+    std::uint32_t *set = setOf(line_addr);
+    for (unsigned w = 0; w < assoc_; ++w) {
+        if ((set[w] & ~kDirty) == key) {
+            // Close the gap, keeping recency order; the tail way
+            // becomes invalid.
+            for (unsigned i = w; i + 1 < assoc_; ++i)
+                set[i] = set[i + 1];
+            set[assoc_ - 1] = 0;
+            return;
+        }
+    }
 }
 
 void
@@ -35,9 +46,10 @@ bool
 Cache::contains(Addr addr) const
 {
     const Addr line_addr = addr >> kLineBits;
-    const Line *ways = &lines_[setIndex(line_addr) * assoc_];
+    const Addr key = keyOf(line_addr);
+    const std::uint32_t *set = setOf(line_addr);
     for (unsigned w = 0; w < assoc_; ++w)
-        if (ways[w].lru != 0 && ways[w].tag == line_addr)
+        if ((set[w] & ~kDirty) == key)
             return true;
     return false;
 }

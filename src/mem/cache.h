@@ -5,8 +5,13 @@
  * The cache tracks only line addresses and dirtiness; actual data lives
  * in PhysMem. That is all the paper's bus-traffic experiments need: a
  * bus transaction happens when a line is fetched from, or written back
- * to, the level below. Replacement is true LRU within a set, ordered by
- * a per-cache access tick.
+ * to, the level below. Replacement is true LRU within a set.
+ *
+ * Each way is one 32-bit entry, and each set keeps its entries in
+ * recency order, so a set of the 1 MiB/8-way LLC model is 32 bytes and
+ * the whole model 64 KiB. A hit rotates its way to the front; a miss
+ * drops the last way, shifts the set down one place and inserts the new
+ * line at the front (DESIGN.md §9.1).
  */
 
 #ifndef CREV_MEM_CACHE_H_
@@ -15,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/logging.h"
 #include "base/types.h"
 
 namespace crev::mem {
@@ -49,39 +55,16 @@ class Cache
     CacheResult
     access(Addr addr, bool write)
     {
-        const Addr line_addr = addr >> kLineBits;
-        Line *ways = &lines_[setIndex(line_addr) * assoc_];
-        ++tick_;
-
-        CacheResult res;
-        Line *victim = &ways[0];
-        for (unsigned w = 0; w < assoc_; ++w) {
-            Line &line = ways[w];
-            // lru != 0 keeps an invalid line's tag 0 from matching
-            // physical line 0.
-            if (line.lru != 0 && line.tag == line_addr) {
-                line.lru = tick_;
-                line.dirty |= write;
-                ++hits_;
-                res.hit = true;
-                return res;
-            }
-            // One compare per way (an invalid line's lru 0 beats any
-            // valid one) lets the compiler pick the victim with a
-            // conditional move instead of an unpredictable branch.
-            if (line.lru < victim->lru)
-                victim = &line;
+        // The machine's L1s are 4-way and its LLC 8-way; a fixed way
+        // count lets the compiler unroll the scan and the shifts.
+        switch (assoc_) {
+          case 4:
+            return accessWays<4>(addr, write);
+          case 8:
+            return accessWays<8>(addr, write);
+          default:
+            return accessWays<0>(addr, write);
         }
-
-        ++misses_;
-        if (victim->dirty) {
-            res.evicted_dirty = true;
-            res.victim_line = victim->tag << kLineBits;
-        }
-        victim->tag = line_addr;
-        victim->dirty = write;
-        victim->lru = tick_;
-        return res;
     }
 
     /** Drop a line if present (no writeback); used on frame reuse. */
@@ -97,26 +80,88 @@ class Cache
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool dirty = false; //!< never set on an invalid line
-        /** Tick of the last access; 0 iff the line is invalid (ticks
-         *  start at 1, and invalidation resets the line to Line{}), so
-         *  the least lru in a set is the victim. */
-        std::uint64_t lru = 0;
-    };
+    static constexpr std::uint32_t kDirty = 1;
 
-    std::size_t
-    setIndex(Addr line_addr) const
+    /** access() for a set of @p kWays ways, or of assoc_ ways if 0. */
+    template <unsigned kWays>
+    CacheResult
+    accessWays(Addr addr, bool write)
     {
-        return static_cast<std::size_t>(line_addr) & (num_sets_ - 1);
+        const unsigned ways = kWays != 0 ? kWays : assoc_;
+        const Addr line_addr = addr >> kLineBits;
+        const Addr key = keyOf(line_addr);
+        std::uint32_t *set = setOf(line_addr);
+
+        CacheResult res;
+        for (unsigned w = 0; w < ways; ++w) {
+            const std::uint32_t e = set[w];
+            if ((e & ~kDirty) == key) {
+                // Rotate the way to the front.
+                for (unsigned i = w; i > 0; --i)
+                    set[i] = set[i - 1];
+                set[0] = e | static_cast<std::uint32_t>(write);
+                ++hits_;
+                res.hit = true;
+                return res;
+            }
+        }
+
+        ++misses_;
+        // The last way is the least recent, or invalid (0, clean) when
+        // the set is not full.
+        const std::uint32_t victim = set[ways - 1];
+        if (victim & kDirty) {
+            res.evicted_dirty = true;
+            res.victim_line = lineOf(victim, line_addr) << kLineBits;
+        }
+        for (unsigned i = ways - 1; i > 0; --i)
+            set[i] = set[i - 1];
+        CREV_ASSERT(key <= UINT32_MAX);
+        set[0] = static_cast<std::uint32_t>(key) |
+                 static_cast<std::uint32_t>(write);
+        return res;
+    }
+
+    /**
+     * The entry of @p line_addr without its dirty bit: the tag above
+     * the set index, plus one so that no valid line's entry is 0. Kept
+     * 64 bits wide so that a tag too wide for an entry matches none.
+     */
+    Addr
+    keyOf(Addr line_addr) const
+    {
+        return ((line_addr >> set_bits_) + 1) << 1;
+    }
+
+    /** The line address of entry @p e, in the set of @p line_addr. */
+    Addr
+    lineOf(std::uint32_t e, Addr line_addr) const
+    {
+        return (((e >> 1) - Addr{1}) << set_bits_) |
+               (line_addr & (num_sets_ - 1));
+    }
+
+    std::uint32_t *
+    setOf(Addr line_addr)
+    {
+        return &entries_[(line_addr & (num_sets_ - 1)) * assoc_];
+    }
+
+    const std::uint32_t *
+    setOf(Addr line_addr) const
+    {
+        return &entries_[(line_addr & (num_sets_ - 1)) * assoc_];
     }
 
     unsigned assoc_;
     std::size_t num_sets_;
-    std::vector<Line> lines_; // num_sets_ * assoc_
-    std::uint64_t tick_ = 0;
+    unsigned set_bits_; //!< log2(num_sets_)
+    /**
+     * num_sets_ * assoc_ entries, each (keyOf(line) | dirty), or 0 for
+     * an invalid way. A set lists its valid lines most recent first;
+     * invalid ways sit at its tail.
+     */
+    std::vector<std::uint32_t> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

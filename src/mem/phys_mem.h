@@ -9,8 +9,9 @@
  * occupancy high-water marks feed the peak-RSS experiment (fig. 3).
  *
  * Tags are stored as packed 64-bit words (TagWords) so the sweep reads
- * a whole cache line's four granule tags with one shift and a frame's
- * "any tag?" test ORs the frame's four words (DESIGN.md §9.1).
+ * a whole cache line's four granule tags with one shift, a frame's
+ * "any tag?" test ORs the frame's four words, and a data write clears
+ * the tags it overlaps with one mask per word (DESIGN.md §9.1).
  */
 
 #ifndef CREV_MEM_PHYS_MEM_H_
@@ -56,6 +57,25 @@ class TagWords
         w_[g >> 6] &= ~(std::uint64_t{1} << (g & 63));
     }
 
+    /** Clear granules @p first through @p last (inclusive) with one
+     *  mask per tag word they touch. */
+    void
+    resetRange(std::size_t first, std::size_t last)
+    {
+        const std::size_t fw = first >> 6;
+        const std::size_t lw = last >> 6;
+        const std::uint64_t from = ~std::uint64_t{0} << (first & 63);
+        const std::uint64_t to = ~std::uint64_t{0} >> (63 - (last & 63));
+        if (fw == lw) {
+            w_[fw] &= ~(from & to);
+            return;
+        }
+        w_[fw] &= ~from;
+        for (std::size_t w = fw + 1; w < lw; ++w)
+            w_[w] = 0;
+        w_[lw] &= ~to;
+    }
+
     bool any() const { return simd::anySet(w_.data(), kWords); }
 
     /** The 4 tag bits of intra-page cache line @p line. */
@@ -91,6 +111,13 @@ class Frame
     }
 
     void clearTag(std::size_t g) { tags_.reset(g); }
+
+    /** Clear the tags of granules @p first through @p last. */
+    void
+    clearTags(std::size_t first, std::size_t last)
+    {
+        tags_.resetRange(first, last);
+    }
 
     /** Whether any granule of the frame is tagged. */
     bool anyTags() const { return tags_.any(); }
@@ -165,10 +192,7 @@ class PhysMem
         CREV_ASSERT(pageOffset(paddr) + len <= kPageSize);
         Frame &f = frame(pageOf(paddr));
         std::memcpy(f.bytes.data() + pageOffset(paddr), data, len);
-        const std::size_t first = granuleIndex(paddr);
-        const std::size_t last = granuleIndex(paddr + len - 1);
-        for (std::size_t g = first; g <= last; ++g)
-            f.clearTag(g);
+        f.clearTags(granuleIndex(paddr), granuleIndex(paddr + len - 1));
     }
 
     /** Tag bit of the granule containing @p paddr. */

@@ -202,8 +202,10 @@ Mmu::loadData(sim::SimThread &t, Addr va, void *out, std::size_t len)
     forSegments(va, len, [&](Addr seg_va, std::size_t seg_len) {
         const Addr paddr = translate(t, seg_va, false, false);
         chargeAccess(t, t.core(), paddr, seg_len, false);
-        pm_.read(paddr, dst, seg_len);
-        dst += seg_len;
+        if (dst != nullptr) {
+            pm_.read(paddr, dst, seg_len);
+            dst += seg_len;
+        }
     });
 }
 

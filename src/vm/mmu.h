@@ -86,7 +86,8 @@ class Mmu
 
     // --- user-mode access paths (barriered) ---
 
-    /** Load @p len bytes at @p va (may span pages). */
+    /** Load @p len bytes at @p va (may span pages). A null @p out
+     *  translates and charges the load but copies nothing. */
     void loadData(sim::SimThread &t, Addr va, void *out,
                   std::size_t len);
     /** Store @p len bytes at @p va; clears overlapped tags. */
