@@ -21,7 +21,7 @@ Cache::invalidateLine(Addr addr)
 {
     const Addr line_addr = addr >> kLineBits;
     const Addr key = keyOf(line_addr);
-    std::uint32_t *set = setOf(line_addr);
+    std::uint32_t *set = &entries_[setStart(line_addr)];
     for (unsigned w = 0; w < assoc_; ++w) {
         if ((set[w] & ~kDirty) == key) {
             // Close the gap, keeping recency order; the tail way
@@ -47,7 +47,7 @@ Cache::contains(Addr addr) const
 {
     const Addr line_addr = addr >> kLineBits;
     const Addr key = keyOf(line_addr);
-    const std::uint32_t *set = setOf(line_addr);
+    const std::uint32_t *set = &entries_[setStart(line_addr)];
     for (unsigned w = 0; w < assoc_; ++w)
         if ((set[w] & ~kDirty) == key)
             return true;

@@ -90,7 +90,7 @@ class Cache
         const unsigned ways = kWays != 0 ? kWays : assoc_;
         const Addr line_addr = addr >> kLineBits;
         const Addr key = keyOf(line_addr);
-        std::uint32_t *set = setOf(line_addr);
+        std::uint32_t *set = &entries_[setStart(line_addr)];
 
         CacheResult res;
         for (unsigned w = 0; w < ways; ++w) {
@@ -141,16 +141,12 @@ class Cache
                (line_addr & (num_sets_ - 1));
     }
 
-    std::uint32_t *
-    setOf(Addr line_addr)
+    /** Index in entries_ of the first way of @p line_addr's set. */
+    std::size_t
+    setStart(Addr line_addr) const
     {
-        return &entries_[(line_addr & (num_sets_ - 1)) * assoc_];
-    }
-
-    const std::uint32_t *
-    setOf(Addr line_addr) const
-    {
-        return &entries_[(line_addr & (num_sets_ - 1)) * assoc_];
+        return static_cast<std::size_t>(line_addr & (num_sets_ - 1)) *
+               assoc_;
     }
 
     unsigned assoc_;

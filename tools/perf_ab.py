@@ -11,10 +11,13 @@ there with a separate build directory (CARGO_TARGET_DIR), so neither
 side builds or measures the other's code. For every workload the tool
 runs N pairs, alternating which revision goes first, then prints, for
 each end-to-end metric in BENCHMARK.json, both sides' median and IQR,
-how many pairs B won, B's median change against A's, and a verdict:
-"unresolved" if either side's IQR, relative to its median, is wider than
-the metric's relative bound and B did not beat A in every pair; else
-"OVER" if B is worse than A by more than the bound; else "ok".
+how many pairs B won (a tie counts for neither side), the median of the
+per-pair ratios B/A, B's median change against A's, and a verdict:
+"GAIN" if B won at least 9 of every 10 pairs and B's median is better
+than A's by more than A's IQR; else "unresolved" if either side's IQR,
+relative to its median, is wider than the metric's relative bound and B
+did not beat A in every pair; else "OVER" if B is worse than A by more
+than the bound; else "ok".
 
 --seconds defaults to BENCHMARK.json's run_seconds. The exit status is 1
 if any run fails or reports "correct": false, and 0 otherwise; a metric
@@ -73,9 +76,9 @@ def quartiles(xs):
 def report(workload, runs, metrics):
     """Print one workload's table of end-to-end metrics."""
     print("\n== %s: %d pairs ==" % (workload, len(runs["a"])))
-    print("%-24s %12s %10s %12s %10s %6s %8s  %s"
+    print("%-24s %12s %10s %12s %10s %6s %7s %8s  %s"
           % ("metric", "A median", "A IQR", "B median", "B IQR",
-             "B wins", "B-A", "bound"))
+             "B wins", "B/A", "B-A", "verdict"))
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         a = [r["metrics"][name]["value"] for r in runs["a"]]
@@ -83,18 +86,23 @@ def report(workload, runs, metrics):
         a1, am, a3 = quartiles(a)
         b1, bm, b3 = quartiles(b)
         wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
+        ratio = statistics.median(y / x if x != 0 else 1.0
+                                  for x, y in zip(a, b))
         change = (bm - am) / abs(am) if am != 0 else 0.0
         worse = change if lower else -change
+        gain = (am - bm) if lower else (bm - am)
         noisy = any(q3 - q1 > m["bound"] * abs(q2)
                     for q1, q2, q3 in ((a1, am, a3), (b1, bm, b3)))
-        if noisy and wins < len(a):
+        if 10 * wins >= 9 * len(a) and gain > a3 - a1:
+            verdict = "GAIN"
+        elif noisy and wins < len(a):
             verdict = "unresolved"
         elif worse > m["bound"]:
             verdict = "OVER %.2f" % m["bound"]
         else:
             verdict = "ok"
-        print("%-24s %12.4g %10.3g %12.4g %10.3g %3d/%-2d %+7.1f%%  %s"
-              % (name, am, a3 - a1, bm, b3 - b1, wins, len(a),
+        print("%-24s %12.4g %10.3g %12.4g %10.3g %3d/%-2d %7.3f %+7.1f%%  %s"
+              % (name, am, a3 - a1, bm, b3 - b1, wins, len(a), ratio,
                  100 * change, verdict))
 
 
