@@ -99,9 +99,8 @@ void
 Mutator::readBytes(const cap::Capability &c, Addr off, std::size_t len)
 {
     const Addr va = check(c, off, len, cap::kPermLoad);
-    // The bytes are discarded, so nothing is copied; the chunks match
-    // fill()'s, so translations, charges and yields fall where a
-    // buffered read's would.
+    // Nothing is copied: the bytes are discarded. The chunks still set
+    // where translations, charges and yields fall.
     constexpr std::size_t kChunk = 256;
     Addr p = va;
     std::size_t remaining = len;

@@ -8,10 +8,11 @@
  * Offsets are relative to the capability's *address* (cursor), which
  * equals its base for freshly allocated pointers.
  *
- * Bulk operations run in 256-byte chunks, each one MMU call, so a long
- * fill or read reaches a yield point as often as a workload's own loop
- * would. readBytes models a read whose bytes the workload never looks
- * at: it translates and charges every chunk but copies nothing.
+ * Bulk operations run in 256-byte chunks, one MMU call each, and each
+ * chunk's charge is a possible yield point, so the chunk size is part
+ * of the simulated schedule. readBytes models a read whose bytes the
+ * workload never looks at: it translates and charges every chunk but
+ * copies nothing.
  */
 
 #ifndef CREV_CORE_MUTATOR_H_

@@ -304,10 +304,10 @@ class LruModel
     std::vector<std::vector<Entry>> sets_;
 };
 
-/** First pfn of a frame range whose line addresses need more than 20
- *  bits above the page offset, so a victim's line address is rebuilt
- *  from a wide tag plus its set index. */
-constexpr Addr kHighPfn = (Addr{1} << 20) + 3;
+/** First pfn of a frame range whose line addresses are wider than 32
+ *  bits, so a victim's line address is rebuilt from a wide tag plus its
+ *  set index. */
+constexpr Addr kHighPfn = (Addr{1} << 27) + 3;
 
 void
 checkAgainstLruModel(const CacheConfig &cfg, std::uint64_t seed,
