@@ -55,16 +55,38 @@ class Cache
     CacheResult
     access(Addr addr, bool write)
     {
-        // The machine's L1s are 4-way and its LLC 8-way; a fixed way
-        // count lets the compiler unroll the scan and the shifts.
-        switch (assoc_) {
-          case 4:
-            return accessWays<4>(addr, write);
-          case 8:
-            return accessWays<8>(addr, write);
-          default:
-            return accessWays<0>(addr, write);
+        const Addr line_addr = addr >> kLineBits;
+        const Addr key = keyOf(line_addr);
+        std::uint32_t *set = &entries_[setStart(line_addr)];
+
+        CacheResult res;
+        for (unsigned w = 0; w < assoc_; ++w) {
+            const std::uint32_t e = set[w];
+            if ((e & ~kDirty) == key) {
+                // Rotate the way to the front.
+                for (unsigned i = w; i > 0; --i)
+                    set[i] = set[i - 1];
+                set[0] = e | static_cast<std::uint32_t>(write);
+                ++hits_;
+                res.hit = true;
+                return res;
+            }
         }
+
+        ++misses_;
+        // The last way is the least recent, or invalid (0, clean) when
+        // the set is not full.
+        const std::uint32_t victim = set[assoc_ - 1];
+        if (victim & kDirty) {
+            res.evicted_dirty = true;
+            res.victim_line = lineOf(victim, line_addr) << kLineBits;
+        }
+        for (unsigned i = assoc_ - 1; i > 0; --i)
+            set[i] = set[i - 1];
+        CREV_ASSERT(key <= UINT32_MAX);
+        set[0] = static_cast<std::uint32_t>(key) |
+                 static_cast<std::uint32_t>(write);
+        return res;
     }
 
     /** Drop a line if present (no writeback); used on frame reuse. */
@@ -81,46 +103,6 @@ class Cache
 
   private:
     static constexpr std::uint32_t kDirty = 1;
-
-    /** access() for a set of @p kWays ways, or of assoc_ ways if 0. */
-    template <unsigned kWays>
-    CacheResult
-    accessWays(Addr addr, bool write)
-    {
-        const unsigned ways = kWays != 0 ? kWays : assoc_;
-        const Addr line_addr = addr >> kLineBits;
-        const Addr key = keyOf(line_addr);
-        std::uint32_t *set = &entries_[setStart(line_addr)];
-
-        CacheResult res;
-        for (unsigned w = 0; w < ways; ++w) {
-            const std::uint32_t e = set[w];
-            if ((e & ~kDirty) == key) {
-                // Rotate the way to the front.
-                for (unsigned i = w; i > 0; --i)
-                    set[i] = set[i - 1];
-                set[0] = e | static_cast<std::uint32_t>(write);
-                ++hits_;
-                res.hit = true;
-                return res;
-            }
-        }
-
-        ++misses_;
-        // The last way is the least recent, or invalid (0, clean) when
-        // the set is not full.
-        const std::uint32_t victim = set[ways - 1];
-        if (victim & kDirty) {
-            res.evicted_dirty = true;
-            res.victim_line = lineOf(victim, line_addr) << kLineBits;
-        }
-        for (unsigned i = ways - 1; i > 0; --i)
-            set[i] = set[i - 1];
-        CREV_ASSERT(key <= UINT32_MAX);
-        set[0] = static_cast<std::uint32_t>(key) |
-                 static_cast<std::uint32_t>(write);
-        return res;
-    }
 
     /**
      * The entry of @p line_addr without its dirty bit: the tag above
