@@ -69,6 +69,26 @@ TEST(Determinism, OraclePreservesSpecMetricsAllStrategies)
     }
 }
 
+/** Paint-only epochs complete without revoking, so the revoker never
+ *  commits them to the oracle (committing would flag legal loads of
+ *  merely-quarantined objects); the MMU still checks every load. */
+TEST(Determinism, PaintOnlyNeverCommitsToTheOracle)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kPaintOnly;
+    cfg.policy = workload::specPolicy();
+    cfg.oracle = true;
+    Machine m(cfg);
+    workload::runSpec(m, workload::specProfile("hmmer_retro"));
+    const RunMetrics rm = m.metrics();
+    EXPECT_GT(rm.epochs.size(), 0u);
+    EXPECT_GT(rm.oracle_loads_checked, 0u);
+    EXPECT_EQ(rm.oracle_violations, 0u);
+    EXPECT_NE(m.oracleReportJson().find("\"epochs_committed\":0,"),
+              std::string::npos)
+        << m.oracleReportJson();
+}
+
 /** Tracer and race checker attached together must still match the
  *  bare run: both are off-clock, so the combination cannot move a
  *  single scheduling point. */

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -147,6 +148,45 @@ TEST(Trace, ChromeJsonByteIdenticalAcrossSameSeedRuns)
     EXPECT_NE(first.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(first.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(first.find("\"stw_scan\""), std::string::npos);
+}
+
+/** Every component that records into the tracer reaches it on a
+ *  machine built the standard way. Reloaded's chaos cell fires all
+ *  seven emitters: the scheduler's STW window, the bitmap's paint
+ *  bracket, the MMU's shootdowns, quarantine backpressure, the fault
+ *  injector, the recovery manager and the watchdog ladder. */
+TEST(Trace, EveryComponentReachesTheTracer)
+{
+    MachineConfig cfg = test::chaosConfig(Strategy::kReloaded);
+    cfg.trace = true;
+    cfg.trace_buffer_events = 1u << 20; // never drop under test
+    Machine m(cfg);
+    m.spawnMutator("app", 1u << 3, [&](core::Mutator &ctx) {
+        test::churn(m, ctx, 800);
+    });
+    m.run();
+
+    trace::Tracer *t = m.tracerOrNull();
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->totalDropped(), 0u);
+    std::map<trace::EventType, std::uint64_t> seen;
+    std::uint64_t paint_brackets = 0;
+    for (unsigned tid = 0; tid < t->numThreads(); ++tid)
+        t->buffer(tid)->forEach([&](const trace::Event &e) {
+            ++seen[e.type];
+            if (e.type == trace::EventType::kPhaseBegin &&
+                e.arg8 == static_cast<std::uint8_t>(trace::Phase::kPaint))
+                ++paint_brackets;
+        });
+    auto count = [&](trace::EventType ty) { return seen[ty]; };
+    using trace::EventType;
+    EXPECT_GT(count(EventType::kStwBegin), 0u) << "scheduler";
+    EXPECT_GT(paint_brackets, 0u) << "bitmap";
+    EXPECT_GT(count(EventType::kTlbShootdown), 0u) << "mmu";
+    EXPECT_GT(count(EventType::kQuarantineBlock), 0u) << "quarantine";
+    EXPECT_GT(count(EventType::kFaultInject), 0u) << "fault injector";
+    EXPECT_GT(count(EventType::kRecoveryAttempt), 0u) << "recovery";
+    EXPECT_GT(count(EventType::kWatchdogEscalate), 0u) << "watchdog";
 }
 
 TEST(MetricsRegistry, CountersGaugesHistogramsAndJson)
