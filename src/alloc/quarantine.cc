@@ -20,14 +20,6 @@ QuarantineShim::QuarantineShim(SnmallocLite &snm, kern::Kernel &kernel,
     CREV_ASSERT((revoker_ == nullptr) == (bitmap_ == nullptr));
 }
 
-void
-QuarantineShim::setChecker(check::RaceChecker *c)
-{
-    checker_ = c;
-    if (c != nullptr)
-        c->nameLock(&heap_lock_, "heap");
-}
-
 std::size_t
 QuarantineShim::threshold() const
 {
@@ -40,15 +32,16 @@ void
 QuarantineShim::maybeDequarantine(sim::SimThread &t)
 {
     const std::uint64_t now = kernel_.epoch().value();
-    if (checker_ != nullptr)
-        checker_->onQuarantineAccess(t.id(), t.now(),
-                                     heap_lock_.heldBy(t));
+    check::RaceChecker *checker = t.scheduler().checker();
+    if (checker != nullptr)
+        checker->onQuarantineAccess(t.id(), t.now(),
+                                    heap_lock_.heldBy(t));
     for (Buffer &b : buffers_) {
         if (!b.awaiting || now < b.target)
             continue;
-        if (checker_ != nullptr)
-            checker_->onDequarantineRelease(t.id(), t.now(), b.target,
-                                            now);
+        if (checker != nullptr)
+            checker->onDequarantineRelease(t.id(), t.now(), b.target,
+                                           now);
         // Detach the buffer *before* releasing its entries: the
         // release path yields (simulated memory traffic), and another
         // heap user may re-enter; detaching first makes the release
@@ -75,9 +68,8 @@ QuarantineShim::maybeTrigger(sim::SimThread &t)
 {
     Buffer &b = buffers_[cur_];
     Buffer &other = buffers_[cur_ ^ 1];
-    if (checker_ != nullptr)
-        checker_->onQuarantineAccess(t.id(), t.now(),
-                                     heap_lock_.heldBy(t));
+    if (auto *c = t.scheduler().checker())
+        c->onQuarantineAccess(t.id(), t.now(), heap_lock_.heldBy(t));
     // Trigger on the *total* quarantine, not this buffer's share:
     // comparing only b.bytes let quarantine reach ~2x the policy
     // ratio while the other buffer awaited its epoch (its bytes
@@ -107,20 +99,21 @@ QuarantineShim::maybeTrigger(sim::SimThread &t)
 }
 
 bool
-QuarantineShim::handoffFaultsArmed() const
+QuarantineShim::handoffFaultsArmed(sim::SimThread &t) const
 {
-    return injector_ != nullptr &&
-           (injector_->plan().quarantine_drop_prob > 0.0 ||
-            injector_->plan().quarantine_duplicate_prob > 0.0);
+    const sim::FaultInjector *inj = t.scheduler().injector();
+    return inj != nullptr && (inj->plan().quarantine_drop_prob > 0.0 ||
+                              inj->plan().quarantine_duplicate_prob > 0.0);
 }
 
 void
 QuarantineShim::sendEpochRequest(sim::SimThread &t)
 {
-    if (injector_ != nullptr && injector_->dropQuarantineHandoff(t))
+    sim::FaultInjector *inj = t.scheduler().injector();
+    if (inj != nullptr && inj->dropQuarantineHandoff(t))
         return; // lost in flight; the waiter detects and re-sends
     revoker_->requestEpoch(t);
-    if (injector_ != nullptr && injector_->duplicateQuarantineHandoff(t))
+    if (inj != nullptr && inj->duplicateQuarantineHandoff(t))
         revoker_->requestEpoch(t); // idempotent while one is pending
 }
 
@@ -128,10 +121,11 @@ void
 QuarantineShim::waitForCounterRecovering(sim::SimThread &t,
                                          std::uint64_t target)
 {
-    if (!handoffFaultsArmed()) {
+    if (!handoffFaultsArmed(t)) {
         revoker_->waitForEpochCounter(t, target);
         return;
     }
+    revoker::RecoveryManager *recovery = t.scheduler().recovery();
     // SimEvent has no timed wait, so the recovering variant is a
     // sleep-poll loop; the poll period is well under any epoch.
     constexpr Cycles kPoll = 250'000;
@@ -141,30 +135,29 @@ QuarantineShim::waitForCounterRecovering(sim::SimThread &t,
             // Shutdown can land mid-recovery: close the ticket with
             // an aborted outcome instead of leaking it open (every
             // opened ticket must reach a terminal state).
-            if (recovery_ != nullptr && tk.open)
-                recovery_->close(t, tk,
-                                 trace::RecoveryOutcome::kAborted);
+            if (recovery != nullptr && tk.open)
+                recovery->close(t, tk, trace::RecoveryOutcome::kAborted);
             return;
         }
         if (!revoker_->requestPending() &&
             !revoker_->epochInProgress()) {
             // Counter short, nothing queued, nothing running: the
             // hand-off was dropped in flight. Re-send it.
-            if (recovery_ != nullptr) {
+            if (recovery != nullptr) {
                 if (!tk.open)
-                    tk = recovery_->open(
+                    tk = recovery->open(
                         t, trace::RecoveryProtocol::kQuarantineHandoff);
-                if (recovery_->attempt(t, tk)) {
+                if (recovery->attempt(t, tk)) {
                     ++stats_.handoff_resends;
                     sendEpochRequest(t);
-                    t.sleep(recovery_->backoff(tk));
+                    t.sleep(recovery->backoff(tk));
                     continue;
                 }
                 // Retries exhausted (or the protocol deadline passed):
                 // close the ticket and degrade to a direct request on
                 // the unfaultable path plus a plain wait.
-                recovery_->close(t, tk,
-                                 recovery_->failureOutcome(t.now(), tk));
+                recovery->close(t, tk,
+                                recovery->failureOutcome(t.now(), tk));
                 revoker_->requestEpoch(t);
                 revoker_->waitForEpochCounter(t, target);
                 return;
@@ -174,8 +167,8 @@ QuarantineShim::waitForCounterRecovering(sim::SimThread &t,
         }
         t.sleep(kPoll);
     }
-    if (recovery_ != nullptr && tk.open)
-        recovery_->close(t, tk, trace::RecoveryOutcome::kSucceeded);
+    if (recovery != nullptr && tk.open)
+        recovery->close(t, tk, trace::RecoveryOutcome::kSucceeded);
 }
 
 void
@@ -205,15 +198,14 @@ QuarantineShim::maybeBlock(sim::SimThread &t)
             if (b.awaiting)
                 target = std::min(target, b.target);
         const Cycles wait_begin = t.now();
-        if (tracer_ != nullptr)
-            tracer_->record(t.id(), t.core(), wait_begin,
-                            trace::EventType::kQuarantineBlock, 0,
-                            target);
+        trace::Tracer *tr = t.scheduler().tracer();
+        if (tr != nullptr)
+            tr->record(t.id(), t.core(), wait_begin,
+                       trace::EventType::kQuarantineBlock, 0, target);
         waitForCounterRecovering(t, target);
-        if (tracer_ != nullptr)
-            tracer_->record(t.id(), t.core(), t.now(),
-                            trace::EventType::kQuarantineUnblock, 0,
-                            target);
+        if (tr != nullptr)
+            tr->record(t.id(), t.core(), t.now(),
+                       trace::EventType::kQuarantineUnblock, 0, target);
         stats_.blocked_cycles += t.now() - wait_begin;
         if (t.scheduler().shuttingDown())
             return;
@@ -236,9 +228,8 @@ QuarantineShim::quarantineLocked(sim::SimThread &t, Addr base,
         cur_ ^= 1;
 
     Buffer &b = buffers_[cur_];
-    if (checker_ != nullptr)
-        checker_->onQuarantineAccess(t.id(), t.now(),
-                                     heap_lock_.heldBy(t));
+    if (auto *c = t.scheduler().checker())
+        c->onQuarantineAccess(t.id(), t.now(), heap_lock_.heldBy(t));
     b.entries.push_back(Entry{base, size});
     b.bytes += size;
     quarantine_bytes_ += size;

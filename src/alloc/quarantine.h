@@ -30,14 +30,6 @@
 #include "revoker/recovery.h"
 #include "revoker/revoker.h"
 
-namespace crev::check {
-class RaceChecker;
-}
-
-namespace crev::sim {
-class FaultInjector;
-}
-
 namespace crev::alloc {
 
 /** Quarantine sizing policy (paper §5 defaults, scaled). */
@@ -117,25 +109,6 @@ class QuarantineShim
      *  (used by examples/tests to force determinism at the end). */
     void drain(sim::SimThread &t);
 
-    /** Attach an event tracer (null = off); backpressure waits become
-     *  kQuarantineBlock/kQuarantineUnblock spans. */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-
-    /** Attach the race checker (null = off); names the heap lock and
-     *  observes quarantine-buffer accesses. */
-    void setChecker(check::RaceChecker *c);
-
-    /** Attach the fault injector (null = off): arms the dropped /
-     *  duplicated epoch hand-off domain. */
-    void setFaultInjector(sim::FaultInjector *fi) { injector_ = fi; }
-
-    /** Attach the recovery manager (null = off): lost hand-offs are
-     *  re-sent under kQuarantineHandoff tickets. */
-    void setRecoveryManager(revoker::RecoveryManager *rm)
-    {
-        recovery_ = rm;
-    }
-
   private:
     struct Entry
     {
@@ -185,8 +158,9 @@ class QuarantineShim
     void waitForCounterRecovering(sim::SimThread &t,
                                   std::uint64_t target);
 
-    /** Whether the dropped/duplicated hand-off domain is armed. */
-    bool handoffFaultsArmed() const;
+    /** Whether the scheduler's fault injector arms the dropped /
+     *  duplicated hand-off domain. */
+    bool handoffFaultsArmed(sim::SimThread &t) const;
 
     /** Drain both quarantine buffers; the heap lock must be held. */
     void drainLocked(sim::SimThread &t);
@@ -221,15 +195,11 @@ class QuarantineShim
     revoker::Revoker *revoker_;
     revoker::RevocationBitmap *bitmap_;
     QuarantinePolicy policy_;
-    sim::SimMutex heap_lock_;
+    sim::SimMutex heap_lock_{"heap"};
     Buffer buffers_[2];
     int cur_ = 0; //!< the buffer frees go into
     std::size_t quarantine_bytes_ = 0;
     QuarantineStats stats_;
-    trace::Tracer *tracer_ = nullptr;
-    check::RaceChecker *checker_ = nullptr;
-    sim::FaultInjector *injector_ = nullptr;
-    revoker::RecoveryManager *recovery_ = nullptr;
 };
 
 } // namespace crev::alloc

@@ -59,7 +59,8 @@ RaceChecker::holds(unsigned tid, const void *m) const
     if (threads_.size() <= tid)
         return false;
     const auto &ls = threads_[tid].locks;
-    return std::find(ls.begin(), ls.end(), m) != ls.end();
+    return std::any_of(ls.begin(), ls.end(),
+                       [m](const HeldLock &l) { return l.m == m; });
 }
 
 std::string
@@ -68,11 +69,10 @@ RaceChecker::lockNames(unsigned tid) const
     if (threads_.size() <= tid || threads_[tid].locks.empty())
         return "{}";
     std::string out = "{";
-    for (const void *m : threads_[tid].locks) {
+    for (const HeldLock &l : threads_[tid].locks) {
         if (out.size() > 1)
             out += ",";
-        auto it = lock_names_.find(m);
-        out += it != lock_names_.end() ? it->second : "?";
+        out += l.name;
     }
     return out + "}";
 }
@@ -144,30 +144,26 @@ RaceChecker::onStwEnd(unsigned owner)
 // ---------------------------------------------------------------------
 
 void
-RaceChecker::onMutexAcquire(unsigned tid, const void *m)
+RaceChecker::onMutexAcquire(unsigned tid, const void *m,
+                            const char *name)
 {
     ThreadState &t = thread(tid);
     auto it = mutex_release_.find(m);
     if (it != mutex_release_.end())
         t.vc.join(it->second);
-    t.locks.push_back(m);
+    t.locks.push_back(HeldLock{m, name});
 }
 
 void
 RaceChecker::onMutexRelease(unsigned tid, const void *m)
 {
     ThreadState &t = thread(tid);
-    auto it = std::find(t.locks.rbegin(), t.locks.rend(), m);
+    auto it = std::find_if(t.locks.rbegin(), t.locks.rend(),
+                           [m](const HeldLock &l) { return l.m == m; });
     if (it != t.locks.rend())
         t.locks.erase(std::next(it).base());
     t.vc.tick(tid);
     mutex_release_[m] = t.vc;
-}
-
-void
-RaceChecker::nameLock(const void *m, const char *name)
-{
-    lock_names_[m] = name;
 }
 
 // ---------------------------------------------------------------------

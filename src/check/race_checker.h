@@ -100,10 +100,11 @@ class VectorClock
 };
 
 /**
- * The race detector. One instance per Machine, attached via
- * Scheduler::setChecker() and the components' setChecker() methods;
- * all hooks run on the simulated thread that holds the execution
- * token, so every hook runs on the machine's one host thread.
+ * The race detector. One instance per Machine, fixed in the
+ * scheduler's Attachments at construction and read by every component
+ * through it; all hooks run on the simulated thread that holds the
+ * execution token, so every hook runs on the machine's one host
+ * thread.
  */
 class RaceChecker
 {
@@ -115,10 +116,9 @@ class RaceChecker
     void onStwEnd(unsigned owner);
 
     // --- SimMutex instrumentation ---
-    void onMutexAcquire(unsigned tid, const void *m);
+    /** @p name labels the lock in reports ("pmap", "heap", "?"). */
+    void onMutexAcquire(unsigned tid, const void *m, const char *name);
     void onMutexRelease(unsigned tid, const void *m);
-    /** Give a lock a name for reports ("pmap", "heap"). */
-    void nameLock(const void *m, const char *name);
 
     // --- declared shared-state domains ---
     /** Epoch counter advanced to @p value. */
@@ -169,10 +169,15 @@ class RaceChecker
     std::string reportJson() const;
 
   private:
+    struct HeldLock
+    {
+        const void *m;
+        const char *name;
+    };
     struct ThreadState
     {
         VectorClock vc;
-        std::vector<const void *> locks; //!< lockset, LIFO
+        std::vector<HeldLock> locks; //!< lockset, LIFO
     };
     struct LastPublish
     {
@@ -191,7 +196,6 @@ class RaceChecker
 
     std::vector<ThreadState> threads_;
     std::map<const void *, VectorClock> mutex_release_;
-    std::map<const void *, std::string> lock_names_;
     std::map<Addr, LastPublish> last_publish_;
     std::map<Addr, unsigned> open_rmw_; //!< shadow byte → owner tid
     std::uint64_t epoch_value_ = 0;

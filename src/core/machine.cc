@@ -60,43 +60,20 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 {
     if (const std::string err = cfg.faults.validate(); !err.empty())
         throw std::invalid_argument("invalid FaultPlan: " + err);
+
+    // The five attachments come first: the scheduler fixes them for
+    // the whole run, and every component reads them through it.
     if (cfg.trace)
         tracer_ = std::make_unique<trace::Tracer>(
             cfg.trace_buffer_events);
-    ms_ = std::make_unique<mem::MemorySystem>(cfg.cores, cfg.l1,
-                                              cfg.llc, cfg.latency);
-    sched_ = std::make_unique<sim::Scheduler>(cfg.cores, cfg.costs);
-    sched_->setTracer(tracer_.get());
     if (cfg.check)
         checker_ = std::make_unique<check::RaceChecker>();
-    // Attach before any spawn so every thread gets its HB edges.
-    sched_->setChecker(checker_.get());
-    as_ = std::make_unique<vm::AddressSpace>(pm_);
-    as_->setChecker(checker_.get());
-    mmu_ = std::make_unique<vm::Mmu>(pm_, *ms_, *as_, sched_->costs());
-    mmu_->setTracer(tracer_.get());
-    kernel_ = std::make_unique<kern::Kernel>(*mmu_, sched_->costs());
-    kernel_->epoch().setChecker(checker_.get());
-
-    if (cfg.faults.enabled) {
+    if (cfg.oracle)
+        oracle_ = std::make_unique<check::SafetyOracle>();
+    if (cfg.faults.enabled)
         injector_ = std::make_unique<sim::FaultInjector>(cfg.faults);
-        injector_->setTracer(tracer_.get());
-        if (cfg.faults.mem_spike_period > 0)
-            mmu_->setAccessPenaltyHook([this](sim::SimThread &t) {
-                return injector_->memAccessPenalty(t.now());
-            });
-        // Core stalls are drawn at yield points; the hook only fires
-        // for armed nonzero probabilities, so plans without the domain
-        // replay their exact decision streams.
-        sched_->setStallHook([this](sim::SimThread &t) {
-            return injector_->coreStall(t);
-        });
-        mmu_->setFaultInjector(injector_.get());
-    }
-
     if (cfg.faults.enabled || cfg.watchdog.enabled) {
         recovery_ = std::make_unique<revoker::RecoveryManager>();
-        recovery_->setTracer(tracer_.get());
         // The epoch ladder keeps PR-1 timings: its backoff envelope
         // comes from the watchdog policy, and its retry budget is
         // effectively unbounded (the ladder never gives up — safety
@@ -108,33 +85,32 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         ladder.max_backoff = cfg.watchdog.max_backoff;
         recovery_->setPolicy(trace::RecoveryProtocol::kEpochLadder,
                              ladder);
-        mmu_->setRecoveryManager(recovery_.get());
     }
 
-    if (cfg.oracle) {
-        oracle_ = std::make_unique<check::SafetyOracle>();
-        mmu_->setSafetyOracle(oracle_.get());
-    }
+    ms_ = std::make_unique<mem::MemorySystem>(cfg.cores, cfg.l1,
+                                              cfg.llc, cfg.latency);
+    sched_ = std::make_unique<sim::Scheduler>(
+        cfg.cores, cfg.costs,
+        sim::Attachments{tracer_.get(), checker_.get(), oracle_.get(),
+                         recovery_.get(), injector_.get()});
+    as_ = std::make_unique<vm::AddressSpace>(pm_);
+    mmu_ = std::make_unique<vm::Mmu>(pm_, *ms_, *as_, sched_->costs());
+    kernel_ = std::make_unique<kern::Kernel>(*mmu_, sched_->costs());
 
     if (cfg.strategy == Strategy::kBaseline) {
         snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
         shim_ = std::make_unique<alloc::QuarantineShim>(
             *snm_, *kernel_, nullptr, nullptr, cfg.policy);
-        shim_->setTracer(tracer_.get());
-        shim_->setChecker(checker_.get());
         return;
     }
 
     bitmap_ = std::make_unique<revoker::RevocationBitmap>(*mmu_);
-    bitmap_->setTracer(tracer_.get());
 
     revoker::RevokerOptions opts;
     opts.clean_page_detection = cfg.reloaded_clean_detect;
     opts.always_trap_clean_pages = cfg.always_trap_clean;
     opts.background_sweepers = cfg.background_sweepers;
     opts.audit = cfg.audit;
-    opts.injector = injector_.get();
-    opts.tracer = tracer_.get();
 
     switch (cfg.strategy) {
       case Strategy::kPaintOnly:
@@ -203,16 +179,8 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
         }
     });
 
-    // The oracle is never attached for paint-only: its epochs complete
-    // without revoking, so committing the audit set would flag legal
-    // loads of merely-quarantined objects.
-    if (oracle_ && cfg.strategy != Strategy::kPaintOnly)
-        revoker_->setOracle(oracle_.get());
-
     auditor_ = std::make_unique<revoker::Auditor>(*sched_, *mmu_,
                                                   *kernel_, *revoker_);
-    auditor_->setFaultInjector(injector_.get());
-    auditor_->setRecoveryManager(recovery_.get());
     if (cfg.audit && cfg.strategy != Strategy::kPaintOnly)
         revoker_->setAuditHook([this](sim::SimThread &self) {
             auditor_->check(&self);
@@ -221,10 +189,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     snm_ = std::make_unique<alloc::SnmallocLite>(*kernel_, *mmu_);
     shim_ = std::make_unique<alloc::QuarantineShim>(
         *snm_, *kernel_, revoker_.get(), bitmap_.get(), cfg.policy);
-    shim_->setTracer(tracer_.get());
-    shim_->setChecker(checker_.get());
-    shim_->setFaultInjector(injector_.get());
-    shim_->setRecoveryManager(recovery_.get());
 
     // The revocation service daemon(s).
     sim::SimThread *rev_thread = sched_->spawn(
@@ -255,8 +219,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     if (cfg.watchdog.enabled || cfg.faults.enabled) {
         watchdog_ = std::make_unique<revoker::EpochWatchdog>(
             *sched_, *revoker_, *mmu_, *kernel_, cfg.watchdog);
-        watchdog_->setTracer(tracer_.get());
-        watchdog_->setRecoveryManager(recovery_.get());
         if (cfg.strategy == Strategy::kReloaded) {
             auto *rel = static_cast<revoker::ReloadedRevoker *>(
                 revoker_.get());

@@ -121,6 +121,7 @@ class Machine
     std::unique_ptr<trace::Tracer> tracer_;
     std::unique_ptr<check::RaceChecker> checker_;
     std::unique_ptr<check::SafetyOracle> oracle_;
+    std::unique_ptr<sim::FaultInjector> injector_;
     std::unique_ptr<revoker::RecoveryManager> recovery_;
     mem::PhysMem pm_;
     std::unique_ptr<mem::MemorySystem> ms_;
@@ -129,7 +130,6 @@ class Machine
     std::unique_ptr<vm::Mmu> mmu_;
     std::unique_ptr<kern::Kernel> kernel_;
     std::unique_ptr<revoker::RevocationBitmap> bitmap_;
-    std::unique_ptr<sim::FaultInjector> injector_;
     std::unique_ptr<revoker::Revoker> revoker_;
     std::unique_ptr<revoker::EpochWatchdog> watchdog_;
     std::unique_ptr<revoker::Auditor> auditor_;

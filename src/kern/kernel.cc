@@ -13,8 +13,8 @@ EpochCounter::advance(sim::SimThread &t)
 {
     t.accrue(8);
     ++value_;
-    if (checker_ != nullptr)
-        checker_->onEpochAdvance(t.id(), t.now(), value_);
+    if (auto *c = t.scheduler().checker())
+        c->onEpochAdvance(t.id(), t.now(), value_);
 }
 
 Kernel::Kernel(vm::Mmu &mmu, const sim::CostModel &cm)

@@ -24,10 +24,6 @@
 #include "sim/scheduler.h"
 #include "vm/mmu.h"
 
-namespace crev::check {
-class RaceChecker;
-}
-
 namespace crev::kern {
 
 /**
@@ -52,9 +48,6 @@ class EpochCounter
     /** Advance (revoker only). */
     void advance(sim::SimThread &t);
 
-    /** Attach the race checker (null = off); observes advances. */
-    void setChecker(check::RaceChecker *c) { checker_ = c; }
-
     /**
      * The counter value a painter must wait for so that at least one
      * revocation both begins and ends after its paints: +2 if idle
@@ -68,7 +61,6 @@ class EpochCounter
 
   private:
     std::uint64_t value_ = 0;
-    check::RaceChecker *checker_ = nullptr;
 };
 
 /**

@@ -87,7 +87,8 @@ Auditor::groundTruthPainted(Addr granule)
     // non-resident shadow page means the kernel never painted anything
     // there: the true bit is clear.
     std::uint8_t byte = 0;
-    if (!mmu_.peekByte(vm::kShadowBase + (granule >> 3), &byte))
+    if (!mmu_.peekByte(vm::ObserverKey{}, vm::kShadowBase + (granule >> 3),
+                       &byte))
         return false;
     return ((byte >> (granule & 7)) & 1) != 0;
 }
@@ -106,14 +107,16 @@ Auditor::repairSummaries(sim::SimThread *self)
     // the simulated shadow bytes — the ground truth the mirror
     // shadows — so a single round normally suffices; the bounded loop
     // guards the guard.
+    // With a recovery manager attached, the rebuild is a
+    // kSummaryRepair ticket.
+    RecoveryManager *recovery = sched_.recovery();
     RecoveryManager::Ticket tk;
-    const bool managed = recovery_ != nullptr && self != nullptr;
+    const bool managed = recovery != nullptr && self != nullptr;
     if (managed)
-        tk = recovery_->open(*self,
-                             RecoveryProtocol::kSummaryRepair);
+        tk = recovery->open(*self, RecoveryProtocol::kSummaryRepair);
     bool repaired = false;
     for (;;) {
-        if (managed && !recovery_->attempt(*self, tk))
+        if (managed && !recovery->attempt(*self, tk))
             break;
         for (std::size_t b : bad)
             painted.rebuildBlock(
@@ -128,11 +131,10 @@ Auditor::repairSummaries(sim::SimThread *self)
             break;
     }
     if (managed)
-        recovery_->close(*self, tk,
-                         repaired
-                             ? RecoveryOutcome::kSucceeded
-                             : recovery_->failureOutcome(self->now(),
-                                                         tk));
+        recovery->close(*self, tk,
+                        repaired ? RecoveryOutcome::kSucceeded
+                                 : recovery->failureOutcome(self->now(),
+                                                            tk));
     if (!repaired)
         panic("painted-set summary corruption unrepairable "
               "(%zu blocks still inconsistent)",
@@ -142,9 +144,12 @@ Auditor::repairSummaries(sim::SimThread *self)
 void
 Auditor::check(sim::SimThread *self)
 {
-    if (self != nullptr && injector_ != nullptr) {
+    // With a fault injector attached, the corrupted summary-word
+    // domain is armed at audit entry.
+    sim::FaultInjector *injector = sched_.injector();
+    if (self != nullptr && injector != nullptr) {
         std::uint64_t entropy = 0;
-        if (injector_->corruptSummaryWord(*self, &entropy)) {
+        if (injector->corruptSummaryWord(*self, &entropy)) {
             Addr granule = 0;
             revoker_.bitmap().mutableSummaryForRepair().corruptBit(
                 entropy, &granule);

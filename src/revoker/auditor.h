@@ -23,10 +23,6 @@
 #include "sim/scheduler.h"
 #include "vm/mmu.h"
 
-namespace crev::sim {
-class FaultInjector;
-} // namespace crev::sim
-
 namespace crev::revoker {
 
 /** Off-clock invariant auditor. */
@@ -61,14 +57,6 @@ class Auditor
     /** Summary corruptions detected (and repaired) so far. */
     std::uint64_t summaryRepairs() const { return summary_repairs_; }
 
-    /** Attach the fault injector (null = off): arms the corrupted
-     *  summary-word domain at audit entry. */
-    void setFaultInjector(sim::FaultInjector *fi) { injector_ = fi; }
-
-    /** Attach the recovery manager (null = off): summary rebuilds
-     *  become kSummaryRepair tickets. */
-    void setRecoveryManager(RecoveryManager *rm) { recovery_ = rm; }
-
   private:
     void checkCap(const cap::Capability &c, const std::string &where,
                   std::vector<std::string> &out);
@@ -88,8 +76,6 @@ class Auditor
     vm::Mmu &mmu_;
     kern::Kernel &kernel_;
     Revoker &revoker_;
-    sim::FaultInjector *injector_ = nullptr;
-    RecoveryManager *recovery_ = nullptr;
     std::uint64_t audits_ = 0;
     std::uint64_t summary_repairs_ = 0;
 };

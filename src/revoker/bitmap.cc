@@ -104,17 +104,16 @@ RevocationBitmap::setRange(sim::SimThread &t, Addr base, Addr len,
 void
 RevocationBitmap::paint(sim::SimThread &t, Addr base, Addr len)
 {
-    if (tracer_ != nullptr)
-        tracer_->record(t.id(), t.core(), t.now(),
-                        trace::EventType::kPhaseBegin,
-                        static_cast<std::uint8_t>(trace::Phase::kPaint),
-                        base);
+    // Paints become kPaint phase brackets on the painting thread.
+    trace::Tracer *tr = t.scheduler().tracer();
+    if (tr != nullptr)
+        tr->record(t.id(), t.core(), t.now(),
+                   trace::EventType::kPhaseBegin,
+                   static_cast<std::uint8_t>(trace::Phase::kPaint), base);
     setRange(t, base, len, true);
-    if (tracer_ != nullptr)
-        tracer_->record(t.id(), t.core(), t.now(),
-                        trace::EventType::kPhaseEnd,
-                        static_cast<std::uint8_t>(trace::Phase::kPaint),
-                        base);
+    if (tr != nullptr)
+        tr->record(t.id(), t.core(), t.now(), trace::EventType::kPhaseEnd,
+                   static_cast<std::uint8_t>(trace::Phase::kPaint), base);
 }
 
 void
@@ -138,12 +137,6 @@ RevocationBitmap::probe(sim::SimThread &t, Addr addr)
     // keep compiled into the hot path.
     CREV_ASSERT(bit == painted_.test(addr));
     return bit;
-}
-
-bool
-RevocationBitmap::probeQuiet(Addr addr) const
-{
-    return painted_.test(addr);
 }
 
 } // namespace crev::revoker

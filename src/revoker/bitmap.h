@@ -12,8 +12,8 @@
  * A host-side mirror of the painted set is maintained in parallel;
  * it backs the off-clock Auditor and a self-check that the simulated
  * bits never diverge from the mirror. The mirror is a two-level
- * ShadowSummary, so the self-check and probeQuiet are O(1) word tests
- * rather than hash lookups.
+ * ShadowSummary, so the self-check is an O(1) word test rather than a
+ * hash lookup.
  */
 
 #ifndef CREV_REVOKER_BITMAP_H_
@@ -46,9 +46,6 @@ class RevocationBitmap
     /** Probe the bit for @p addr, charging a (usually cached) load. */
     bool probe(sim::SimThread &t, Addr addr);
 
-    /** Uncharged probe for assertions and the auditor. */
-    bool probeQuiet(Addr addr) const;
-
     /** Host-side two-level mirror of the painted granule set. */
     const ShadowSummary &painted() const { return painted_; }
 
@@ -61,10 +58,6 @@ class RevocationBitmap
     ShadowSummary &mutableSummaryForRepair() { return painted_; }
 
     std::uint64_t paintedGranules() const { return painted_.count(); }
-
-    /** Attach an event tracer (null = off); paints become kPaint
-     *  phase brackets on the painting thread. */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
 
     /**
      * Test-only: deliberately tear the partial-byte read-modify-write
@@ -79,7 +72,6 @@ class RevocationBitmap
 
     vm::Mmu &mmu_;
     ShadowSummary painted_;
-    trace::Tracer *tracer_ = nullptr;
     bool torn_rmw_for_test_ = false;
 };
 

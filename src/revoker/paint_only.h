@@ -21,6 +21,9 @@ class PaintOnlyRevoker : public Revoker
 
     const char *name() const override { return "paint+sync"; }
 
+    /** Nothing is revoked, so nothing is committed to the oracle. */
+    bool commitsToOracle() const override { return false; }
+
   protected:
     void
     doEpoch(sim::SimThread &self) override

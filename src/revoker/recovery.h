@@ -113,10 +113,6 @@ class RecoveryManager
         return policies_[index(p)];
     }
 
-    /** Attach an event tracer (null = off); attempts/outcomes become
-     *  kRecoveryAttempt/kRecoveryOutcome instants. */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-
     // Ticket operations are header-inline so the vm layer (a client
     // via Mmu's shootdown re-send) needs no crev_revoker symbols — the
     // static-library dependency stays acyclic.
@@ -149,11 +145,10 @@ class RecoveryManager
             return false;
         ++tk.attempts;
         ++stats_[index(tk.proto)].attempts;
-        if (tracer_ != nullptr)
-            tracer_->record(t.id(), t.core(), t.now(),
-                            trace::EventType::kRecoveryAttempt,
-                            static_cast<std::uint8_t>(tk.proto),
-                            tk.attempts);
+        if (trace::Tracer *tr = t.scheduler().tracer())
+            tr->record(t.id(), t.core(), t.now(),
+                       trace::EventType::kRecoveryAttempt,
+                       static_cast<std::uint8_t>(tk.proto), tk.attempts);
         return true;
     }
 
@@ -223,11 +218,11 @@ class RecoveryManager
         if (latency > st.max_latency)
             st.max_latency = latency;
         latencies_[index(tk.proto)].add(static_cast<double>(latency));
-        if (tracer_ != nullptr)
-            tracer_->record(t.id(), t.core(), t.now(),
-                            trace::EventType::kRecoveryOutcome,
-                            static_cast<std::uint8_t>(tk.proto),
-                            static_cast<std::uint64_t>(outcome));
+        if (trace::Tracer *tr = t.scheduler().tracer())
+            tr->record(t.id(), t.core(), t.now(),
+                       trace::EventType::kRecoveryOutcome,
+                       static_cast<std::uint8_t>(tk.proto),
+                       static_cast<std::uint64_t>(outcome));
     }
 
     const RecoveryProtocolStats &
@@ -252,7 +247,6 @@ class RecoveryManager
     std::array<RecoveryProtocolStats, trace::kNumRecoveryProtocols>
         stats_;
     std::array<stats::Samples, trace::kNumRecoveryProtocols> latencies_;
-    trace::Tracer *tracer_ = nullptr;
 };
 
 } // namespace crev::revoker

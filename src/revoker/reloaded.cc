@@ -31,8 +31,8 @@ ReloadedRevoker::handleLoadFault(sim::SimThread &t, Addr fault_va)
     // Stale-TLB style duplicate: the same trap is delivered twice; the
     // second delivery finds the page healed and exits early, costing
     // only handler time. Accounting must stay balanced.
-    if (opts_.injector != nullptr &&
-        opts_.injector->duplicateFaultDelivery(t))
+    if (sim::FaultInjector *inj = sched_.injector();
+        inj != nullptr && inj->duplicateFaultDelivery(t))
         deliverLoadFault(t, fault_va, /*primary=*/false);
 }
 
@@ -45,8 +45,9 @@ ReloadedRevoker::deliverLoadFault(sim::SimThread &t, Addr fault_va,
     // untouched), but the epoch never learns the fault retired —
     // faults_in_flight_ leaks and the epoch wedges until the watchdog
     // steps in.
-    const bool lost = primary && opts_.injector != nullptr &&
-                      opts_.injector->dropFaultDelivery(t);
+    sim::FaultInjector *inj = sched_.injector();
+    const bool lost =
+        primary && inj != nullptr && inj->dropFaultDelivery(t);
 
     const Cycles t0 = t.now();
     tracePhaseBegin(t, trace::Phase::kLoadFaultSweep);
@@ -151,7 +152,7 @@ ReloadedRevoker::visitPage(sim::SimThread &t, Addr va)
 void
 ReloadedRevoker::helperBody(sim::SimThread &self)
 {
-    sim::FaultInjector *inj = opts_.injector;
+    sim::FaultInjector *inj = sched_.injector();
     for (;;) {
         while (!epoch_active_) {
             if (sched_.shuttingDown())
@@ -218,7 +219,7 @@ void
 ReloadedRevoker::doEpoch(sim::SimThread &self)
 {
     kern::EpochCounter &epoch = kernel_.epoch();
-    sim::FaultInjector *inj = opts_.injector;
+    sim::FaultInjector *inj = sched_.injector();
 
     epoch.advance(self); // odd
     snapshotAuditSet();

@@ -39,19 +39,19 @@ Revoker::waitForEpochCounter(sim::SimThread &caller,
 void
 Revoker::tracePhaseBegin(sim::SimThread &self, trace::Phase phase)
 {
-    if (opts_.tracer != nullptr)
-        opts_.tracer->record(self.id(), self.core(), self.now(),
-                             trace::EventType::kPhaseBegin,
-                             static_cast<std::uint8_t>(phase));
+    if (trace::Tracer *tr = sched_.tracer())
+        tr->record(self.id(), self.core(), self.now(),
+                   trace::EventType::kPhaseBegin,
+                   static_cast<std::uint8_t>(phase));
 }
 
 void
 Revoker::tracePhaseEnd(sim::SimThread &self, trace::Phase phase)
 {
-    if (opts_.tracer != nullptr)
-        opts_.tracer->record(self.id(), self.core(), self.now(),
-                             trace::EventType::kPhaseEnd,
-                             static_cast<std::uint8_t>(phase));
+    if (trace::Tracer *tr = sched_.tracer())
+        tr->record(self.id(), self.core(), self.now(),
+                   trace::EventType::kPhaseEnd,
+                   static_cast<std::uint8_t>(phase));
 }
 
 void
@@ -73,23 +73,29 @@ Revoker::snapshotAuditSet()
     audit_set_ = bitmap_.painted();
 }
 
+check::SafetyOracle *
+Revoker::oracle() const
+{
+    return commitsToOracle() ? sched_.oracle() : nullptr;
+}
+
 void
 Revoker::onDequarantine(Addr base, Addr len)
 {
     audit_set_.clearRange(base, len);
-    if (oracle_ != nullptr)
-        oracle_->clearRange(base, len);
+    if (check::SafetyOracle *o = oracle())
+        o->clearRange(base, len);
 }
 
 void
 Revoker::commitOracle(sim::SimThread &self)
 {
-    if (oracle_ == nullptr)
+    check::SafetyOracle *o = oracle();
+    if (o == nullptr)
         return;
     (void)self;
-    oracle_->commitEpoch(kernel_.epoch().value());
-    audit_set_.forEachSet(
-        [this](Addr g) { oracle_->commitGranule(g); });
+    o->commitEpoch(kernel_.epoch().value());
+    audit_set_.forEachSet([o](Addr g) { o->commitGranule(g); });
 }
 
 std::vector<Addr>
@@ -143,10 +149,10 @@ Revoker::reapDeadSweepers(sim::SimThread &)
 Cycles
 Revoker::stwBegin(sim::SimThread &self)
 {
-    if (opts_.injector != nullptr) {
+    if (sim::FaultInjector *inj = sched_.injector()) {
         // A lost-then-retried IPI: the initiating thread burns cycles
         // before the world actually stops.
-        const Cycles delay = opts_.injector->stwEntryDelay(self);
+        const Cycles delay = inj->stwEntryDelay(self);
         if (delay > 0)
             self.accrue(delay);
     }

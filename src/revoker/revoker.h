@@ -42,10 +42,6 @@ namespace crev::check {
 class SafetyOracle;
 } // namespace crev::check
 
-namespace crev::sim {
-class FaultInjector;
-} // namespace crev::sim
-
 namespace crev::revoker {
 
 /** How (and whether) an epoch needed recovery to complete. */
@@ -84,10 +80,6 @@ struct RevokerOptions
     unsigned background_sweepers = 1;
     /** Run the whole-machine invariant audit after each epoch. */
     bool audit = false;
-    /** Fault injector for chaos campaigns (null: no injection). */
-    sim::FaultInjector *injector = nullptr;
-    /** Event tracer (null: tracing off; zero simulated cost). */
-    trace::Tracer *tracer = nullptr;
 };
 
 /**
@@ -144,12 +136,14 @@ class Revoker
     void setAuditHook(AuditHook h) { audit_hook_ = std::move(h); }
 
     /**
-     * Attach the temporal-safety oracle (null = off). At every epoch
-     * completion the audit set's granules are committed as revoked;
-     * dequarantine clears them. Never attached for paint-only, whose
-     * epochs complete without revoking anything.
+     * Whether completed epochs commit to the scheduler's safety oracle
+     * (when one is attached): the audit set's granules become revoked
+     * at every epoch completion and dequarantine clears them.
+     * Paint-only overrides this to false: its epochs complete without
+     * revoking anything, so committing them would flag legal loads of
+     * merely-quarantined objects (DESIGN.md §13.3).
      */
-    void setOracle(check::SafetyOracle *o) { oracle_ = o; }
+    virtual bool commitsToOracle() const { return true; }
 
     // --- recovery protocol (EpochWatchdog side) ---
     //
@@ -238,6 +232,10 @@ class Revoker
      */
     void commitOracle(sim::SimThread &self);
 
+    /** The oracle this revoker commits to; null when none is attached
+     *  or the strategy does not commit (commitsToOracle()). */
+    check::SafetyOracle *oracle() const;
+
     /**
      * Collect the strategy's sweep candidates: the resident pages
      * whose PTE satisfies @p want, in ascending VA order (one walk of
@@ -284,7 +282,6 @@ class Revoker
     std::uint64_t epochs_ = 0;
     ShadowSummary audit_set_;
     AuditHook audit_hook_;
-    check::SafetyOracle *oracle_ = nullptr;
 
     // Recovery-protocol state (see class comment).
     bool epoch_in_progress_ = false;

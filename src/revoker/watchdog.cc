@@ -32,10 +32,10 @@ EpochWatchdog::backoffDelay(unsigned attempt) const
 void
 EpochWatchdog::traceEscalation(sim::SimThread &self, unsigned rung)
 {
-    if (tracer_ != nullptr)
-        tracer_->record(self.id(), self.core(), self.now(),
-                        trace::EventType::kWatchdogEscalate,
-                        static_cast<std::uint8_t>(rung));
+    if (trace::Tracer *tr = sched_.tracer())
+        tr->record(self.id(), self.core(), self.now(),
+                   trace::EventType::kWatchdogEscalate,
+                   static_cast<std::uint8_t>(rung));
 }
 
 void
@@ -63,10 +63,15 @@ EpochWatchdog::daemonBody(sim::SimThread &self)
 {
     std::uint64_t watched_seq = 0;
     unsigned attempt = 0;
+    // With a recovery manager attached, each overdue epoch becomes a
+    // kEpochLadder ticket whose attempts mirror the escalation rounds.
+    // Purely observational: the ladder's timings and rung order are
+    // the same without one.
+    RecoveryManager *recovery = sched_.recovery();
     RecoveryManager::Ticket ladder;
     const auto closeLadder = [&](trace::RecoveryOutcome o) {
-        if (recovery_ != nullptr && ladder.open)
-            recovery_->close(self, ladder, o);
+        if (recovery != nullptr && ladder.open)
+            recovery->close(self, ladder, o);
     };
 
     for (;;) {
@@ -107,12 +112,12 @@ EpochWatchdog::daemonBody(sim::SimThread &self)
         // is one attempt on the epoch's kEpochLadder ticket.
         if (attempt == 0) {
             ++stats_.deadline_misses;
-            if (recovery_ != nullptr && !ladder.open)
-                ladder = recovery_->open(
+            if (recovery != nullptr && !ladder.open)
+                ladder = recovery->open(
                     self, trace::RecoveryProtocol::kEpochLadder);
         }
-        if (recovery_ != nullptr)
-            (void)recovery_->attempt(self, ladder);
+        if (recovery != nullptr)
+            (void)recovery->attempt(self, ladder);
         stats_.stalled_threads +=
             sched_.stalledThreads(self.now(), deadline()).size();
         if (attempt < policy_.max_nudges) {

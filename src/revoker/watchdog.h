@@ -116,18 +116,6 @@ class EpochWatchdog
     const RecoveryStats &stats() const { return stats_; }
     const WatchdogPolicy &policy() const { return policy_; }
 
-    /** Attach an event tracer (null = off); escalations become
-     *  kWatchdogEscalate instants (arg8 = rung 1..4). */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-
-    /**
-     * Attach the recovery manager (null = off): each overdue epoch
-     * becomes a kEpochLadder ticket whose attempts mirror the ladder's
-     * escalation rounds. Purely observational — the ladder's own
-     * timings and rung order are unchanged.
-     */
-    void setRecoveryManager(RecoveryManager *rm) { recovery_ = rm; }
-
   private:
     /** Deadline for the epoch in progress, from pages left to sweep. */
     Cycles deadline() const;
@@ -139,7 +127,8 @@ class EpochWatchdog
     /** Rung 1: reap/respawn dead sweepers and re-notify events. */
     void nudgeRound(sim::SimThread &self);
 
-    /** Record one escalation rung in the trace. */
+    /** Record one escalation rung in the trace as a
+     *  kWatchdogEscalate instant (arg8 = rung 1..4). */
     void traceEscalation(sim::SimThread &self, unsigned rung);
 
     sim::Scheduler &sched_;
@@ -149,8 +138,6 @@ class EpochWatchdog
     WatchdogPolicy policy_;
     RespawnFn respawn_;
     RecoveryStats stats_;
-    trace::Tracer *tracer_ = nullptr;
-    RecoveryManager *recovery_ = nullptr;
 };
 
 } // namespace crev::revoker

@@ -72,14 +72,13 @@ FaultInjector::roll(SimThread &t, double prob)
     return rng_.chance(prob);
 }
 
-
 void
 FaultInjector::fire(SimThread &t, trace::FaultAction action)
 {
-    if (tracer_ != nullptr)
-        tracer_->record(t.id(), t.core(), t.now(),
-                        trace::EventType::kFaultInject,
-                        static_cast<std::uint8_t>(action));
+    if (trace::Tracer *tr = t.scheduler().tracer())
+        tr->record(t.id(), t.core(), t.now(),
+                   trace::EventType::kFaultInject,
+                   static_cast<std::uint8_t>(action));
 }
 
 Cycles

@@ -210,10 +210,6 @@ class FaultInjector
     const FaultPlan &plan() const { return plan_; }
     const FaultCounters &counters() const { return counters_; }
 
-    /** Attach an event tracer (null = off); fired faults become
-     *  kFaultInject instants. */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-
   private:
     bool
     inWindow(Cycles now) const
@@ -224,13 +220,13 @@ class FaultInjector
 
     /** Bernoulli draw, consuming RNG only for armed nonzero faults. */
     bool roll(SimThread &t, double prob);
-    /** Record a fired fault in the trace (zero simulated cost). */
+    /** Record a fired fault as a kFaultInject instant in the trace
+     *  (zero simulated cost). */
     void fire(SimThread &t, trace::FaultAction action);
 
     FaultPlan plan_;
     Rng rng_;
     FaultCounters counters_;
-    trace::Tracer *tracer_ = nullptr;
 };
 
 } // namespace crev::sim

@@ -5,6 +5,7 @@
 
 #include "base/logging.h"
 #include "check/race_checker.h"
+#include "sim/fault_injector.h"
 #include "trace/trace.h"
 
 // Sanitizer fiber annotations (DESIGN.md §14.2); no-ops otherwise.
@@ -87,10 +88,13 @@ SimThread::reg(unsigned i) const
 void
 SimThread::yieldSlow()
 {
-    if (sched_.stall_hook_) {
-        // A stuck/slow core: the blackout is charged before the yield
-        // so the whole stall is one opaque interval on this thread.
-        const Cycles stall = sched_.stall_hook_(*this);
+    if (FaultInjector *fi = sched_.injector()) {
+        // A stuck/slow core: the blackout is charged before the yield,
+        // with no yield of its own, so the whole stall is one opaque
+        // interval on this thread, as a firmware excursion would be.
+        // coreStall() draws only for an armed nonzero probability, so
+        // plans without the domain replay their exact decision streams.
+        const Cycles stall = fi->coreStall(*this);
         if (stall > 0) {
             clock_ += stall;
             busy_ += stall;
@@ -128,9 +132,8 @@ SimThread::fiberMain()
         warn("thread %s terminated by: %s", name_.c_str(), e.what());
     }
     status_ = ThreadStatus::kDone;
-    if (sched_.tracer_ != nullptr)
-        sched_.tracer_->record(id_, core_, clock_,
-                               trace::EventType::kThreadPark);
+    if (trace::Tracer *tr = sched_.tracer())
+        tr->record(id_, core_, clock_, trace::EventType::kThreadPark);
     sched_.core_free_at_[core_] = clock_;
     sched_.current_ = nullptr;
     // Return control to the run() driver, which picks the successor.
@@ -142,9 +145,10 @@ SimThread::fiberMain()
 // Scheduler
 // ---------------------------------------------------------------------
 
-Scheduler::Scheduler(unsigned num_cores, const CostModel &cm)
-    : num_cores_(num_cores), cm_(cm), core_free_at_(num_cores, 0),
-      core_last_thread_(num_cores, nullptr)
+Scheduler::Scheduler(unsigned num_cores, const CostModel &cm,
+                     const Attachments &attached)
+    : num_cores_(num_cores), cm_(cm), att_(attached),
+      core_free_at_(num_cores, 0), core_last_thread_(num_cores, nullptr)
 {
     CREV_ASSERT(num_cores > 0 && num_cores <= 32);
     CREV_ASSERT(cm_.quantum > 0);
@@ -214,8 +218,8 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
     SimThread *t = threads_.back().get();
     if (current_ != nullptr)
         t->clock_ = current_->clock_;
-    if (checker_ != nullptr)
-        checker_->onThreadSpawn(
+    if (att_.checker != nullptr)
+        att_.checker->onThreadSpawn(
             current_ != nullptr ? static_cast<int>(current_->id_) : -1,
             id);
     t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
@@ -391,9 +395,9 @@ Scheduler::grant(SimThread *t)
     }
     core_last_thread_[c] = t;
     t->status_ = ThreadStatus::kRunning;
-    if (tracer_ != nullptr)
-        tracer_->record(t->id_, c, t->clock_,
-                        trace::EventType::kThreadRun);
+    if (att_.tracer != nullptr)
+        att_.tracer->record(t->id_, c, t->clock_,
+                            trace::EventType::kThreadRun);
     updateYieldHorizon(*t);
     current_ = t;
 }
@@ -404,11 +408,11 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
     self.status_ = new_status;
     ++self.heartbeats_;
     self.last_beat_at_ = self.clock_;
-    if (tracer_ != nullptr)
-        tracer_->record(self.id_, self.core_, self.clock_,
-                        new_status == ThreadStatus::kReady
-                            ? trace::EventType::kThreadPreempt
-                            : trace::EventType::kThreadPark);
+    if (att_.tracer != nullptr)
+        att_.tracer->record(self.id_, self.core_, self.clock_,
+                            new_status == ThreadStatus::kReady
+                                ? trace::EventType::kThreadPreempt
+                                : trace::EventType::kThreadPark);
     core_free_at_[self.core_] = self.clock_;
 
     // Direct switch: pick the successor here instead of bouncing
@@ -440,8 +444,8 @@ void
 Scheduler::applyWake(SimThread &t, Cycles at)
 {
     // t is kBlocked.
-    if (checker_ != nullptr && current_ != nullptr)
-        checker_->onWake(current_->id_, t.id_);
+    if (att_.checker != nullptr && current_ != nullptr)
+        att_.checker->onWake(current_->id_, t.id_);
     t.status_ = ThreadStatus::kReady;
     t.clock_ = std::max({t.clock_, at, last_stw_end_ <= at ? Cycles{0}
                                                            : last_stw_end_});
@@ -484,11 +488,11 @@ Scheduler::stopTheWorld(SimThread &self)
     self.busy_ += begin - self.clock_;
     self.clock_ = begin;
     last_stw_begin_ = begin;
-    if (tracer_ != nullptr)
-        tracer_->record(self.id_, self.core_, begin,
-                        trace::EventType::kStwBegin);
-    if (checker_ != nullptr)
-        checker_->onStwBegin(self.id_);
+    if (att_.tracer != nullptr)
+        att_.tracer->record(self.id_, self.core_, begin,
+                            trace::EventType::kStwBegin);
+    if (att_.checker != nullptr)
+        att_.checker->onStwBegin(self.id_);
     self.yield_horizon_ = kInfinity;
     return begin;
 }
@@ -499,11 +503,11 @@ Scheduler::resumeWorld(SimThread &self)
     CREV_ASSERT(stw_active_ && stw_owner_ == &self);
     const Cycles end = self.clock_;
     last_stw_end_ = end;
-    if (tracer_ != nullptr)
-        tracer_->record(self.id_, self.core_, end,
-                        trace::EventType::kStwEnd);
-    if (checker_ != nullptr)
-        checker_->onStwEnd(self.id_);
+    if (att_.tracer != nullptr)
+        att_.tracer->record(self.id_, self.core_, end,
+                            trace::EventType::kStwEnd);
+    if (att_.checker != nullptr)
+        att_.checker->onStwEnd(self.id_);
     stw_active_ = false;
     stw_owner_ = nullptr;
     for (auto &tp : threads_)

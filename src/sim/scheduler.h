@@ -48,11 +48,33 @@ class Tracer;
 
 namespace crev::check {
 class RaceChecker;
+class SafetyOracle;
+}
+
+namespace crev::revoker {
+class RecoveryManager;
 }
 
 namespace crev::sim {
 
+class FaultInjector;
 class Scheduler;
+
+/**
+ * The machine's attachments, each null when off: the three off-clock
+ * observers (tracer, race checker, safety oracle) and the two chaos
+ * components (recovery manager, fault injector). They are fixed when
+ * the scheduler is constructed; every component reads them through
+ * the SimThread or Scheduler it already holds (DESIGN.md §10.2).
+ */
+struct Attachments
+{
+    trace::Tracer *tracer = nullptr;
+    check::RaceChecker *checker = nullptr;
+    check::SafetyOracle *oracle = nullptr;
+    revoker::RecoveryManager *recovery = nullptr;
+    FaultInjector *injector = nullptr;
+};
 
 namespace detail {
 /** makecontext entry thunk (internal). */
@@ -196,7 +218,8 @@ class SimThread
 class Scheduler
 {
   public:
-    Scheduler(unsigned num_cores, const CostModel &cm);
+    Scheduler(unsigned num_cores, const CostModel &cm,
+              const Attachments &attached = {});
     ~Scheduler();
 
     Scheduler(const Scheduler &) = delete;
@@ -270,31 +293,20 @@ class Scheduler
     void setQuantumScale(SimThread &t, double scale);
 
     /**
-     * Attach an event tracer (null = off). record() charges zero
-     * simulated cycles, so attaching one cannot perturb a run.
+     * The attachments (null = off). The tracer, race checker and
+     * oracle are off-clock observers: no simulated cycles, no yields,
+     * so attaching one cannot perturb a run (DESIGN.md §10, §11).
      */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-    trace::Tracer *tracer() const { return tracer_; }
-
-    /**
-     * Attach the race checker (null = off). Like the tracer, every
-     * hook is an off-clock observer: no simulated cycles, no yields,
-     * so attaching one cannot perturb a run (DESIGN.md §11).
-     */
-    void setChecker(check::RaceChecker *c) { checker_ = c; }
-    check::RaceChecker *checker() const { return checker_; }
+    trace::Tracer *tracer() const { return att_.tracer; }
+    check::RaceChecker *checker() const { return att_.checker; }
+    check::SafetyOracle *oracle() const { return att_.oracle; }
+    revoker::RecoveryManager *recovery() const { return att_.recovery; }
+    /** With an injector attached, a thread's core may freeze for
+     *  FaultInjector::coreStall() cycles at each yield point. */
+    FaultInjector *injector() const { return att_.injector; }
 
     /** Whether @p t currently owns an active stop-the-world window. */
     bool stwOwnedBy(const SimThread &t) const;
-
-    /**
-     * Extra cycles a thread's core freezes for at a yield point (the
-     * fault injector's stuck/slow-core domain). Charged with no yield,
-     * so the stall is one opaque blackout, as a firmware excursion
-     * would be. Null = off; returning 0 = no stall.
-     */
-    using StallHook = std::function<Cycles(SimThread &)>;
-    void setStallHook(StallHook h) { stall_hook_ = std::move(h); }
 
     /**
      * Stall detector: ids of threads that are not done but have not
@@ -336,9 +348,7 @@ class Scheduler
     std::size_t driver_stack_size_ = 0;
     void *tsan_driver_ = nullptr;
 
-    trace::Tracer *tracer_ = nullptr;
-    check::RaceChecker *checker_ = nullptr;
-    StallHook stall_hook_;
+    const Attachments att_;
 
     std::vector<std::unique_ptr<SimThread>> threads_;
     SimThread *current_ = nullptr;

@@ -22,7 +22,7 @@ SimMutex::lock(SimThread &self)
     }
     owner_ = &self;
     if (auto *c = self.scheduler().checker())
-        c->onMutexAcquire(self.id(), this);
+        c->onMutexAcquire(self.id(), this, name_);
 }
 
 bool
@@ -32,7 +32,7 @@ SimMutex::tryLock(SimThread &self)
         return false;
     owner_ = &self;
     if (auto *c = self.scheduler().checker())
-        c->onMutexAcquire(self.id(), this);
+        c->onMutexAcquire(self.id(), this, name_);
     return true;
 }
 

@@ -27,6 +27,11 @@ namespace crev::sim {
 class SimMutex
 {
   public:
+    /** @p name labels the lock in race-checker reports. */
+    explicit SimMutex(const char *name = "?") : name_(name) {}
+
+    const char *name() const { return name_; }
+
     /** Acquire; blocks the calling thread while contended. */
     void lock(SimThread &self);
 
@@ -49,6 +54,7 @@ class SimMutex
     std::uint64_t contended() const { return contended_; }
 
   private:
+    const char *name_;
     SimThread *owner_ = nullptr;
     std::vector<SimThread *> waiters_;
     std::uint64_t contended_ = 0;

@@ -109,11 +109,11 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
     CREV_ASSERT(base + length <= r->base + r->requested);
     CREV_ASSERT(r->state == ReservationState::kActive);
 
-    if (checker_ != nullptr) {
+    if (auto *c = t.scheduler().checker()) {
         const bool locked = pmap_lock_.heldBy(t) ||
                             t.scheduler().stwOwnedBy(t);
         for (Addr va = base; va < base + length; va += kPageSize)
-            checker_->onPteTeardown(t.id(), t.now(), va, locked);
+            c->onPteTeardown(t.id(), t.now(), va, locked);
     }
 
     for (Addr va = base; va < base + length; va += kPageSize) {
@@ -146,9 +146,9 @@ AddressSpace::takeNewlyQuarantined(sim::SimThread &t)
     std::vector<Reservation *> out;
     // The hand-off is only legal outside a revocation epoch (the
     // munmap quiesce barrier); the checker enforces the parity.
-    if (checker_ != nullptr)
-        checker_->onMappingHandoff(t.id(), t.now(),
-                                   t.scheduler().shuttingDown());
+    if (auto *c = t.scheduler().checker())
+        c->onMappingHandoff(t.id(), t.now(),
+                            t.scheduler().shuttingDown());
     newly_quarantined_.swap(out);
     return out;
 }
@@ -158,12 +158,12 @@ AddressSpace::release(sim::SimThread &t, Reservation *r)
 {
     CREV_ASSERT(r->state == ReservationState::kQuarantined);
     r->state = ReservationState::kFreed;
-    if (checker_ != nullptr) {
+    if (auto *c = t.scheduler().checker()) {
         const bool locked = pmap_lock_.heldBy(t) ||
                             t.scheduler().stwOwnedBy(t);
         for (Addr va = r->base; va < r->base + r->length;
              va += kPageSize)
-            checker_->onPteTeardown(t.id(), t.now(), va, locked);
+            c->onPteTeardown(t.id(), t.now(), va, locked);
     }
     // Reset in place, so a Pte pointer held across a yield reads an
     // invalid entry rather than dangling. The guard bits stay.
@@ -262,8 +262,8 @@ AddressSpace::notePtePublish(sim::SimThread &t, Addr va, PteContext ctx)
 {
     const bool ok =
         pmap_lock_.heldBy(t) || t.scheduler().stwOwnedBy(t);
-    if (checker_ != nullptr) {
-        checker_->onPtePublish(t.id(), t.now(), pageBase(va), ok);
+    if (auto *c = t.scheduler().checker()) {
+        c->onPtePublish(t.id(), t.now(), pageBase(va), ok);
         return;
     }
     // No checker attached: enforce the claimed discipline outright.
@@ -271,14 +271,6 @@ AddressSpace::notePtePublish(sim::SimThread &t, Addr va, PteContext ctx)
         pmap_lock_.assertHeld(t);
     else
         CREV_ASSERT(ok);
-}
-
-void
-AddressSpace::setChecker(check::RaceChecker *c)
-{
-    checker_ = c;
-    if (c != nullptr)
-        c->nameLock(&pmap_lock_, "pmap");
 }
 
 std::vector<Addr>

@@ -28,10 +28,6 @@
 #include "sim/sync.h"
 #include "vm/pte.h"
 
-namespace crev::check {
-class RaceChecker;
-}
-
 namespace crev::vm {
 
 /** Lifecycle of a reservation. */
@@ -155,9 +151,6 @@ class AddressSpace
      */
     void notePtePublish(sim::SimThread &t, Addr va, PteContext ctx);
 
-    /** Attach the race checker (null = off); names the pmap lock. */
-    void setChecker(check::RaceChecker *c);
-
     /** Frames freed since construction whose caches must be purged. */
     std::vector<Addr> takeFreedFrames();
 
@@ -249,8 +242,7 @@ class AddressSpace
     std::map<Addr, Reservation> reservations_; //!< keyed by base
     std::vector<Reservation *> newly_quarantined_;
     std::vector<Addr> freed_frames_;
-    sim::SimMutex pmap_lock_;
-    check::RaceChecker *checker_ = nullptr;
+    sim::SimMutex pmap_lock_{"pmap"};
     Addr next_va_ = kHeapBase;
     Addr mapped_bytes_ = 0;
     std::size_t resident_ = 0;

@@ -56,9 +56,9 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
 {
     const Addr page = pageBase(va);
     ++stats_.tlb_shootdowns;
-    if (tracer_ != nullptr)
-        tracer_->record(t.id(), t.core(), t.now(),
-                        trace::EventType::kTlbShootdown, 0, page);
+    if (auto *tr = t.scheduler().tracer())
+        tr->record(t.id(), t.core(), t.now(),
+                   trace::EventType::kTlbShootdown, 0, page);
 
     // Ack-based IPI protocol. Each round sends an IPI to every core
     // that has not yet acked and charges one shootdown round on the
@@ -74,18 +74,19 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
     CREV_ASSERT(tlbs_.size() <= 64);
     std::uint64_t pending =
         tlbs_.size() >= 64 ? ~0ull : (1ull << tlbs_.size()) - 1;
+    sim::FaultInjector *injector = t.scheduler().injector();
+    revoker::RecoveryManager *recovery = t.scheduler().recovery();
     revoker::RecoveryManager::Ticket ticket;
     for (;;) {
         Cycles ack_wait = 0;
         for (unsigned c = 0; c < tlbs_.size(); ++c) {
             if ((pending >> c & 1) == 0)
                 continue;
-            if (injector_ != nullptr &&
-                injector_->dropShootdownIpi(t, c))
+            if (injector != nullptr && injector->dropShootdownIpi(t, c))
                 continue; // IPI lost; the core never sees it
             tlbs_[c].invalidatePage(pageOf(page));
-            if (injector_ != nullptr) {
-                const Cycles late = injector_->shootdownAckDelay(t, c);
+            if (injector != nullptr) {
+                const Cycles late = injector->shootdownAckDelay(t, c);
                 ack_wait = late > ack_wait ? late : ack_wait;
             }
             pending &= ~(1ull << c);
@@ -95,10 +96,10 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
             break;
 
         // Deadline passed with IPIs outstanding: re-send, bounded.
-        if (recovery_ != nullptr && !ticket.open)
-            ticket = recovery_->open(
+        if (recovery != nullptr && !ticket.open)
+            ticket = recovery->open(
                 t, trace::RecoveryProtocol::kShootdownResend);
-        if (recovery_ != nullptr && !recovery_->attempt(t, ticket)) {
+        if (recovery != nullptr && !recovery->attempt(t, ticket)) {
             // Retry budget spent: NMI-grade fallback — invalidate the
             // stragglers synchronously so the machine never runs with
             // an unbounded-stale TLB, and record the failure.
@@ -106,17 +107,16 @@ Mmu::shootdownPage(sim::SimThread &t, Addr va)
                 if (pending >> c & 1)
                     tlbs_[c].invalidatePage(pageOf(page));
             t.accrueNoYield(cm_.tlb_shootdown);
-            recovery_->close(t, ticket,
-                             recovery_->failureOutcome(t.now(), ticket));
+            recovery->close(t, ticket,
+                            recovery->failureOutcome(t.now(), ticket));
             return;
         }
         ++stats_.shootdown_resends;
-        if (recovery_ != nullptr)
-            t.accrueNoYield(recovery_->backoff(ticket));
+        if (recovery != nullptr)
+            t.accrueNoYield(recovery->backoff(ticket));
     }
     if (ticket.open)
-        recovery_->close(t, ticket,
-                         trace::RecoveryOutcome::kSucceeded);
+        recovery->close(t, ticket, trace::RecoveryOutcome::kSucceeded);
 }
 
 void
@@ -278,8 +278,8 @@ Mmu::loadCap(sim::SimThread &t, Addr va)
         // Temporal-safety oracle: no revoked capability may reach a
         // register file after its revocation epoch completed. Pure
         // host-side observer — zero simulated cost.
-        if (c.tag && oracle_ != nullptr)
-            oracle_->onCapLoad(t.id(), t.now(), va, c.base);
+        if (auto *o = t.scheduler().oracle(); c.tag && o != nullptr)
+            o->onCapLoad(t.id(), t.now(), va, c.base);
         return c;
     }
 }
@@ -328,16 +328,6 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 }
 
 bool
-Mmu::peekTag(Addr va)
-{
-    Pte *p = as_.findPte(va);
-    if (p == nullptr || !p->valid)
-        return false;
-    const Addr paddr = (p->pfn << kPageBits) | pageOffset(va);
-    return pm_.tagAt(paddr);
-}
-
-bool
 Mmu::pageHasTags(Addr va)
 {
     Pte *p = as_.findPte(va);
@@ -347,7 +337,7 @@ Mmu::pageHasTags(Addr va)
 }
 
 bool
-Mmu::peekByte(Addr va, std::uint8_t *out)
+Mmu::peekByte(ObserverKey, Addr va, std::uint8_t *out)
 {
     Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)

@@ -24,23 +24,28 @@
 #include "mem/memory_system.h"
 #include "mem/phys_mem.h"
 #include "sim/cost_model.h"
+#include "sim/fault_injector.h"
 #include "sim/scheduler.h"
 #include "vm/address_space.h"
 #include "vm/tlb.h"
 
-namespace crev::check {
-class SafetyOracle;
-} // namespace crev::check
-
 namespace crev::revoker {
-class RecoveryManager;
+class Auditor;
 } // namespace crev::revoker
 
-namespace crev::sim {
-class FaultInjector;
-} // namespace crev::sim
-
 namespace crev::vm {
+
+/**
+ * Permission to read simulated memory without charging simulated
+ * cycles. Only off-clock observer code may do that, so only
+ * revoker::Auditor can make a key: a simulation path that reached for
+ * an uncharged read would not compile.
+ */
+class ObserverKey
+{
+    friend class revoker::Auditor;
+    ObserverKey() = default;
+};
 
 /** MMU event counters. */
 struct MmuStats
@@ -74,13 +79,6 @@ class Mmu
     using LoadFilter =
         std::function<bool(sim::SimThread &, const cap::Capability &)>;
 
-    /**
-     * Extra latency charged on every memory access (fault injection's
-     * memory-contention spikes). Must be a pure function of the
-     * thread's virtual time.
-     */
-    using AccessPenaltyHook = std::function<Cycles(sim::SimThread &)>;
-
     Mmu(mem::PhysMem &pm, mem::MemorySystem &ms, AddressSpace &as,
         const sim::CostModel &cm);
 
@@ -107,8 +105,6 @@ class Mmu
     cap::Capability kernelLoadCap(sim::SimThread &t, Addr va);
     /** Clear a granule's tag without touching dirty tracking. */
     void kernelClearTag(sim::SimThread &t, Addr va);
-    /** Tag peek with no cost (tests and observers). */
-    bool peekTag(Addr va);
     /** Whether any granule of the page containing @p va is tagged
      *  right now (clean-page detection re-check; no cost). */
     bool pageHasTags(Addr va);
@@ -121,42 +117,18 @@ class Mmu
     {
         chargeAccess(t, t.core(), paddr, len, false);
     }
-    /** Attach an event tracer (null = off); shootdowns become
-     *  kTlbShootdown instants. */
-    void setTracer(trace::Tracer *t) { tracer_ = t; }
-
-    /** Attach the fault injector (null = off): arms the lost/late
-     *  shootdown-IPI domain in shootdownPage's ack protocol. */
-    void setFaultInjector(sim::FaultInjector *fi) { injector_ = fi; }
-
-    /** Attach the recovery manager (null = off): shootdown re-send
-     *  rounds become kShootdownResend tickets. */
-    void setRecoveryManager(revoker::RecoveryManager *rm)
-    {
-        recovery_ = rm;
-    }
-
-    /** Attach the temporal-safety oracle (null = off): every tagged
-     *  capability entering a register file is checked against the
-     *  revoked-generation record. Zero simulated cost. */
-    void setSafetyOracle(check::SafetyOracle *o) { oracle_ = o; }
-
     /**
      * Uncharged single-byte peek of simulated memory (via the page
      * tables, no TLB, no cost): the Auditor's summary-repair path
      * reads ground-truth shadow bytes with it. Returns false when the
      * page is not resident.
      */
-    bool peekByte(Addr va, std::uint8_t *out);
+    bool peekByte(ObserverKey, Addr va, std::uint8_t *out);
 
     // --- load-generation plumbing ---
 
     void setLoadFaultHandler(LoadFaultHandler h) { handler_ = std::move(h); }
     void setLoadFilter(LoadFilter f) { filter_ = std::move(f); }
-    void setAccessPenaltyHook(AccessPenaltyHook h)
-    {
-        penalty_ = std::move(h);
-    }
     /** Current per-core generation bit. */
     unsigned coreGen(unsigned core) const;
     /** Flip every core's generation register (STW entry). */
@@ -191,14 +163,15 @@ class Mmu
     template <typename Fn>
     void forSegments(Addr va, std::size_t len, Fn fn);
 
-    /** Charge one memory access, applying any injected penalty. */
+    /** Charge one memory access, applying any injected latency
+     *  spike (a pure function of virtual time). */
     void
     chargeAccess(sim::SimThread &t, unsigned core, Addr paddr,
                  std::size_t len, bool write)
     {
         Cycles c = ms_.access(core, paddr, len, write);
-        if (penalty_)
-            c += penalty_(t);
+        if (const sim::FaultInjector *fi = t.scheduler().injector())
+            c += fi->memAccessPenalty(t.now());
         t.accrue(c);
     }
 
@@ -211,13 +184,7 @@ class Mmu
     unsigned gen_ = 0;
     LoadFaultHandler handler_;
     LoadFilter filter_;
-    AccessPenaltyHook penalty_;
     MmuStats stats_;
-    sim::FaultInjector *injector_ = nullptr;
-    revoker::RecoveryManager *recovery_ = nullptr;
-    check::SafetyOracle *oracle_ = nullptr;
-
-    trace::Tracer *tracer_ = nullptr;
 };
 
 } // namespace crev::vm

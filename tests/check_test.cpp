@@ -136,10 +136,10 @@ TEST(RaceCheckerRules, MutexReleaseOrdersNextAcquirersPublishes)
     check::RaceChecker ordered;
     ordered.onThreadSpawn(-1, 0);
     ordered.onThreadSpawn(-1, 1);
-    ordered.onMutexAcquire(0, &dummy_lock);
+    ordered.onMutexAcquire(0, &dummy_lock, "dummy");
     ordered.onPtePublish(0, 100, page, /*disciplined=*/true);
     ordered.onMutexRelease(0, &dummy_lock);
-    ordered.onMutexAcquire(1, &dummy_lock);
+    ordered.onMutexAcquire(1, &dummy_lock, "dummy");
     ordered.onPtePublish(1, 200, page, /*disciplined=*/true);
     EXPECT_TRUE(ordered.clean()) << ordered.reportJson();
 
@@ -191,20 +191,18 @@ struct CheckHarness
     CheckHarness()
         : ms(2, mem::CacheConfig{32 * 1024, 4},
              mem::CacheConfig{256 * 1024, 8}, mem::MemLatency{}),
-          sched(2, sim::CostModel{}), as(pm),
+          sched(2, sim::CostModel{}, {.checker = &checker}), as(pm),
           mmu(pm, ms, as, sched.costs()), bitmap(mmu)
     {
-        sched.setChecker(&checker);
-        as.setChecker(&checker);
     }
 
+    check::RaceChecker checker;
     mem::PhysMem pm;
     mem::MemorySystem ms;
     sim::Scheduler sched;
     vm::AddressSpace as;
     vm::Mmu mmu;
     revoker::RevocationBitmap bitmap;
-    check::RaceChecker checker;
 };
 
 TEST(RaceCheckerInjected, LocklessPtePublishFlagged)
@@ -250,6 +248,26 @@ TEST(RaceCheckerInjected, LockedPublishesAreSilent)
     h.sched.run();
     // Disciplined, and ordered by the pmap release → acquire edge.
     EXPECT_TRUE(h.checker.clean()) << h.checker.reportJson();
+}
+
+TEST(RaceCheckerInjected, ReportsNameTheLocksHeld)
+{
+    // A lock's report name comes from the SimMutex itself: the pmap
+    // lock reads "pmap", an unnamed lock "?", in acquisition order.
+    CheckHarness h;
+    sim::SimMutex other;
+    h.sched.spawn("a", 1u << 0, [&](sim::SimThread &t) {
+        h.as.pmapLock().lock(t);
+        other.lock(t);
+        h.checker.onQuarantineAccess(t.id(), t.now(), /*locked=*/false);
+        other.unlock(t);
+        h.as.pmapLock().unlock(t);
+    });
+    h.sched.run();
+    ASSERT_EQ(h.checker.violations().size(), 1u);
+    EXPECT_NE(h.checker.violations()[0].detail.find("locks held {pmap,?}"),
+              std::string::npos)
+        << h.checker.reportJson();
 }
 
 TEST(RaceCheckerInjected, TornBitmapRmwVsProbeFlagged)

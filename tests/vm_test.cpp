@@ -44,6 +44,16 @@ struct VmHarness
         sched.run();
     }
 
+    /** Whether the granule at @p va is tagged right now, read straight
+     *  from the page table and physical memory (no cost). */
+    bool
+    tagAt(Addr va)
+    {
+        const Pte *p = as.findPte(va);
+        return p != nullptr && p->valid &&
+               pm.tagAt((p->pfn << kPageBits) | pageOffset(va));
+    }
+
     mem::PhysMem pm;
     mem::MemorySystem ms;
     sim::Scheduler sched;
@@ -427,7 +437,7 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
         EXPECT_TRUE(k.tag);
 
         h.mmu.kernelClearTag(t, base);
-        EXPECT_FALSE(h.mmu.peekTag(base));
+        EXPECT_FALSE(h.tagAt(base));
     });
 }
 
