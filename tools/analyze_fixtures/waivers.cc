@@ -30,7 +30,6 @@ struct Mmu
 {
     unsigned gen_ = 0;
 
-    bool peekTag(unsigned long long va);
     void flipGen();
 };
 
@@ -40,13 +39,6 @@ void
 Mmu::flipGen() // analyze: lock-evidence-ok (fixture: init-time only)
 {
     gen_ ^= 1u;
-}
-
-unsigned
-tagsIn(Mmu &mmu, unsigned long long va)
-{
-    // analyze: uncharged-reach-ok (fixture: caller charged the line)
-    return mmu.peekTag(va) ? 1u : 0u;
 }
 
 struct Waiter

@@ -19,7 +19,7 @@ from . import VERSION
 from .cpptok import tokenize
 from .extract import extract_file
 from .callgraph import Graph, body_sites
-from .facts import make_facts, is_observer_file, is_vm_file
+from .facts import make_facts, is_observer_file
 from .passes import ALL_PASSES, RULES
 from .report import build_report, render_report, write_report
 
@@ -73,14 +73,10 @@ class Context:
         return is_observer_file(self.nodes[qname]["fn"].file,
                                 self.repo_root, self.fixture_dir)
 
-    def is_vm(self, qname):
-        return is_vm_file(self.nodes[qname]["fn"].file,
-                          self.repo_root, self.fixture_dir)
-
 
 def _empty_facts():
-    return {"layer": None, "evidence": [], "charges": [],
-            "uncharged": [], "mutations": [], "epoch_ops": []}
+    return {"layer": None, "evidence": [], "mutations": [],
+            "epoch_ops": []}
 
 
 def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
@@ -121,8 +117,7 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
                 if s.window is not None:
                     s = s._replace(window=s.window + woff)
                 node["sites"].append(s)
-            for key in ("evidence", "charges", "uncharged",
-                        "mutations", "epoch_ops"):
+            for key in ("evidence", "mutations", "epoch_ops"):
                 node["facts"][key].extend(facts[key])
             if node["facts"]["layer"] is None:
                 node["facts"]["layer"] = facts["layer"]

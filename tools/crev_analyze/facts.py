@@ -1,11 +1,10 @@
-"""Per-function fact summaries: the vocabulary the four passes reason
+"""Per-function fact summaries: the vocabulary the three passes reason
 over. Facts are computed from a function's call sites and body lines;
 the pass logic itself lives in passes.py.
 
 The shared-state table and mutation grammar moved here from
-crev_lint.py when the line-level `shared-mutation` and
-`uncharged-access` rules were superseded by the interprocedural
-passes (DESIGN.md section 16).
+crev_lint.py when the line-level `shared-mutation` rule was superseded
+by the interprocedural lock-evidence pass (DESIGN.md section 16).
 """
 
 import os
@@ -56,11 +55,6 @@ EVIDENCE_NAMES = frozenset(
     ("assertHeld", "heldBy", "stwOwnedBy", "stopTheWorld"))
 _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 
-#: Uncharged accessors and the charging APIs that account for them.
-UNCHARGED_ACCESSORS = frozenset(
-    ("peekTag", "peekByte", "probeQuiet"))
-CHARGE_NAMES = frozenset(("chargeReadPaddr", "chargeAccess"))
-
 #: Epoch drivers checked by the phase-ordering pass.
 EPOCH_DRIVERS = frozenset(("doEpoch", "emergencyEpoch"))
 
@@ -105,15 +99,13 @@ SHARED_STATE = [
 
 #: Off-clock observer components: they run outside the simulated cost
 #: model and are audited by construction (DESIGN.md section 11), so
-#: they are legal roots for uncharged access and count as evidence
-#: boundaries for lock propagation.
+#: they count as evidence boundaries for lock propagation and cut the
+#: no-yield search.
 OBSERVER_DIRS = (
     os.path.join("src", "check"),
     os.path.join("src", "trace"),
 )
 OBSERVER_FILES = frozenset(("auditor.cc", "auditor.h"))
-
-VM_DIR = os.path.join("src", "vm")
 
 _STRIP_NOISE = re.compile(r'//.*$|"(?:[^"\\]|\\.)*"')
 
@@ -138,12 +130,6 @@ def is_observer_file(path, repo_root, fixture_dir):
     if any(rel.startswith(d + os.sep) for d in OBSERVER_DIRS):
         return True
     return os.path.basename(path) in OBSERVER_FILES
-
-
-def is_vm_file(path, repo_root, fixture_dir):
-    if path.startswith(fixture_dir + os.sep):
-        return False
-    return os.path.relpath(path, repo_root).startswith(VM_DIR + os.sep)
 
 
 def _qname_tail2(qname):
@@ -215,18 +201,11 @@ def make_facts(fn, tokens, sites, windows, file_lines, repo_root,
     """Compute the fact summary for one function definition."""
     layer = _layer_of(fn.file, repo_root, fixture_dir)
     evidence = []
-    charges = []
-    uncharged = []
     for s in sites:
         if s.name in EVIDENCE_NAMES:
             evidence.append((s.name, s.line))
         elif s.kind in ("method", "qualified") and _ON_HOOK.match(s.name):
             evidence.append((s.name, s.line))
-        if s.name in CHARGE_NAMES:
-            charges.append((s.name, s.line))
-        if s.kind in ("method", "qualified") \
-                and s.name in UNCHARGED_ACCESSORS:
-            uncharged.append((s.name, s.line))
 
     mutations = []
     if layer is not None:
@@ -248,8 +227,6 @@ def make_facts(fn, tokens, sites, windows, file_lines, repo_root,
     return {
         "layer": layer,
         "evidence": evidence,
-        "charges": charges,
-        "uncharged": uncharged,
         "mutations": mutations,
         "epoch_ops": ops,
     }

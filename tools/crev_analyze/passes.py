@@ -1,4 +1,4 @@
-"""The four interprocedural passes (DESIGN.md section 16).
+"""The three interprocedural passes (DESIGN.md section 16).
 
 Each pass takes the analysis context built by driver.py — the call
 graph, the per-function facts, and the waiver table — and yields
@@ -14,8 +14,7 @@ from . import facts as F
 Finding = namedtuple(
     "Finding", ["rule", "function", "file", "line", "callpath", "message"])
 
-RULES = ("noyield-reach", "lock-evidence", "uncharged-reach",
-         "epoch-phase")
+RULES = ("noyield-reach", "lock-evidence", "epoch-phase")
 
 
 # ---------------------------------------------------------------------
@@ -135,53 +134,7 @@ def pass_lock_evidence(ctx):
 
 
 # ---------------------------------------------------------------------
-# Pass 3: uncharged-access reachability.
-# ---------------------------------------------------------------------
-
-def pass_uncharged_reach(ctx):
-    """Uncharged accessors may only be reached from off-clock
-    observer roots or the vm cost-model layer; a simulation path
-    caller must show a charge (chargeReadPaddr/chargeAccess/...) in the
-    same function."""
-    findings = []
-    graph = ctx.graph
-
-    def protects(q):
-        return ctx.is_observer(q) or ctx.fn_waived("uncharged-reach", q)
-
-    exposed = graph.exposed_from_roots(protects)
-
-    for qname in sorted(ctx.nodes):
-        node = ctx.nodes[qname]
-        uncharged = node["facts"]["uncharged"]
-        if not uncharged:
-            continue
-        if protects(qname) or ctx.is_vm(qname):
-            continue
-        if node["facts"]["charges"]:
-            continue  # charge discipline shown locally
-        if qname not in exposed:
-            continue  # only observers can reach it
-        path = graph.path_to(exposed, qname)
-        for acc, line in uncharged:
-            if ctx.line_waived("uncharged-reach", node["fn"].file, line):
-                continue
-            findings.append(Finding(
-                rule="uncharged-reach",
-                function=qname,
-                file=ctx.relpath(node["fn"].file),
-                line=line,
-                callpath=path,
-                message="uncharged accessor %s() reachable from a "
-                        "non-observer root with no charge in the "
-                        "calling function: use the charging API or "
-                        "charge the cycles before peeking" % acc,
-            ))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# Pass 4: epoch-phase ordering.
+# Pass 3: epoch-phase ordering.
 # ---------------------------------------------------------------------
 
 def _check_ops(ops):
@@ -291,6 +244,5 @@ def pass_epoch_phase(ctx):
 ALL_PASSES = (
     ("noyield-reach", pass_noyield_reach),
     ("lock-evidence", pass_lock_evidence),
-    ("uncharged-reach", pass_uncharged_reach),
     ("epoch-phase", pass_epoch_phase),
 )

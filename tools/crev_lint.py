@@ -30,12 +30,14 @@ confirm every linted translation unit is actually part of the build:
                         stale-PTE-cache bug class); a file using them
                         must also shoot down.
 
-Two former rules — uncharged-access and shared-mutation — are retired:
-their line-level heuristics (a path allowlist; evidence-in-the-same-
-function with a choke-file exemption) are superseded by the
-interprocedural uncharged-reach and lock-evidence passes of
-tools/crev_analyze (DESIGN.md section 16), which prove the same
-invariants over call paths instead of lines.
+Two former rules — uncharged-access and shared-mutation — are retired.
+uncharged-access (a path allowlist) is now a type: the one uncharged
+read of simulated memory, Mmu::peekByte, takes a vm::ObserverKey that
+only the Auditor can construct. shared-mutation (evidence in the same
+function, with a choke-file exemption) is superseded by the
+interprocedural lock-evidence pass of tools/crev_analyze (DESIGN.md
+section 16), which proves the invariant over call paths instead of
+lines.
 
 Exemptions are explicit and greppable: a line (or its predecessor)
 carrying `lint: <rule>-ok` is skipped for that rule, so every waiver
@@ -223,7 +225,8 @@ RULES = ("host-nondeterminism", "unordered-iteration", "raw-threading",
 # Waiver key -> the rule it suppresses. The retired shared-mutation and
 # uncharged keys are deliberately absent: a surviving tag for them is
 # reported as stale so nothing keeps "documenting" a rule that no
-# longer runs (the invariants moved to tools/crev_analyze).
+# longer runs (the invariants moved to tools/crev_analyze and to the
+# ObserverKey type).
 WAIVER_TAG = re.compile(r"lint:\s*([a-z][a-z0-9-]*)-ok")
 WAIVER_RULES = {
     "nondet": "host-nondeterminism",
