@@ -33,6 +33,7 @@
 #include "bench_runner.h"
 #include "bench_util.h"
 #include "core/machine.h"
+#include "trace/trace_export.h"
 #include "workload/grpc_qps.h"
 #include "workload/pgbench.h"
 #include "workload/spec.h"
@@ -319,7 +320,7 @@ main(int argc, char **argv)
     if (!prev_runs.empty())
         std::fprintf(f, "    %s,\n", prev_runs.c_str());
     std::fprintf(f, "    {\n      \"label\": \"%s\",\n",
-                 benchutil::jsonEscape(label).c_str());
+                 trace::jsonEscape(label).c_str());
     std::fprintf(f, "      \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "      \"host_threads\": %u,\n", threads);
     std::fprintf(f, "      \"host_cpus\": %u,\n", benchutil::hostCpus());
@@ -355,7 +356,7 @@ main(int argc, char **argv)
                      "        {\"name\": \"%s\", "
                      "\"host_seconds\": %.4f, "
                      "\"metrics\": %s}%s\n",
-                     benchutil::jsonEscape(cells[i].name).c_str(),
+                     trace::jsonEscape(cells[i].name).c_str(),
                      cells[i].host_seconds,
                      benchutil::metricsJson(cells[i].metrics).c_str(),
                      i + 1 < cells.size() ? "," : "");

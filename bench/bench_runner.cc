@@ -316,29 +316,6 @@ measureSweepRegime(SweepRegime regime, std::size_t pages,
 }
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += ch;
-        }
-    }
-    return out;
-}
-
-std::string
 metricsJson(const core::RunMetrics &m)
 {
     trace::MetricsRegistry reg;

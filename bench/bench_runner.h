@@ -169,9 +169,6 @@ SweepRegimeResult measureSweepRegime(SweepRegime regime,
                                      std::size_t pages = 64,
                                      std::size_t repeats = 40);
 
-/** Minimal JSON string escaping for bench report writers. */
-std::string jsonEscape(const std::string &s);
-
 /** All metrics of one cell as a compact MetricsRegistry JSON object
  *  ({"counters": ..., "gauges": ..., "histograms": ...}). */
 std::string metricsJson(const core::RunMetrics &m);

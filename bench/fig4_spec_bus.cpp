@@ -6,8 +6,10 @@
  *
  * Paper anchors: omnetpp 45% (Reloaded) vs 50% (Cornucopia);
  * xalancbmk 60% vs 68%; the median Reloaded:Cornucopia traffic ratio
- * is 87% — Reloaded never rescans pages, so it always moves less
- * data than Cornucopia.
+ * is 87% — Reloaded never rescans pages, so the paper finds it always
+ * moves less data than Cornucopia. The closing line compares the
+ * exact transaction counts and names every benchmark where that does
+ * not hold here.
  */
 
 #include "bench_util.h"
@@ -31,23 +33,32 @@ main()
                         "cornucopia", "reloaded", "rel/corn"});
 
     std::vector<double> ratios;
+    std::string exceeded; // benchmarks where Reloaded > Cornucopia
+    unsigned n_exceeded = 0;
 
     for (const auto &name : workload::revokingSpecNames()) {
         const auto &base = runner.run(name, core::Strategy::kBaseline);
         std::vector<std::string> row{
             name, std::to_string(base.bus_transactions_total)};
-        double corn_tx = 0, rel_tx = 0;
+        std::uint64_t corn_tx = 0, rel_tx = 0;
         for (core::Strategy s : benchutil::kSafe) {
             const auto &m = runner.run(name, s);
             row.push_back(stats::Table::pct(overhead(
                 static_cast<double>(m.bus_transactions_total),
                 static_cast<double>(base.bus_transactions_total))));
             if (s == core::Strategy::kCornucopia)
-                corn_tx = static_cast<double>(m.bus_transactions_total);
+                corn_tx = m.bus_transactions_total;
             if (s == core::Strategy::kReloaded)
-                rel_tx = static_cast<double>(m.bus_transactions_total);
+                rel_tx = m.bus_transactions_total;
         }
-        const double ratio = corn_tx > 0 ? rel_tx / corn_tx : 1.0;
+        if (rel_tx > corn_tx) {
+            exceeded += (n_exceeded++ == 0 ? "" : ", ") + name + " (" +
+                        std::to_string(rel_tx) + " vs " +
+                        std::to_string(corn_tx) + " transactions)";
+        }
+        const double ratio = corn_tx > 0 ? static_cast<double>(rel_tx) /
+                                               static_cast<double>(corn_tx)
+                                         : 1.0;
         ratios.push_back(ratio);
         row.push_back(stats::Table::pct(ratio));
         table.addRow(row);
@@ -57,8 +68,15 @@ main()
 
     std::sort(ratios.begin(), ratios.end());
     std::printf("\nMedian Reloaded traffic as %% of Cornucopia: %s "
-                "(paper: 87%%). Reloaded <= Cornucopia on every "
-                "benchmark because no page is swept twice per epoch.\n",
+                "(paper: 87%%).\n",
                 stats::Table::pct(ratios[ratios.size() / 2]).c_str());
+    if (n_exceeded == 0)
+        std::printf("Reloaded <= Cornucopia in bus transactions on all %zu "
+                    "benchmarks.\n",
+                    ratios.size());
+    else
+        std::printf("Reloaded > Cornucopia in bus transactions on %u of "
+                    "%zu benchmarks: %s.\n",
+                    n_exceeded, ratios.size(), exceeded.c_str());
     return 0;
 }

@@ -33,6 +33,7 @@
 #include "bench_util.h"
 #include "core/machine.h"
 #include "core/mutator.h"
+#include "trace/trace_export.h"
 
 using namespace crev;
 
@@ -349,7 +350,7 @@ main(int argc, char **argv)
     if (!prev_runs.empty())
         std::fprintf(f, "    %s,\n", prev_runs.c_str());
     std::fprintf(f, "    {\n      \"label\": \"%s\",\n",
-                 benchutil::jsonEscape(label).c_str());
+                 trace::jsonEscape(label).c_str());
     std::fprintf(f, "      \"quick\": %s,\n", quick ? "true" : "false");
     std::fprintf(f, "      \"target_cycles\": %" PRIu64 ",\n",
                  static_cast<std::uint64_t>(target));

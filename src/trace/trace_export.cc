@@ -9,29 +9,6 @@ namespace crev::trace {
 
 namespace {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += ch;
-        }
-    }
-    return out;
-}
-
 void
 addSpan(PhaseStat &st, Cycles begin, Cycles end)
 {
@@ -42,6 +19,27 @@ addSpan(PhaseStat &st, Cycles begin, Cycles end)
 }
 
 } // namespace
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (const char ch : s) {
+        const auto u = static_cast<unsigned char>(ch);
+        if (ch == '"' || ch == '\\') {
+            out += '\\';
+            out += ch;
+        } else if (u < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", u);
+            out += buf;
+        } else {
+            out += ch;
+        }
+    }
+    return out;
+}
 
 std::string
 chromeJson(const Tracer &tracer, const std::vector<ThreadInfo> &threads)

@@ -30,6 +30,13 @@ struct ThreadInfo
 };
 
 /**
+ * @p s as the body of a JSON string: '"' and '\\' are backslash-
+ * escaped and every control character U+0000-U+001F becomes \u00XX,
+ * as RFC 8259 requires. Shared by every JSON writer in the tree.
+ */
+std::string jsonEscape(const std::string &s);
+
+/**
  * Export the whole trace as Chrome trace-event JSON. Scheduler run
  * slices become complete ("X") events under pid 1; STW windows, epoch
  * phases, and quarantine blocks become duration ("B"/"E") pairs under

@@ -189,6 +189,26 @@ TEST(Trace, EveryComponentReachesTheTracer)
     EXPECT_GT(count(EventType::kWatchdogEscalate), 0u) << "watchdog";
 }
 
+TEST(TraceExport, JsonEscapeCoversEveryControlCharacter)
+{
+    // RFC 8259 forbids raw U+0000-U+001F inside a JSON string.
+    EXPECT_EQ(trace::jsonEscape("a\tb"), "a\\u0009b");
+    EXPECT_EQ(trace::jsonEscape("a\rb"), "a\\u000db");
+    EXPECT_EQ(trace::jsonEscape("a\x01" "b"), "a\\u0001b");
+    EXPECT_EQ(trace::jsonEscape("a\nb"), "a\\u000ab");
+    EXPECT_EQ(trace::jsonEscape(std::string("a\0b", 3)), "a\\u0000b");
+    EXPECT_EQ(trace::jsonEscape("q\"b\\s"), "q\\\"b\\\\s");
+    // DEL and UTF-8 bytes pass through unchanged.
+    EXPECT_EQ(trace::jsonEscape("x\x7f\xc3\xa9"), "x\x7f\xc3\xa9");
+    for (int c = 0; c < 0x20; ++c) {
+        const std::string out =
+            trace::jsonEscape(std::string(1, static_cast<char>(c)));
+        EXPECT_EQ(out.size(), 6u) << c;
+        for (char o : out)
+            EXPECT_GE(static_cast<unsigned char>(o), 0x20u) << c;
+    }
+}
+
 TEST(MetricsRegistry, CountersGaugesHistogramsAndJson)
 {
     trace::MetricsRegistry reg;
