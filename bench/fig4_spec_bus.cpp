@@ -52,8 +52,9 @@ main()
                 rel_tx = m.bus_transactions_total;
         }
         if (rel_tx > corn_tx) {
-            exceeded += (n_exceeded++ == 0 ? "" : ", ") + name + " (" +
-                        std::to_string(rel_tx) + " vs " +
+            if (n_exceeded++ > 0)
+                exceeded += ", ";
+            exceeded += name + " (" + std::to_string(rel_tx) + " vs " +
                         std::to_string(corn_tx) + " transactions)";
         }
         const double ratio = corn_tx > 0 ? static_cast<double>(rel_tx) /

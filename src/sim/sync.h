@@ -30,8 +30,6 @@ class SimMutex
     /** @p name labels the lock in race-checker reports. */
     explicit SimMutex(const char *name = "?") : name_(name) {}
 
-    const char *name() const { return name_; }
-
     /** Acquire; blocks the calling thread while contended. */
     void lock(SimThread &self);
 
