@@ -106,9 +106,8 @@ Auditor::repairSummaries(sim::SimThread *self)
     // many blocks it rebuilds) is one attempt. The rebuild source is
     // the simulated shadow bytes — the ground truth the mirror
     // shadows — so a single round normally suffices; the bounded loop
-    // guards the guard.
-    // With a recovery manager attached, the rebuild is a
-    // kSummaryRepair ticket.
+    // guards the guard. Without a recovery manager (or thread) the
+    // repair runs unticketed.
     RecoveryManager *recovery = sched_.recovery();
     RecoveryManager::Ticket tk;
     const bool managed = recovery != nullptr && self != nullptr;
