@@ -189,6 +189,83 @@ TEST(Trace, EveryComponentReachesTheTracer)
     EXPECT_GT(count(EventType::kWatchdogEscalate), 0u) << "watchdog";
 }
 
+/** A traced machine under one of chaos_test's seeded fault plans:
+ *  `drop_faults` loses load-fault completions, `hard_stall` stalls
+ *  the sweeper past every watchdog rung. Both wedge Reloaded's epochs
+ *  into degraded (emergency stop-the-world) completion. */
+MachineConfig
+degradedConfig(Strategy s, bool hard_stall)
+{
+    MachineConfig cfg;
+    cfg.strategy = s;
+    cfg.audit = true;
+    cfg.policy.min_bytes = 32 * 1024;
+    cfg.seed = 42;
+    cfg.trace = true;
+    cfg.trace_buffer_events = 1u << 20; // never drop under test
+    cfg.faults.enabled = true;
+    if (hard_stall) {
+        cfg.faults.seed = 707;
+        cfg.faults.sweeper_stall_prob = 1.0;
+        cfg.faults.sweeper_stall_cycles = 30'000'000;
+        cfg.faults.window_end = 5'000'000;
+    } else {
+        cfg.faults.seed = 303;
+        cfg.faults.fault_drop_prob = 0.5;
+        cfg.faults.max_fault_drops = 8;
+    }
+    return cfg;
+}
+
+struct TracedRun
+{
+    RunMetrics metrics;
+    trace::PhaseSummary summary;
+    std::uint64_t final_epoch = 0;
+};
+
+TracedRun
+runTraced(const MachineConfig &cfg, int iters)
+{
+    Machine m(cfg);
+    m.spawnMutator("app", 1u << 3, [&](core::Mutator &ctx) {
+        test::churn(m, ctx, iters);
+    });
+    m.run();
+    return {m.metrics(), trace::summarize(*m.tracerOrNull()),
+            m.kernel().epoch().value()};
+}
+
+/** Every epoch opens and closes — daemon epochs, the watchdog's
+ *  force-completed ones and its emergency epochs alike: the counter
+ *  ends at twice the number of recorded epochs, and every trace span
+ *  is closed. */
+TEST(Trace, EpochsBalanceUnderChaos)
+{
+    for (Strategy s : core::kAllStrategies) {
+        if (s == Strategy::kBaseline)
+            continue;
+        MachineConfig chaos = test::chaosConfig(s);
+        chaos.trace = true;
+        chaos.trace_buffer_events = 1u << 20;
+        const TracedRun runs[] = {
+            runTraced(chaos, 800),
+            runTraced(degradedConfig(s, false), 2500),
+            runTraced(degradedConfig(s, true), 1200),
+        };
+        const char *names[] = {"chaos", "drop_faults", "hard_stall"};
+        for (std::size_t i = 0; i < 3; ++i) {
+            const TracedRun &r = runs[i];
+            SCOPED_TRACE(std::string(core::strategyName(s)) + " " +
+                         names[i]);
+            EXPECT_EQ(r.summary.unmatched, 0u);
+            EXPECT_EQ(r.summary.dropped, 0u);
+            EXPECT_GT(r.metrics.epochs.size(), 0u);
+            EXPECT_EQ(r.final_epoch, 2 * r.metrics.epochs.size());
+        }
+    }
+}
+
 TEST(TraceExport, JsonEscapeCoversEveryControlCharacter)
 {
     // RFC 8259 forbids raw U+0000-U+001F inside a JSON string.
