@@ -110,7 +110,6 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
     opts.clean_page_detection = cfg.reloaded_clean_detect;
     opts.always_trap_clean_pages = cfg.always_trap_clean;
     opts.background_sweepers = cfg.background_sweepers;
-    opts.audit = cfg.audit;
 
     switch (cfg.strategy) {
       case Strategy::kPaintOnly:
@@ -181,7 +180,7 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 
     auditor_ = std::make_unique<revoker::Auditor>(*sched_, *mmu_,
                                                   *kernel_, *revoker_);
-    if (cfg.audit && cfg.strategy != Strategy::kPaintOnly)
+    if (cfg.audit && revoker_->revokes())
         revoker_->setAuditHook([this](sim::SimThread &self) {
             auditor_->check(&self);
         });

@@ -9,7 +9,7 @@
 namespace crev::kern {
 
 void
-EpochCounter::advance(sim::SimThread &t)
+EpochCounter::advance(EpochKey, sim::SimThread &t)
 {
     t.accrue(8);
     ++value_;

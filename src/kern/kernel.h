@@ -24,7 +24,22 @@
 #include "sim/scheduler.h"
 #include "vm/mmu.h"
 
+namespace crev::revoker {
+class Revoker;
+} // namespace crev::revoker
+
 namespace crev::kern {
+
+/**
+ * Permission to advance the epoch counter: only revoker::Revoker, the
+ * base class that opens and closes every epoch, can make one.
+ * Friendship is not inherited, so a strategy cannot.
+ */
+class EpochKey
+{
+    friend class revoker::Revoker;
+    EpochKey() = default;
+};
 
 /**
  * The publicly readable revocation epoch counter (paper §2.2.3):
@@ -45,8 +60,8 @@ class EpochCounter
     /** Kernel-internal unmetered read. */
     std::uint64_t value() const { return value_; }
 
-    /** Advance (revoker only). */
-    void advance(sim::SimThread &t);
+    /** Advance by one: odd opens an epoch, even closes it. */
+    void advance(EpochKey, sim::SimThread &t);
 
     /**
      * The counter value a painter must wait for so that at least one

@@ -30,32 +30,24 @@ CheriotFilterRevoker::filterLoad(sim::SimThread &t,
 }
 
 void
-CheriotFilterRevoker::doEpoch(sim::SimThread &self)
+CheriotFilterRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
 {
-    kern::EpochCounter &epoch = kernel_.epoch();
     vm::AddressSpace &as = mmu_.addressSpace();
-
-    epoch.advance(self); // odd
-    snapshotAuditSet();
-
-    EpochTiming timing;
 
     // Registers and hoards may hold pre-epoch capabilities that never
     // pass through a load again; scan them world-stopped. No
     // generation machinery exists to flip.
-    const Cycles begin = stwBegin(self);
-    tracePhaseBegin(self, trace::Phase::kStwScan);
-    scanRegistersAndHoards(self);
-    timing.stw_duration = self.now() - begin;
-    tracePhaseEnd(self, trace::Phase::kStwScan);
-    sched_.resumeWorld(self);
+    {
+        StwWindow stw(self, timing.stw_duration);
+        scanRegistersAndHoards(self);
+    }
 
     // One background pass over every page that has ever held
     // capabilities. Stores during the sweep are filtered-clean values,
     // so no page needs a second visit (the same argument that lets
     // Reloaded skip re-sweeps, provided here by the load filter).
-    const Cycles cbegin = self.now();
-    tracePhaseBegin(self, trace::Phase::kConcurrentSweep);
+    PhaseBracket conc(self, trace::Phase::kConcurrentSweep,
+                      &timing.concurrent_duration);
     const std::vector<Addr> pages =
         collectPages([](const vm::Pte &p) { return p.cap_ever; });
     sim::SimMutex &pmap = as.pmapLock();
@@ -79,11 +71,6 @@ CheriotFilterRevoker::doEpoch(sim::SimThread &self)
         }
         pmap.unlock(self);
     }
-    tracePhaseEnd(self, trace::Phase::kConcurrentSweep);
-    timing.concurrent_duration = self.now() - cbegin;
-
-    finishEpoch(self); // even
-    timings_.push_back(timing);
 }
 
 } // namespace crev::revoker

@@ -50,7 +50,8 @@ class CheriotFilterRevoker : public Revoker
     std::uint64_t stripped() const { return stripped_; }
 
   protected:
-    void doEpoch(sim::SimThread &self) override;
+    void runPhases(sim::SimThread &self,
+                   EpochTiming &timing) override;
 
   private:
     std::uint64_t probes_ = 0;

@@ -7,16 +7,9 @@
 namespace crev::revoker {
 
 void
-CheriVokeRevoker::doEpoch(sim::SimThread &self)
+CheriVokeRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
 {
-    kern::EpochCounter &epoch = kernel_.epoch();
-    epoch.advance(self); // odd: revocation in progress
-    snapshotAuditSet();
-
-    EpochTiming timing;
-    const Cycles begin = stwBegin(self);
-    tracePhaseBegin(self, trace::Phase::kStwScan);
-
+    StwWindow stw(self, timing.stw_duration);
     scanRegistersAndHoards(self);
 
     // Visit every page that has ever held capabilities; the whole
@@ -33,13 +26,6 @@ CheriVokeRevoker::doEpoch(sim::SimThread &self)
             sweep_.publishPage(self, *p, va, dirty_clear,
                                vm::PteContext::kStw);
     }
-
-    timing.stw_duration = self.now() - begin;
-    tracePhaseEnd(self, trace::Phase::kStwScan);
-    sched_.resumeWorld(self);
-
-    finishEpoch(self); // even: complete
-    timings_.push_back(timing);
 }
 
 } // namespace crev::revoker

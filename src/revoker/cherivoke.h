@@ -20,7 +20,8 @@ class CheriVokeRevoker : public Revoker
     const char *name() const override { return "cherivoke"; }
 
   protected:
-    void doEpoch(sim::SimThread &self) override;
+    void runPhases(sim::SimThread &self,
+                   EpochTiming &timing) override;
 };
 
 } // namespace crev::revoker

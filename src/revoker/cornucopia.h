@@ -22,7 +22,8 @@ class CornucopiaRevoker : public Revoker
     const char *name() const override { return "cornucopia"; }
 
   protected:
-    void doEpoch(sim::SimThread &self) override;
+    void runPhases(sim::SimThread &self,
+                   EpochTiming &timing) override;
 };
 
 } // namespace crev::revoker

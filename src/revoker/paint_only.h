@@ -21,19 +21,14 @@ class PaintOnlyRevoker : public Revoker
 
     const char *name() const override { return "paint+sync"; }
 
-    /** Nothing is revoked, so nothing is committed to the oracle. */
-    bool commitsToOracle() const override { return false; }
+    bool revokes() const override { return false; }
 
   protected:
+    /** The epoch's only work is the system call that asks for it. */
     void
-    doEpoch(sim::SimThread &self) override
+    runPhases(sim::SimThread &self, EpochTiming &) override
     {
-        // No snapshotAuditSet(): this strategy makes no revocation
-        // guarantee, so there is nothing to audit.
-        kernel_.epoch().advance(self);
         self.accrue(mmu_.costs().syscall);
-        finishEpoch(self);
-        timings_.push_back(EpochTiming{});
     }
 };
 

@@ -49,48 +49,44 @@ ReloadedRevoker::deliverLoadFault(sim::SimThread &t, Addr fault_va,
     const bool lost =
         primary && inj != nullptr && inj->dropFaultDelivery(t);
 
-    const Cycles t0 = t.now();
-    tracePhaseBegin(t, trace::Phase::kLoadFaultSweep);
     const Addr va = pageBase(fault_va);
     vm::AddressSpace &as = mmu_.addressSpace();
     sim::SimMutex &pmap = as.pmapLock();
-    const unsigned gen = mmu_.currentGen();
-    ++faults_in_flight_;
+    const Cycles t0 = t.now();
+    {
+        PhaseBracket bracket(t, trace::Phase::kLoadFaultSweep);
+        const unsigned gen = mmu_.currentGen();
+        ++faults_in_flight_;
 
-    // First pmap acquisition: detect a stale TLB — the PTE may have
-    // already been brought up to date by another core (§4.3).
-    pmap.lock(t);
-    vm::Pte *p = as.findPte(va);
-    CREV_ASSERT(p != nullptr && p->valid);
-    if (p->clg == gen && !p->cap_load_trap) {
+        // First pmap acquisition: detect a stale TLB — the PTE may
+        // have already been brought up to date by another core (§4.3).
+        pmap.lock(t);
+        vm::Pte *p = as.findPte(va);
+        CREV_ASSERT(p != nullptr && p->valid);
+        const bool stale = p->clg != gen || p->cap_load_trap;
         pmap.unlock(t);
-        tracePhaseEnd(t, trace::Phase::kLoadFaultSweep);
-        if (!lost) {
-            fault_time_ += t.now() - t0;
-            ++fault_count_;
-            faultDone(t);
+
+        if (stale) {
+            // Sweep without locks held (probing the bitmap may itself
+            // fault).
+            bool clean = true;
+            if (p->cap_ever)
+                clean = sweep_.sweepPage(t, va);
+
+            // Second acquisition: idempotently publish the new
+            // generation.
+            pmap.lock(t);
+            if (p->clg != gen || p->cap_load_trap) {
+                PublishOptions o;
+                o.gen = gen;
+                o.clean = clean;
+                o.clean_page_detection = opts_.clean_page_detection;
+                sweep_.publishPage(t, *p, va, o,
+                                   vm::PteContext::kLocked);
+            }
+            pmap.unlock(t);
         }
-        return;
     }
-    pmap.unlock(t);
-
-    // Sweep without locks held (probing the bitmap may itself fault).
-    bool clean = true;
-    if (p->cap_ever)
-        clean = sweep_.sweepPage(t, va);
-
-    // Second acquisition: idempotently publish the new generation.
-    pmap.lock(t);
-    if (p->clg != gen || p->cap_load_trap) {
-        PublishOptions o;
-        o.gen = gen;
-        o.clean = clean;
-        o.clean_page_detection = opts_.clean_page_detection;
-        sweep_.publishPage(t, *p, va, o, vm::PteContext::kLocked);
-    }
-    pmap.unlock(t);
-
-    tracePhaseEnd(t, trace::Phase::kLoadFaultSweep);
     if (!lost) {
         fault_time_ += t.now() - t0;
         ++fault_count_;
@@ -171,7 +167,7 @@ ReloadedRevoker::helperBody(sim::SimThread &self)
                     // Die mid-item, taking the popped page and our
                     // helpers_busy_ slot to the grave — precisely the
                     // wounds reapDeadSweepers() and the leftover
-                    // rescan in doEpoch() exist to heal.
+                    // rescan in runPhases() exist to heal.
                     return;
                 }
                 const Cycles stall = inj->sweeperStall(self);
@@ -216,32 +212,24 @@ ReloadedRevoker::reapDeadSweepers(sim::SimThread &self)
 }
 
 void
-ReloadedRevoker::doEpoch(sim::SimThread &self)
+ReloadedRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
 {
-    kern::EpochCounter &epoch = kernel_.epoch();
     sim::FaultInjector *inj = sched_.injector();
-
-    epoch.advance(self); // odd
-    snapshotAuditSet();
-
-    EpochTiming timing;
 
     // Short STW phase: flip the per-core load generations (PTEs are
     // untouched — §4.1's one-update-per-epoch property) and scan
     // registers and kernel hoards.
-    const Cycles begin = stwBegin(self);
-    tracePhaseBegin(self, trace::Phase::kStwScan);
-    mmu_.flipAllCoreGens(self);
-    scanRegistersAndHoards(self);
-    timing.stw_duration = self.now() - begin;
-    tracePhaseEnd(self, trace::Phase::kStwScan);
-    sched_.resumeWorld(self);
+    {
+        StwWindow stw(self, timing.stw_duration);
+        mmu_.flipAllCoreGens(self);
+        scanRegistersAndHoards(self);
+    }
 
     // Background phase: visit every page still carrying the old
     // generation. Foreground faults race us benignly (visitPage
     // rechecks under the pmap lock; page visits are idempotent).
-    const Cycles cbegin = self.now();
-    tracePhaseBegin(self, trace::Phase::kConcurrentSweep);
+    PhaseBracket conc(self, trace::Phase::kConcurrentSweep,
+                      &timing.concurrent_duration);
     collectStalePages();
 
     epoch_active_ = true;
@@ -254,32 +242,34 @@ ReloadedRevoker::doEpoch(sim::SimThread &self)
         }
         visitPage(self, va);
     }
-    tracePhaseBegin(self, trace::Phase::kDrain);
-    while (helpers_busy_ > 0 && !sched_.shuttingDown() &&
-           !recoveryRequested() && !forceCompleted())
-        helper_done_event_.wait(self);
-    epoch_active_ = false;
-    helper_event_.notifyAll(self);
+    {
+        PhaseBracket drain(self, trace::Phase::kDrain);
+        while (helpers_busy_ > 0 && !sched_.shuttingDown() &&
+               !recoveryRequested() && !forceCompleted())
+            helper_done_event_.wait(self);
+        epoch_active_ = false;
+        helper_event_.notifyAll(self);
 
-    // A helper killed mid-item can take a popped page to the grave:
-    // anything still stale after the drain is revisited here (in
-    // healthy epochs one extra scan finds nothing). Terminates
-    // because every visit publishes the page's disposition.
-    for (;;) {
-        collectStalePages();
-        if (work_.empty())
-            break;
-        for (Addr va = nextWork(); va != 0; va = nextWork())
-            visitPage(self, va);
+        // A helper killed mid-item can take a popped page to the
+        // grave: anything still stale after the drain is revisited
+        // here (in healthy epochs one extra scan finds nothing).
+        // Terminates because every visit publishes the page's
+        // disposition.
+        for (;;) {
+            collectStalePages();
+            if (work_.empty())
+                break;
+            for (Addr va = nextWork(); va != 0; va = nextWork())
+                visitPage(self, va);
+        }
+
+        // The epoch is not over until in-flight foreground fault
+        // handlers have published their pages (they also belong to
+        // this epoch's accounting).
+        while (faults_in_flight_ > 0 && !sched_.shuttingDown() &&
+               !recoveryRequested() && !forceCompleted())
+            fault_done_event_.wait(self);
     }
-
-    // The epoch is not over until in-flight foreground fault handlers
-    // have published their pages (they also belong to this epoch's
-    // accounting).
-    while (faults_in_flight_ > 0 && !sched_.shuttingDown() &&
-           !recoveryRequested() && !forceCompleted())
-        fault_done_event_.wait(self);
-    tracePhaseEnd(self, trace::Phase::kDrain);
 
     if (recoveryRequested() || forceCompleted()) {
         // Degradation: a lost fault completion (or similar) wedged the
@@ -288,14 +278,12 @@ ReloadedRevoker::doEpoch(sim::SimThread &self)
         // count is void — it counts notifications, not obligations,
         // and the sweep discharged every obligation.
         if (!forceCompleted()) {
-            timing.stw_duration += emergencyStwSweep(self);
+            emergencyStwSweep(self, &timing.stw_duration);
             currentRecovery().degraded = true;
         }
         faults_in_flight_ = 0;
     }
 
-    tracePhaseEnd(self, trace::Phase::kConcurrentSweep);
-    timing.concurrent_duration = self.now() - cbegin;
     // Delta accounting so that every fault (including rare stale-TLB
     // faults landing between epochs) is attributed to exactly one
     // epoch record.
@@ -303,9 +291,6 @@ ReloadedRevoker::doEpoch(sim::SimThread &self)
     timing.fault_count = fault_count_ - fault_count_recorded_;
     fault_time_recorded_ = fault_time_;
     fault_count_recorded_ = fault_count_;
-
-    finishEpoch(self); // even (skipped if the watchdog got there first)
-    timings_.push_back(timing);
 }
 
 } // namespace crev::revoker

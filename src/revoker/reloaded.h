@@ -66,7 +66,8 @@ class ReloadedRevoker : public Revoker
     reapDeadSweepers(sim::SimThread &self) override;
 
   protected:
-    void doEpoch(sim::SimThread &self) override;
+    void runPhases(sim::SimThread &self,
+                   EpochTiming &timing) override;
 
   private:
     /**

@@ -36,22 +36,59 @@ Revoker::waitForEpochCounter(sim::SimThread &caller,
     }
 }
 
+namespace {
+
 void
-Revoker::tracePhaseBegin(sim::SimThread &self, trace::Phase phase)
+tracePhase(sim::SimThread &self, trace::EventType type,
+           trace::Phase phase)
 {
-    if (trace::Tracer *tr = sched_.tracer())
-        tr->record(self.id(), self.core(), self.now(),
-                   trace::EventType::kPhaseBegin,
+    if (trace::Tracer *tr = self.scheduler().tracer())
+        tr->record(self.id(), self.core(), self.now(), type,
                    static_cast<std::uint8_t>(phase));
 }
 
-void
-Revoker::tracePhaseEnd(sim::SimThread &self, trace::Phase phase)
+} // namespace
+
+Revoker::PhaseBracket::PhaseBracket(sim::SimThread &self,
+                                    trace::Phase phase, Cycles *record)
+    : self_(self), phase_(phase), record_(record), begin_(self.now())
 {
-    if (trace::Tracer *tr = sched_.tracer())
-        tr->record(self.id(), self.core(), self.now(),
-                   trace::EventType::kPhaseEnd,
-                   static_cast<std::uint8_t>(phase));
+    tracePhase(self_, trace::EventType::kPhaseBegin, phase_);
+}
+
+Revoker::PhaseBracket::~PhaseBracket()
+{
+    if (record_ != nullptr)
+        *record_ += self_.now() - begin_;
+    tracePhase(self_, trace::EventType::kPhaseEnd, phase_);
+}
+
+Revoker::StwWindow::StwWindow(sim::SimThread &self, Cycles &stw)
+    : StwWindow(self, &stw, /*entry_delay=*/true)
+{
+}
+
+Revoker::StwWindow::StwWindow(sim::SimThread &self, Cycles *stw,
+                              bool entry_delay)
+    : self_(self)
+{
+    sim::FaultInjector *inj = self.scheduler().injector();
+    if (entry_delay && inj != nullptr) {
+        // A lost-then-retried IPI: the initiating thread burns cycles
+        // before the world actually stops.
+        const Cycles delay = inj->stwEntryDelay(self);
+        if (delay > 0)
+            self.accrue(delay);
+    }
+    self.scheduler().stopTheWorld(self);
+    if (stw != nullptr)
+        scan_.emplace(self, trace::Phase::kStwScan, stw);
+}
+
+Revoker::StwWindow::~StwWindow()
+{
+    scan_.reset(); // the bracket closes before the world resumes
+    self_.scheduler().resumeWorld(self_);
 }
 
 void
@@ -67,16 +104,10 @@ Revoker::scanRegistersAndHoards(sim::SimThread &self)
     sweep_.scanRegisters(self, kernel_.hoard().slots());
 }
 
-void
-Revoker::snapshotAuditSet()
-{
-    audit_set_ = bitmap_.painted();
-}
-
 check::SafetyOracle *
 Revoker::oracle() const
 {
-    return commitsToOracle() ? sched_.oracle() : nullptr;
+    return revokes() ? sched_.oracle() : nullptr;
 }
 
 void
@@ -88,12 +119,12 @@ Revoker::onDequarantine(Addr base, Addr len)
 }
 
 void
-Revoker::commitOracle(sim::SimThread &self)
+Revoker::closeEpoch(sim::SimThread &self)
 {
+    kernel_.epoch().advance(kern::EpochKey{}, self); // even: complete
     check::SafetyOracle *o = oracle();
     if (o == nullptr)
         return;
-    (void)self;
     o->commitEpoch(kernel_.epoch().value());
     audit_set_.forEachSet([o](Addr g) { o->commitGranule(g); });
 }
@@ -146,32 +177,10 @@ Revoker::reapDeadSweepers(sim::SimThread &)
     return dead;
 }
 
-Cycles
-Revoker::stwBegin(sim::SimThread &self)
-{
-    if (sim::FaultInjector *inj = sched_.injector()) {
-        // A lost-then-retried IPI: the initiating thread burns cycles
-        // before the world actually stops.
-        const Cycles delay = inj->stwEntryDelay(self);
-        if (delay > 0)
-            self.accrue(delay);
-    }
-    return sched_.stopTheWorld(self);
-}
-
 void
-Revoker::finishEpoch(sim::SimThread &self)
+Revoker::emergencyStwSweep(sim::SimThread &self, Cycles *stw)
 {
-    if (force_completed_)
-        return; // the watchdog already advanced the counter for us
-    kernel_.epoch().advance(self);
-    commitOracle(self);
-}
-
-Cycles
-Revoker::emergencyStwSweep(sim::SimThread &self)
-{
-    const Cycles begin = sched_.stopTheWorld(self);
+    StwWindow window(self, stw, /*entry_delay=*/false);
     scanRegistersAndHoards(self);
 
     // Sweep by fiat: with the world stopped no mutator can load a
@@ -193,10 +202,44 @@ Revoker::emergencyStwSweep(sim::SimThread &self)
             sweep_.publishPage(self, p, va, o, vm::PteContext::kStw);
         }
     });
+}
 
-    const Cycles duration = self.now() - begin;
-    sched_.resumeWorld(self);
-    return duration;
+void
+Revoker::runEpoch(sim::SimThread &self, bool emergency)
+{
+    const SweepStats before = sweep_.stats();
+    kernel_.epoch().advance(kern::EpochKey{}, self); // odd: in progress
+    if (revokes())
+        audit_set_ = bitmap_.painted();
+
+    EpochTiming timing;
+    if (emergency)
+        emergencyStwSweep(self, &timing.stw_duration);
+    else
+        runPhases(self, timing);
+
+    // The watchdog may already have closed a wedged daemon epoch.
+    if (emergency || !force_completed_)
+        closeEpoch(self);
+    timing.recovery = emergency
+        ? EpochRecovery{.degraded = true, .forced = true}
+        : cur_recovery_;
+    const SweepStats &after = sweep_.stats();
+    timing.pages_swept = after.pages_swept - before.pages_swept;
+    timing.caps_revoked = after.caps_revoked - before.caps_revoked;
+    timings_.push_back(timing);
+}
+
+void
+Revoker::completeEpoch(sim::SimThread &self)
+{
+    // §6.2: release mapping-quarantined reservations whose epoch
+    // target has now passed.
+    kernel_.reapQuarantinedMappings(self);
+    // Wake allocators waiting on the epoch counter.
+    epoch_event_.notifyAll(self);
+    if (audit_hook_)
+        audit_hook_(self);
 }
 
 void
@@ -205,50 +248,24 @@ Revoker::forceCompleteEpoch(sim::SimThread &self)
     CREV_ASSERT(epoch_in_progress_);
     CREV_ASSERT(kernel_.epoch().value() % 2 == 1);
 
-    emergencyStwSweep(self);
+    emergencyStwSweep(self, nullptr);
     force_completed_ = true;
     cur_recovery_.degraded = true;
     cur_recovery_.forced = true;
 
-    // Complete the epoch on the daemon's behalf: counter to even,
-    // quarantined mappings reaped, waiters released. When the daemon
-    // eventually resumes, finishEpoch() skips its own advance.
-    kernel_.epoch().advance(self);
-    commitOracle(self);
-    kernel_.reapQuarantinedMappings(self);
-    epoch_event_.notifyAll(self);
-    if (opts_.audit && audit_hook_)
-        audit_hook_(self);
+    // Close the epoch on the daemon's behalf; when the daemon
+    // eventually resumes, runEpoch() skips its own close.
+    closeEpoch(self);
+    completeEpoch(self);
 }
 
 void
 Revoker::emergencyEpoch(sim::SimThread &self)
 {
-    kern::EpochCounter &epoch = kernel_.epoch();
-    CREV_ASSERT(epoch.value() % 2 == 0);
+    CREV_ASSERT(kernel_.epoch().value() % 2 == 0);
     request_pending_ = false;
-
-    const SweepStats before = sweep_.stats();
-    epoch.advance(self); // odd: epoch in progress
-    snapshotAuditSet();
-
-    EpochTiming timing;
-    timing.stw_duration = emergencyStwSweep(self);
-    timing.recovery.degraded = true;
-    timing.recovery.forced = true;
-
-    epoch.advance(self); // even: epoch complete
-    commitOracle(self);
-    const SweepStats &after = sweep_.stats();
-    timing.pages_swept = after.pages_swept - before.pages_swept;
-    timing.caps_revoked = after.caps_revoked - before.caps_revoked;
-    timings_.push_back(timing);
-    ++epochs_;
-
-    kernel_.reapQuarantinedMappings(self);
-    epoch_event_.notifyAll(self);
-    if (opts_.audit && audit_hook_)
-        audit_hook_(self);
+    runEpoch(self, /*emergency=*/true);
+    completeEpoch(self);
 }
 
 void
@@ -269,28 +286,9 @@ Revoker::daemonBody(sim::SimThread &self)
         force_completed_ = false;
         cur_recovery_ = EpochRecovery{};
 
-        const SweepStats before = sweep_.stats();
-        doEpoch(self);
+        runEpoch(self, /*emergency=*/false);
         epoch_in_progress_ = false;
-        const SweepStats &after = sweep_.stats();
-        ++epochs_;
-        if (!timings_.empty()) {
-            timings_.back().pages_swept =
-                after.pages_swept - before.pages_swept;
-            timings_.back().caps_revoked =
-                after.caps_revoked - before.caps_revoked;
-            timings_.back().recovery = cur_recovery_;
-        }
-
-        // §6.2: release mapping-quarantined reservations whose epoch
-        // target has now passed.
-        kernel_.reapQuarantinedMappings(self);
-
-        // Wake allocators waiting on the epoch counter.
-        epoch_event_.notifyAll(self);
-
-        if (opts_.audit && audit_hook_)
-            audit_hook_(self);
+        completeEpoch(self);
     }
 }
 

@@ -6,8 +6,9 @@
  * A Revoker runs as a daemon thread (paper: "one system call per
  * revocation phase, invoked by a dedicated thread"; we fold the
  * userspace trigger thread and the kernel worker together). Allocators
- * request epochs and wait on the public epoch counter; concrete
- * strategies implement doEpoch().
+ * request epochs and wait on the public epoch counter. The epoch
+ * protocol is this base class's alone (only it holds a kern::EpochKey);
+ * strategies fill in runPhases().
  *
  * The base class additionally owns the *recovery protocol* driven by
  * the EpochWatchdog: every epoch is tracked (sequence number, start
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -78,8 +80,6 @@ struct RevokerOptions
     bool always_trap_clean_pages = false;
     /** §7.1: number of background sweeper threads (Reloaded). */
     unsigned background_sweepers = 1;
-    /** Run the whole-machine invariant audit after each epoch. */
-    bool audit = false;
 };
 
 /**
@@ -115,9 +115,6 @@ class Revoker
     /** Aggregate sweep work. */
     const SweepStats &sweepStats() const { return sweep_.stats(); }
 
-    std::uint64_t epochsCompleted() const { return epochs_; }
-
-    kern::Kernel &kernel() { return kernel_; }
     RevocationBitmap &bitmap() { return bitmap_; }
 
     /**
@@ -136,14 +133,13 @@ class Revoker
     void setAuditHook(AuditHook h) { audit_hook_ = std::move(h); }
 
     /**
-     * Whether completed epochs commit to the scheduler's safety oracle
-     * (when one is attached): the audit set's granules become revoked
-     * at every epoch completion and dequarantine clears them.
-     * Paint-only overrides this to false: its epochs complete without
-     * revoking anything, so committing them would flag legal loads of
-     * merely-quarantined objects (DESIGN.md §13.3).
+     * Whether this strategy's epochs revoke anything. Paint-only's do
+     * not, so for it the base pins no audit set, commits nothing to
+     * the safety oracle (committing would flag legal loads of merely
+     * quarantined objects, DESIGN.md §13.3), and the Machine installs
+     * no per-epoch audit.
      */
-    virtual bool commitsToOracle() const { return true; }
+    virtual bool revokes() const { return true; }
 
     // --- recovery protocol (EpochWatchdog side) ---
     //
@@ -151,7 +147,7 @@ class Revoker
     // execution token serialises every simulated thread, so the
     // watchdog and the daemon never race in host terms.
 
-    /** True between doEpoch() entry and return on the daemon. */
+    /** True while the daemon runs an epoch. */
     bool epochInProgress() const { return epoch_in_progress_; }
     /** Monotone count of epochs the daemon has started. */
     std::uint64_t epochSeq() const { return epoch_seq_; }
@@ -190,16 +186,17 @@ class Revoker
     /**
      * Watchdog fallback for an unresponsive daemon stuck mid-epoch
      * (counter odd): run the emergency sweep on the *calling* thread,
-     * advance the counter to even, and release epoch waiters. The
-     * daemon skips its own counter advance when it eventually resumes.
+     * close the epoch, and release epoch waiters. The daemon skips its
+     * own close when it eventually resumes. The sweep's time goes into
+     * no EpochTiming (DESIGN.md §7a), so it draws no phase bracket.
      */
     void forceCompleteEpoch(sim::SimThread &self);
 
     /**
      * Watchdog fallback for a pending request the daemon cannot take
      * (still wedged inside a force-completed epoch): run one complete
-     * CHERIvoke-style epoch — advance to odd, snapshot, STW sweep,
-     * advance to even — entirely on the calling thread.
+     * epoch whose only phase is the emergency stop-the-world sweep,
+     * entirely on the calling thread.
      */
     void emergencyEpoch(sim::SimThread &self);
 
@@ -207,34 +204,59 @@ class Revoker
     EpochRecovery &currentRecovery() { return cur_recovery_; }
 
   protected:
-    /** Perform one full revocation epoch on the daemon thread. */
-    virtual void doEpoch(sim::SimThread &self) = 0;
+    /**
+     * The strategy's phases of one epoch, run on the daemon between
+     * the base's open (counter odd, audit set pinned) and close. Each
+     * phase writes its duration into @p timing through a StwWindow or
+     * a recording PhaseBracket, so trace totals equal RunMetrics.
+     */
+    virtual void runPhases(sim::SimThread &self, EpochTiming &timing) = 0;
 
     /**
-     * Phase brackets for the tracer. Strategies bracket each fig. 9
-     * phase at exactly the instants their EpochTiming fields are
-     * computed, so trace-derived totals equal the RunMetrics phase
-     * accounting. Zero simulated cost; no-ops when tracing is off.
+     * One fig. 9 phase bracket for the tracer, scoped: it opens at
+     * construction and closes at destruction, adding the bracketed
+     * cycles to @p record (when given) at that instant, so the trace
+     * and the EpochTiming field cannot disagree. Zero simulated cost.
      */
-    void tracePhaseBegin(sim::SimThread &self, trace::Phase phase);
-    void tracePhaseEnd(sim::SimThread &self, trace::Phase phase);
+    class PhaseBracket
+    {
+      public:
+        PhaseBracket(sim::SimThread &self, trace::Phase phase,
+                     Cycles *record = nullptr);
+        ~PhaseBracket();
+        PhaseBracket(const PhaseBracket &) = delete;
+
+      private:
+        sim::SimThread &self_;
+        trace::Phase phase_;
+        Cycles *record_;
+        Cycles begin_;
+    };
+
+    /**
+     * One stop-the-world window, scoped: construction applies any
+     * injected entry delay (the lost-IPI model), stops the world and
+     * opens a kStwScan bracket recording into @p stw; destruction
+     * closes the bracket and resumes the world.
+     */
+    class StwWindow
+    {
+      public:
+        StwWindow(sim::SimThread &self, Cycles &stw);
+        ~StwWindow();
+        StwWindow(const StwWindow &) = delete;
+
+      private:
+        friend class Revoker;
+        /** With a null @p stw nothing is recorded or bracketed. */
+        StwWindow(sim::SimThread &self, Cycles *stw, bool entry_delay);
+
+        sim::SimThread &self_;
+        std::optional<PhaseBracket> scan_;
+    };
 
     /** Scan every thread's register file and the kernel hoards. */
     void scanRegistersAndHoards(sim::SimThread &self);
-
-    /** Record the painted-set snapshot at epoch start (audit). */
-    void snapshotAuditSet();
-
-    /**
-     * Commit the completed epoch's audit set into the safety oracle
-     * (no-op without one). Must run after the counter reaches even and
-     * before waiters can dequarantine.
-     */
-    void commitOracle(sim::SimThread &self);
-
-    /** The oracle this revoker commits to; null when none is attached
-     *  or the strategy does not commit (commitsToOracle()). */
-    check::SafetyOracle *oracle() const;
 
     /**
      * Collect the strategy's sweep candidates: the resident pages
@@ -245,27 +267,16 @@ class Revoker
     collectPages(const std::function<bool(const vm::Pte &)> &want);
 
     /**
-     * Enter stop-the-world, applying any injected entry delay (lost
-     * IPI model) first. All strategies stop the world through here.
-     */
-    Cycles stwBegin(sim::SimThread &self);
-
-    /**
-     * Advance the epoch counter to even at the end of doEpoch() —
-     * unless the watchdog already force-completed this epoch.
-     */
-    void finishEpoch(sim::SimThread &self);
-
-    /**
-     * CHERIvoke-style emergency sweep: stop the world, scan registers
-     * and hoards, sweep every page that has ever held capabilities,
-     * and heal all PTE generations. Deliberately takes no pmap lock:
-     * a parked mutator may hold it, and blocking inside a
-     * stop-the-world phase would deadlock the scheduler; with the
+     * CHERIvoke-style emergency sweep in its own stop-the-world window
+     * (no injected entry delay) recording into @p stw, if given: scan
+     * registers and hoards, sweep every page that has ever held
+     * capabilities, and heal all PTE generations. Deliberately takes
+     * no pmap lock: a parked mutator may hold it, and blocking inside
+     * a stop-the-world phase would deadlock the scheduler; with the
      * world stopped, lock-free PTE access is the same fiat CheriVoke
-     * relies on. Returns the world-stopped duration.
+     * relies on.
      */
-    Cycles emergencyStwSweep(sim::SimThread &self);
+    void emergencyStwSweep(sim::SimThread &self, Cycles *stw);
 
     sim::Scheduler &sched_;
     vm::Mmu &mmu_;
@@ -273,13 +284,31 @@ class Revoker
     RevocationBitmap &bitmap_;
     RevokerOptions opts_;
     SweepEngine sweep_;
-    std::vector<EpochTiming> timings_;
 
   private:
+    /**
+     * The epoch driver: counter to odd, audit set pinned, the phases
+     * (an @p emergency epoch's only phase is the emergency sweep),
+     * close unless the watchdog already did, and record the timing.
+     */
+    void runEpoch(sim::SimThread &self, bool emergency);
+
+    /** Counter to even, then commit the audit set to the safety
+     *  oracle, before waiters can dequarantine. */
+    void closeEpoch(sim::SimThread &self);
+
+    /** After a close: reap quarantined mappings (§6.2), wake epoch
+     *  waiters, and run the audit hook when one is installed. */
+    void completeEpoch(sim::SimThread &self);
+
+    /** The oracle this revoker commits to; null when none is attached
+     *  or the strategy revokes nothing. */
+    check::SafetyOracle *oracle() const;
+
+    std::vector<EpochTiming> timings_;
     sim::SimEvent request_event_;
     sim::SimEvent epoch_event_;
     bool request_pending_ = false;
-    std::uint64_t epochs_ = 0;
     ShadowSummary audit_set_;
     AuditHook audit_hook_;
 

@@ -95,8 +95,10 @@ SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
 
     // Clean-page detection must re-verify against live tags: a
     // capability stored during a lockless sweep makes the caller's
-    // verdict stale (§4.2/§7.4). pageHasTags is uncharged host work.
-    const bool clean = o.clean && !mmu_.pageHasTags(page_va);
+    // verdict stale (§4.2/§7.4). The re-check is uncharged: it stands
+    // in for the PTE's hardware-kept capability-dirty state.
+    const bool clean =
+        o.clean && !mmu_.pageHasTags(vm::CleanCheckKey{}, page_va);
     if (clean && o.clean_page_detection)
         p.cap_ever = false;
     if (o.set_generation) {

@@ -144,7 +144,7 @@ EpochWatchdog::daemonBody(sim::SimThread &self)
                 return;
             continue;
         } else {
-            // Counter already even but doEpoch() has not returned:
+            // Counter already even but the daemon epoch has not returned:
             // the daemon is wedged past the point of no safety
             // consequence; keep waking it.
             rev_.nudge(self);

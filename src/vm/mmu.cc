@@ -328,7 +328,7 @@ Mmu::kernelClearTag(sim::SimThread &t, Addr va)
 }
 
 bool
-Mmu::pageHasTags(Addr va)
+Mmu::pageHasTags(CleanCheckKey, Addr va)
 {
     Pte *p = as_.findPte(va);
     if (p == nullptr || !p->valid)

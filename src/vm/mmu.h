@@ -31,6 +31,7 @@
 
 namespace crev::revoker {
 class Auditor;
+class SweepEngine;
 } // namespace crev::revoker
 
 namespace crev::vm {
@@ -45,6 +46,19 @@ class ObserverKey
 {
     friend class revoker::Auditor;
     ObserverKey() = default;
+};
+
+/**
+ * Permission to ask, for free, whether a page holds any tag: the
+ * stand-in for the PTE's hardware-kept capability-dirty state. It
+ * steers simulated work (clean-page detection), so only
+ * revoker::SweepEngine, which publishes page dispositions, can make
+ * one.
+ */
+class CleanCheckKey
+{
+    friend class revoker::SweepEngine;
+    CleanCheckKey() = default;
 };
 
 /** MMU event counters. */
@@ -107,7 +121,7 @@ class Mmu
     void kernelClearTag(sim::SimThread &t, Addr va);
     /** Whether any granule of the page containing @p va is tagged
      *  right now (clean-page detection re-check; no cost). */
-    bool pageHasTags(Addr va);
+    bool pageHasTags(CleanCheckKey, Addr va);
     /**
      * Charge a read of @p len bytes at physical address @p paddr (the
      * sweep's line fetches; it resolves its page's frame once).

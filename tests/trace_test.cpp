@@ -266,6 +266,34 @@ TEST(Trace, EpochsBalanceUnderChaos)
     }
 }
 
+/** DESIGN.md §10.1's totals claim holds in degraded epochs too: the
+ *  emergency stop-the-world sweep that completes a wedged epoch is
+ *  bracketed where its time is recorded. */
+TEST(Trace, PhaseTotalsMatchRunMetricsInDegradedEpochs)
+{
+    for (bool hard_stall : {false, true}) {
+        SCOPED_TRACE(hard_stall ? "hard_stall" : "drop_faults");
+        const TracedRun r =
+            runTraced(degradedConfig(Strategy::kReloaded, hard_stall),
+                      hard_stall ? 1200 : 2500);
+        ASSERT_GT(r.metrics.degradedEpochs(), 0u);
+        Cycles stw = 0, conc = 0;
+        for (const auto &e : r.metrics.epochs) {
+            stw += e.stw_duration;
+            conc += e.concurrent_duration;
+        }
+        using trace::Phase;
+        EXPECT_EQ(r.summary.phases[static_cast<std::size_t>(
+                                       Phase::kStwScan)]
+                      .total_cycles,
+                  stw);
+        EXPECT_EQ(r.summary.phases[static_cast<std::size_t>(
+                                       Phase::kConcurrentSweep)]
+                      .total_cycles,
+                  conc);
+    }
+}
+
 TEST(TraceExport, JsonEscapeCoversEveryControlCharacter)
 {
     // RFC 8259 forbids raw U+0000-U+001F inside a JSON string.

@@ -56,18 +56,4 @@ Waiter::parkInside(SimThread &t)
     ev_.wait(t);
 }
 
-struct Revoker
-{
-    void snapshotAuditSet();
-    void finishEpoch();
-    void doEpoch();
-};
-
-void
-Revoker::doEpoch() // analyze: epoch-phase-ok (fixture: partial driver)
-{
-    snapshotAuditSet();
-    finishEpoch();
-}
-
 } // namespace wvfix

@@ -7,7 +7,7 @@ Checks the deterministic report emitted by `crev_analyze --report`
   - top level is an object with exactly the keys tool / version /
     rules / findings / waivers_used / stats;
   - "tool" is "crev_analyze" and "version" a non-empty string;
-  - "rules" is the three analysis passes, in pass order;
+  - "rules" is the two analysis passes, in pass order;
   - every finding carries string rule/function/file/message, a
     positive integer line, a non-empty callpath of strings, a rule
     drawn from "rules", and a forward-slash relative file path;
@@ -27,7 +27,7 @@ Usage: check_analyze_schema.py REPORT.json
 import json
 import sys
 
-EXPECTED_RULES = ["noyield-reach", "lock-evidence", "epoch-phase"]
+EXPECTED_RULES = ["noyield-reach", "lock-evidence"]
 TOP_KEYS = {"tool", "version", "rules", "findings", "waivers_used",
             "stats"}
 STAT_KEYS = {"files", "functions", "edges", "roots",

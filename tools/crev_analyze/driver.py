@@ -75,8 +75,7 @@ class Context:
 
 
 def _empty_facts():
-    return {"layer": None, "evidence": [], "mutations": [],
-            "epoch_ops": []}
+    return {"layer": None, "evidence": [], "mutations": []}
 
 
 def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
@@ -117,7 +116,7 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
                 if s.window is not None:
                     s = s._replace(window=s.window + woff)
                 node["sites"].append(s)
-            for key in ("evidence", "mutations", "epoch_ops"):
+            for key in ("evidence", "mutations"):
                 node["facts"][key].extend(facts[key])
             if node["facts"]["layer"] is None:
                 node["facts"]["layer"] = facts["layer"]

@@ -1,4 +1,4 @@
-"""Per-function fact summaries: the vocabulary the three passes reason
+"""Per-function fact summaries: the vocabulary the two passes reason
 over. Facts are computed from a function's call sites and body lines;
 the pass logic itself lives in passes.py.
 
@@ -54,9 +54,6 @@ NOTIFY_SAFE = frozenset([
 EVIDENCE_NAMES = frozenset(
     ("assertHeld", "heldBy", "stwOwnedBy", "stopTheWorld"))
 _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
-
-#: Epoch drivers checked by the phase-ordering pass.
-EPOCH_DRIVERS = frozenset(("doEpoch", "emergencyEpoch"))
 
 # ---------------------------------------------------------------------
 # Shared revocation state (the race-checker domains of DESIGN.md
@@ -151,51 +148,6 @@ def is_notify_safe(qname):
     return _qname_tail2(qname) in NOTIFY_SAFE
 
 
-_PHASE_ARG = re.compile(r"k[A-Z]\w*\Z")
-
-
-def epoch_ops(tokens, fn):
-    """Linear sequence of epoch-protocol operations in a driver body:
-    [(op, phase-or-None, line)]."""
-    ops = []
-    k = fn.body_begin + 1
-    while k < fn.body_end:
-        t = tokens[k]
-        if t.kind == "id" and k + 1 < fn.body_end \
-                and tokens[k + 1].text == "(":
-            name = t.text
-            if name == "advance":
-                ops.append(("advance", None, t.line))
-            elif name == "snapshotAuditSet":
-                ops.append(("snapshot", None, t.line))
-            elif name in ("stwBegin", "stopTheWorld"):
-                ops.append(("stw", None, t.line))
-            elif name == "resumeWorld":
-                ops.append(("resume", None, t.line))
-            elif name == "finishEpoch":
-                ops.append(("finish", None, t.line))
-            elif name in ("tracePhaseBegin", "tracePhaseEnd"):
-                phase = None
-                depth = 0
-                j = k + 1
-                while j < fn.body_end:
-                    tt = tokens[j]
-                    if tt.text == "(":
-                        depth += 1
-                    elif tt.text == ")":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif tt.kind == "id" and _PHASE_ARG.match(tt.text):
-                        phase = tt.text
-                    j += 1
-                op = ("phase_begin" if name == "tracePhaseBegin"
-                      else "phase_end")
-                ops.append((op, phase, t.line))
-        k += 1
-    return ops
-
-
 def make_facts(fn, tokens, sites, windows, file_lines, repo_root,
                fixture_dir):
     """Compute the fact summary for one function definition."""
@@ -219,14 +171,8 @@ def make_facts(fn, tokens, sites, windows, file_lines, repo_root,
                 if pat.search(text):
                     mutations.append((member, what, li))
 
-    ops = []
-    if fn.name in EPOCH_DRIVERS and (
-            layer in ("revoker", "fixture")):
-        ops = epoch_ops(tokens, fn)
-
     return {
         "layer": layer,
         "evidence": evidence,
         "mutations": mutations,
-        "epoch_ops": ops,
     }

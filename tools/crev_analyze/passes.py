@@ -1,4 +1,4 @@
-"""The three interprocedural passes (DESIGN.md section 16).
+"""The two interprocedural passes (DESIGN.md section 16).
 
 Each pass takes the analysis context built by driver.py — the call
 graph, the per-function facts, and the waiver table — and yields
@@ -14,7 +14,7 @@ from . import facts as F
 Finding = namedtuple(
     "Finding", ["rule", "function", "file", "line", "callpath", "message"])
 
-RULES = ("noyield-reach", "lock-evidence", "epoch-phase")
+RULES = ("noyield-reach", "lock-evidence")
 
 
 # ---------------------------------------------------------------------
@@ -133,116 +133,7 @@ def pass_lock_evidence(ctx):
     return findings
 
 
-# ---------------------------------------------------------------------
-# Pass 3: epoch-phase ordering.
-# ---------------------------------------------------------------------
-
-def _check_ops(ops):
-    """Validate one epoch driver's operation sequence. Returns
-    [(message, line)]. Legal shape: open with advance; snapshot the
-    audit set before any phase bracket; phase brackets properly
-    nested; every stop-the-world resumed; close (finishEpoch, or a
-    second advance for the emergency path) last."""
-    errs = []
-    if not ops:
-        errs.append(("epoch driver performs no epoch-protocol "
-                     "operations (must open with "
-                     "EpochCounter::advance)", 0))
-        return errs
-    if ops[0][0] != "advance":
-        errs.append(("epoch must open with EpochCounter::advance "
-                     "(first operation is %s)" % ops[0][0], ops[0][2]))
-    advances = 0
-    closed_at = None
-    stw_open = None
-    phase_stack = []
-    first_phase = None
-    first_snapshot = None
-    for op, phase, line in ops:
-        if closed_at is not None:
-            errs.append(("%s after the epoch already closed at line %d"
-                         % (op, closed_at), line))
-            continue
-        if op == "advance":
-            advances += 1
-            if advances >= 2:
-                closed_at = line  # emergency completion
-        elif op == "snapshot":
-            if first_snapshot is None:
-                first_snapshot = line
-        elif op == "stw":
-            if stw_open is not None:
-                errs.append(("stop-the-world at line %d never resumed"
-                             % stw_open, line))
-            stw_open = line
-        elif op == "resume":
-            if stw_open is None:
-                errs.append(("resumeWorld without a stop-the-world",
-                             line))
-            stw_open = None
-        elif op == "phase_begin":
-            if first_phase is None:
-                first_phase = line
-            phase_stack.append((phase, line))
-        elif op == "phase_end":
-            if not phase_stack or phase_stack[-1][0] != phase:
-                errs.append(("tracePhaseEnd(%s) does not match the "
-                             "open bracket %s"
-                             % (phase, phase_stack[-1][0]
-                                if phase_stack else "<none>"), line))
-            else:
-                phase_stack.pop()
-        elif op == "finish":
-            if phase_stack:
-                errs.append(("finishEpoch with phase bracket %s still "
-                             "open (opened line %d)"
-                             % phase_stack[-1], line))
-            if stw_open is not None:
-                errs.append(("finishEpoch inside the stop-the-world "
-                             "opened at line %d" % stw_open, line))
-            closed_at = line
-    if first_phase is not None and (first_snapshot is None
-                                    or first_snapshot > first_phase):
-        errs.append(("phase bracket opened before snapshotAuditSet: "
-                     "the audit set must be pinned before any "
-                     "paint/scan work", first_phase))
-    if stw_open is not None:
-        errs.append(("stop-the-world never resumed", stw_open))
-    if phase_stack:
-        errs.append(("phase bracket %s never closed" % phase_stack[-1][0],
-                     phase_stack[-1][1]))
-    if closed_at is None:
-        errs.append(("epoch never closes: finishEpoch (or the "
-                     "emergency path's completing advance) missing",
-                     ops[-1][2]))
-    return errs
-
-
-def pass_epoch_phase(ctx):
-    findings = []
-    for qname in sorted(ctx.nodes):
-        node = ctx.nodes[qname]
-        if node["fn"].name not in F.EPOCH_DRIVERS:
-            continue
-        if node["facts"]["layer"] not in ("revoker", "fixture"):
-            continue
-        ops = node["facts"]["epoch_ops"]
-        if ctx.fn_waived("epoch-phase", qname):
-            continue
-        for message, line in _check_ops(ops):
-            findings.append(Finding(
-                rule="epoch-phase",
-                function=qname,
-                file=ctx.relpath(node["fn"].file),
-                line=line or node["fn"].line,
-                callpath=[qname],
-                message=message,
-            ))
-    return findings
-
-
 ALL_PASSES = (
     ("noyield-reach", pass_noyield_reach),
     ("lock-evidence", pass_lock_evidence),
-    ("epoch-phase", pass_epoch_phase),
 )
