@@ -16,6 +16,7 @@
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "vm/fault.h"
+#include "workload/spec.h"
 
 namespace crev {
 namespace {
@@ -296,6 +297,35 @@ INSTANTIATE_TEST_SUITE_P(
         n += "_s" + std::to_string(info.param.sweepers);
         return n;
     });
+
+/**
+ * §7.6 through the library API: the three libquantum configurations
+ * of ablation_clean_page_policy (no-detect, detect, detect with
+ * always-trap). On a few huge pointer-free arrays, always-trap stops
+ * refreshing clean pages' generations, so it saves most TLB
+ * shootdowns and pays with first-touch barrier faults; clean-page
+ * detection never costs sweeps.
+ */
+TEST(CleanPagePolicy, AlwaysTrapTradesShootdownsForFaults)
+{
+    auto run = [](bool detect, bool always_trap) {
+        MachineConfig cfg;
+        cfg.strategy = Strategy::kReloaded;
+        cfg.policy = workload::specPolicy();
+        cfg.reloaded_clean_detect = detect;
+        cfg.always_trap_clean = always_trap;
+        Machine m(cfg);
+        workload::runSpec(m, workload::specProfile("libquantum"));
+        return m.metrics();
+    };
+    const auto no_detect = run(false, false);
+    const auto detect = run(true, false);
+    const auto trap = run(true, true);
+
+    EXPECT_GE(detect.mmu.tlb_shootdowns, 5 * trap.mmu.tlb_shootdowns);
+    EXPECT_GT(trap.mmu.load_barrier_faults, 0u);
+    EXPECT_LE(detect.sweep.pages_swept, no_detect.sweep.pages_swept);
+}
 
 // ---------------------------------------------------------------- //
 // Multi-threaded mutators sharing the heap (the gRPC shape), audited

@@ -14,6 +14,7 @@
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "revoker/auditor.h"
+#include "trace/trace.h"
 #include "vm/fault.h"
 
 namespace crev {
@@ -256,6 +257,132 @@ TEST(Reloaded, LoadBarrierFaultsOccurAndSelfHeal)
     for (const auto &e : metrics.epochs)
         fault_count += e.fault_count;
     EXPECT_EQ(fault_count, metrics.mmu.load_barrier_faults);
+}
+
+/**
+ * A fault's page visit publishes the generation it read *before* its
+ * unlocked sweep (§4.3), not the one current when it relocks. Here an
+ * epoch's stop-the-world flip lands inside that sweep, and the object
+ * a capability on the page points to is freed (painted) inside the
+ * same window, after the sweep has probed past it. Publishing the
+ * pre-sweep generation leaves the page stale for the new epoch, so
+ * the faulting load's retry traps again and its second sweep revokes
+ * the capability. Publishing the new generation would mark the page
+ * swept for an epoch it was not swept in, and the capability would
+ * outlive its object's epoch.
+ *
+ * The page must be stale *between* epochs for a fault to straddle a
+ * flip (an epoch waits out its in-flight faults before closing), so
+ * the machine runs §7.6's always-trap disposition. A background visit
+ * cannot straddle a flip at all: the daemon flips, and it waits out
+ * its helpers before the next epoch can open.
+ */
+TEST(Reloaded, FaultPublishesTheGenerationReadBeforeItsSweep)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kReloaded;
+    cfg.always_trap_clean = true;
+    cfg.oracle = true;
+    cfg.trace = true;
+    cfg.policy.min_bytes = 1 << 20; // epochs only when drained
+    Machine m(cfg);
+
+    // Audit every epoch without panicking, so a violation fails the
+    // test instead of the process.
+    std::size_t audits = 0;
+    std::size_t violations = 0;
+    m.revokerOrNull()->setAuditHook([&](sim::SimThread &) {
+        ++audits;
+        for (const std::string &v : m.auditorOrNull()->findViolations()) {
+            ADD_FAILURE() << v;
+            ++violations;
+        }
+    });
+
+    // Each of the page's other capabilities has its base in its own
+    // bitmap line, so every probe misses the cache and the fault's
+    // sweep lasts long enough for the other thread to free the victim
+    // and open an epoch inside it.
+    constexpr Addr kSpread = 8 * 1024;
+    constexpr Cycles kFreeDelay = 10'000;
+    cap::Capability victim;
+    sim::SimThread *faulter = nullptr;
+    bool armed = false;
+    bool revoked = false;
+
+    faulter = m.spawnMutator("faulter", 1u << 3, [&](Mutator &ctx) {
+        const cap::Capability spread =
+            ctx.malloc(kGranulesPerPage * kSpread);
+        victim = ctx.malloc(64);
+        const cap::Capability holder = ctx.malloc(2 * kPageSize);
+        const Addr page = roundUp(holder.base, kPageSize) - holder.base;
+        // The page holds plain data only, so the first epoch finds it
+        // clean and leaves it always-trap.
+        ctx.store64(holder, page, 1);
+        ctx.free(ctx.malloc(64));
+        m.heap().drain(ctx.thread());
+        const vm::Pte *pte = m.addressSpace().findPte(holder.base + page);
+        ASSERT_NE(pte, nullptr);
+        ASSERT_TRUE(pte->cap_load_trap);
+
+        // The victim's capability sits in the first granule, which the
+        // fault's sweep probes first.
+        ctx.storeCap(holder, page, victim);
+        for (std::size_t g = 1; g < kGranulesPerPage; ++g) {
+            const Addr base = spread.base + g * kSpread;
+            ctx.storeCap(holder, page + g * kGranuleSize,
+                         spread.setBounds(base, base + kGranuleSize));
+        }
+        armed = true;
+        ctx.loadCap(holder, page); // traps: the page is always-trap
+        while (!revoked)
+            ctx.sleep(100'000);
+        EXPECT_FALSE(ctx.loadCap(holder, page).tag)
+            << "the capability outlived the epoch that freed its object";
+    });
+
+    m.spawnMutator("freer", 1u << 1, [&](Mutator &ctx) {
+        while (!armed)
+            ctx.sleep(1'000);
+        ctx.sleep(kFreeDelay);
+        ctx.free(victim);
+        m.heap().drain(ctx.thread());
+        revoked = true;
+    });
+
+    m.run();
+    EXPECT_GT(audits, 0u);
+    EXPECT_EQ(violations, 0u);
+    EXPECT_EQ(m.metrics().oracle_violations, 0u);
+
+    // The window was really hit: a stop-the-world window opened inside
+    // one of the faulter's load-fault sweeps.
+    std::vector<std::pair<Cycles, Cycles>> fault_sweeps;
+    std::vector<Cycles> stw_begins;
+    const trace::Tracer &tr = *m.tracerOrNull();
+    for (std::size_t tid = 0; tid < tr.numThreads(); ++tid) {
+        const trace::TraceBuffer *b = tr.buffer(tid);
+        if (b == nullptr)
+            continue;
+        Cycles open = 0;
+        b->forEach([&](const trace::Event &e) {
+            if (e.type == trace::EventType::kStwBegin)
+                stw_begins.push_back(e.at);
+            if (e.tid != faulter->id() ||
+                e.arg8 != static_cast<std::uint8_t>(
+                              trace::Phase::kLoadFaultSweep))
+                return;
+            if (e.type == trace::EventType::kPhaseBegin)
+                open = e.at;
+            else if (e.type == trace::EventType::kPhaseEnd)
+                fault_sweeps.emplace_back(open, e.at);
+        });
+    }
+    bool hit = false;
+    for (const auto &[begin, end] : fault_sweeps)
+        for (Cycles s : stw_begins)
+            hit = hit || (begin < s && s < end);
+    EXPECT_TRUE(hit) << "no epoch flip landed inside a fault's sweep";
 }
 
 TEST(Reloaded, StwIsShortComparedToCornucopia)
