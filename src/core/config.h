@@ -104,9 +104,12 @@ struct MachineConfig
     /** Per-thread trace ring capacity, in events. */
     std::size_t trace_buffer_events = 1u << 16;
 
-    /** Reloaded: clear cap_ever when a sweep finds a page clean. */
+    /** Clear cap_ever when a page visit finds the page clean
+     *  (Reloaded and the CHERIoT filter; the other strategies never
+     *  pass a clean verdict). */
     bool reloaded_clean_detect = true;
-    /** §7.6 ablation: always-trap disposition for clean pages. */
+    /** §7.6 ablation: always-trap disposition for clean pages (only
+     *  healing visits use it, so only Reloaded). */
     bool always_trap_clean = false;
     /** §7.1: background sweeper thread count (Reloaded). */
     unsigned background_sweepers = 1;

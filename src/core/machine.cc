@@ -106,31 +106,30 @@ Machine::Machine(const MachineConfig &cfg) : cfg_(cfg)
 
     bitmap_ = std::make_unique<revoker::RevocationBitmap>(*mmu_);
 
-    revoker::RevokerOptions opts;
-    opts.clean_page_detection = cfg.reloaded_clean_detect;
-    opts.always_trap_clean_pages = cfg.always_trap_clean;
-    opts.background_sweepers = cfg.background_sweepers;
+    const revoker::PagePolicy page_policy{
+        .clean_page_detection = cfg.reloaded_clean_detect,
+        .always_trap_clean = cfg.always_trap_clean};
 
     switch (cfg.strategy) {
       case Strategy::kPaintOnly:
         revoker_ = std::make_unique<revoker::PaintOnlyRevoker>(
-            *sched_, *mmu_, *kernel_, *bitmap_, opts);
+            *sched_, *mmu_, *kernel_, *bitmap_, page_policy);
         break;
       case Strategy::kCheriVoke:
         revoker_ = std::make_unique<revoker::CheriVokeRevoker>(
-            *sched_, *mmu_, *kernel_, *bitmap_, opts);
+            *sched_, *mmu_, *kernel_, *bitmap_, page_policy);
         break;
       case Strategy::kCornucopia:
         revoker_ = std::make_unique<revoker::CornucopiaRevoker>(
-            *sched_, *mmu_, *kernel_, *bitmap_, opts);
+            *sched_, *mmu_, *kernel_, *bitmap_, page_policy);
         break;
       case Strategy::kReloaded:
         revoker_ = std::make_unique<revoker::ReloadedRevoker>(
-            *sched_, *mmu_, *kernel_, *bitmap_, opts);
+            *sched_, *mmu_, *kernel_, *bitmap_, page_policy);
         break;
       case Strategy::kCheriotFilter:
         revoker_ = std::make_unique<revoker::CheriotFilterRevoker>(
-            *sched_, *mmu_, *kernel_, *bitmap_, opts);
+            *sched_, *mmu_, *kernel_, *bitmap_, page_policy);
         break;
       default:
         panic("unreachable strategy");

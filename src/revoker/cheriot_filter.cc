@@ -2,18 +2,7 @@
 
 #include <vector>
 
-#include "vm/address_space.h"
-
 namespace crev::revoker {
-
-CheriotFilterRevoker::CheriotFilterRevoker(sim::Scheduler &sched,
-                                           vm::Mmu &mmu,
-                                           kern::Kernel &kernel,
-                                           RevocationBitmap &bitmap,
-                                           const RevokerOptions &opts)
-    : Revoker(sched, mmu, kernel, bitmap, opts)
-{
-}
 
 bool
 CheriotFilterRevoker::filterLoad(sim::SimThread &t,
@@ -32,8 +21,6 @@ CheriotFilterRevoker::filterLoad(sim::SimThread &t,
 void
 CheriotFilterRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
 {
-    vm::AddressSpace &as = mmu_.addressSpace();
-
     // Registers and hoards may hold pre-epoch capabilities that never
     // pass through a load again; scan them world-stopped. No
     // generation machinery exists to flip.
@@ -50,27 +37,8 @@ CheriotFilterRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
                       &timing.concurrent_duration);
     const std::vector<Addr> pages =
         collectPages([](const vm::Pte &p) { return p.cap_ever; });
-    sim::SimMutex &pmap = as.pmapLock();
-    for (Addr va : pages) {
-        pmap.lock(self);
-        vm::Pte *p = as.findPte(va);
-        const bool valid = p != nullptr && p->valid;
-        pmap.unlock(self);
-        if (!valid)
-            continue;
-        const bool clean = sweep_.sweepPage(self, va);
-        pmap.lock(self);
-        if (p->valid) {
-            PublishOptions o;
-            o.clean = clean;
-            o.clean_page_detection = opts_.clean_page_detection;
-            o.set_generation = false;
-            o.charge_and_shootdown = false;
-            sweep_.publishPage(self, *p, va, o,
-                               vm::PteContext::kLocked);
-        }
-        pmap.unlock(self);
-    }
+    for (Addr va : pages)
+        sweep_.visitPage(self, va, /*heal=*/false);
 }
 
 } // namespace crev::revoker

@@ -30,10 +30,7 @@ namespace crev::revoker {
 class CheriotFilterRevoker : public Revoker
 {
   public:
-    CheriotFilterRevoker(sim::Scheduler &sched, vm::Mmu &mmu,
-                         kern::Kernel &kernel,
-                         RevocationBitmap &bitmap,
-                         const RevokerOptions &opts);
+    using Revoker::Revoker;
 
     const char *name() const override { return "cheriot-filter"; }
 

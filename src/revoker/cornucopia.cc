@@ -11,9 +11,6 @@ CornucopiaRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
 {
     vm::AddressSpace &as = mmu_.addressSpace();
     sim::SimMutex &pmap = as.pmapLock();
-    PublishOptions dirty_clear;
-    dirty_clear.set_generation = false;
-    dirty_clear.charge_and_shootdown = false;
 
     // Phase 1 (concurrent): visit all pages that have ever held
     // capabilities, clearing each page's dirty bit *before* sweeping
@@ -31,8 +28,8 @@ CornucopiaRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
                 pmap.unlock(self);
                 continue;
             }
-            sweep_.publishPage(self, *p, va, dirty_clear,
-                               vm::PteContext::kLocked);
+            sweep_.publishPage(self, *p, va, /*clean=*/false,
+                               std::nullopt, vm::PteContext::kLocked);
             pmap.unlock(self);
             sweep_.sweepPage(self, va);
         }
@@ -48,8 +45,8 @@ CornucopiaRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
         sweep_.sweepPage(self, va);
         vm::Pte *p = as.findPte(va);
         if (p != nullptr)
-            sweep_.publishPage(self, *p, va, dirty_clear,
-                               vm::PteContext::kStw);
+            sweep_.publishPage(self, *p, va, /*clean=*/false,
+                               std::nullopt, vm::PteContext::kStw);
     }
 }
 

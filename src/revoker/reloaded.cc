@@ -2,17 +2,8 @@
 
 #include "base/logging.h"
 #include "sim/fault_injector.h"
-#include "vm/address_space.h"
 
 namespace crev::revoker {
-
-ReloadedRevoker::ReloadedRevoker(sim::Scheduler &sched, vm::Mmu &mmu,
-                                 kern::Kernel &kernel,
-                                 RevocationBitmap &bitmap,
-                                 const RevokerOptions &opts)
-    : Revoker(sched, mmu, kernel, bitmap, opts)
-{
-}
 
 void
 ReloadedRevoker::faultDone(sim::SimThread &t)
@@ -49,43 +40,15 @@ ReloadedRevoker::deliverLoadFault(sim::SimThread &t, Addr fault_va,
     const bool lost =
         primary && inj != nullptr && inj->dropFaultDelivery(t);
 
-    const Addr va = pageBase(fault_va);
-    vm::AddressSpace &as = mmu_.addressSpace();
-    sim::SimMutex &pmap = as.pmapLock();
     const Cycles t0 = t.now();
     {
         PhaseBracket bracket(t, trace::Phase::kLoadFaultSweep);
-        const unsigned gen = mmu_.currentGen();
         ++faults_in_flight_;
-
-        // First pmap acquisition: detect a stale TLB — the PTE may
-        // have already been brought up to date by another core (§4.3).
-        pmap.lock(t);
-        vm::Pte *p = as.findPte(va);
-        CREV_ASSERT(p != nullptr && p->valid);
-        const bool stale = p->clg != gen || p->cap_load_trap;
-        pmap.unlock(t);
-
-        if (stale) {
-            // Sweep without locks held (probing the bitmap may itself
-            // fault).
-            bool clean = true;
-            if (p->cap_ever)
-                clean = sweep_.sweepPage(t, va);
-
-            // Second acquisition: idempotently publish the new
-            // generation.
-            pmap.lock(t);
-            if (p->clg != gen || p->cap_load_trap) {
-                PublishOptions o;
-                o.gen = gen;
-                o.clean = clean;
-                o.clean_page_detection = opts_.clean_page_detection;
-                sweep_.publishPage(t, *p, va, o,
-                                   vm::PteContext::kLocked);
-            }
-            pmap.unlock(t);
-        }
+        // The PTE may already be up to date: another core healed the
+        // page, and this core's TLB entry was stale (§4.3).
+        const bool mapped =
+            sweep_.visitPage(t, pageBase(fault_va), /*heal=*/true);
+        CREV_ASSERT(mapped);
     }
     if (!lost) {
         fault_time_ += t.now() - t0;
@@ -110,39 +73,6 @@ ReloadedRevoker::collectStalePages()
         return p.clg != gen && !p.cap_load_trap;
     });
     work_next_ = 0;
-}
-
-void
-ReloadedRevoker::visitPage(sim::SimThread &t, Addr va)
-{
-    vm::AddressSpace &as = mmu_.addressSpace();
-    sim::SimMutex &pmap = as.pmapLock();
-    const unsigned gen = mmu_.currentGen();
-
-    pmap.lock(t);
-    vm::Pte *p = as.findPte(va);
-    if (p == nullptr || !p->valid ||
-        (p->clg == gen && !p->cap_load_trap)) {
-        // Freed, or already healed by a foreground fault.
-        pmap.unlock(t);
-        return;
-    }
-    pmap.unlock(t);
-
-    bool clean = true;
-    if (p->cap_ever)
-        clean = sweep_.sweepPage(t, va);
-
-    pmap.lock(t);
-    if (p->valid && (p->clg != gen || p->cap_load_trap)) {
-        PublishOptions o;
-        o.gen = gen;
-        o.clean = clean;
-        o.clean_page_detection = opts_.clean_page_detection;
-        o.always_trap_clean = opts_.always_trap_clean_pages;
-        sweep_.publishPage(t, *p, va, o, vm::PteContext::kLocked);
-    }
-    pmap.unlock(t);
 }
 
 void
@@ -174,7 +104,7 @@ ReloadedRevoker::helperBody(sim::SimThread &self)
                 if (stall > 0)
                     self.sleep(stall);
             }
-            visitPage(self, va);
+            sweep_.visitPage(self, va, /*heal=*/true);
         }
         busy_helper_ids_.erase(self.id());
         --helpers_busy_;
@@ -226,7 +156,7 @@ ReloadedRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
     }
 
     // Background phase: visit every page still carrying the old
-    // generation. Foreground faults race us benignly (visitPage
+    // generation. Foreground faults race us benignly (each visit
     // rechecks under the pmap lock; page visits are idempotent).
     PhaseBracket conc(self, trace::Phase::kConcurrentSweep,
                       &timing.concurrent_duration);
@@ -240,7 +170,7 @@ ReloadedRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
             if (stall > 0)
                 self.sleep(stall);
         }
-        visitPage(self, va);
+        sweep_.visitPage(self, va, /*heal=*/true);
     }
     {
         PhaseBracket drain(self, trace::Phase::kDrain);
@@ -260,7 +190,7 @@ ReloadedRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
             if (work_.empty())
                 break;
             for (Addr va = nextWork(); va != 0; va = nextWork())
-                visitPage(self, va);
+                sweep_.visitPage(self, va, /*heal=*/true);
         }
 
         // The epoch is not over until in-flight foreground fault

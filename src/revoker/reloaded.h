@@ -36,9 +36,7 @@ namespace crev::revoker {
 class ReloadedRevoker : public Revoker
 {
   public:
-    ReloadedRevoker(sim::Scheduler &sched, vm::Mmu &mmu,
-                    kern::Kernel &kernel, RevocationBitmap &bitmap,
-                    const RevokerOptions &opts);
+    using Revoker::Revoker;
 
     const char *name() const override { return "reloaded"; }
 
@@ -81,12 +79,6 @@ class ReloadedRevoker : public Revoker
 
     /** Retire one in-flight fault (underflow-safe after recovery). */
     void faultDone(sim::SimThread &t);
-
-    /**
-     * Background visit of one page: recheck under the pmap lock,
-     * sweep without it, publish the new generation, shoot down TLBs.
-     */
-    void visitPage(sim::SimThread &t, Addr va);
 
     /** Pop the next background work item; 0 when drained. */
     Addr nextWork();

@@ -10,9 +10,9 @@ namespace crev::revoker {
 
 Revoker::Revoker(sim::Scheduler &sched, vm::Mmu &mmu,
                  kern::Kernel &kernel, RevocationBitmap &bitmap,
-                 const RevokerOptions &opts)
+                 const PagePolicy &policy)
     : sched_(sched), mmu_(mmu), kernel_(kernel), bitmap_(bitmap),
-      opts_(opts), sweep_(mmu, bitmap)
+      sweep_(mmu, bitmap, policy)
 {
 }
 
@@ -196,11 +196,9 @@ Revoker::emergencyStwSweep(sim::SimThread &self, Cycles *stw)
             return;
         if (p.cap_ever)
             sweep_.sweepPage(self, va);
-        if (p.clg != gen || p.cap_load_trap) {
-            PublishOptions o;
-            o.gen = gen;
-            sweep_.publishPage(self, p, va, o, vm::PteContext::kStw);
-        }
+        if (p.clg != gen || p.cap_load_trap)
+            sweep_.publishPage(self, p, va, /*clean=*/false, gen,
+                               vm::PteContext::kStw);
     });
 }
 

@@ -71,17 +71,6 @@ struct EpochTiming
     EpochRecovery recovery;         //!< how the epoch reached completion
 };
 
-/** Strategy-independent configuration knobs. */
-struct RevokerOptions
-{
-    /** Reloaded: clear cap_ever when a sweep finds a page clean. */
-    bool clean_page_detection = true;
-    /** §7.6: mark clean pages always-trap instead of refreshing CLG. */
-    bool always_trap_clean_pages = false;
-    /** §7.1: number of background sweeper threads (Reloaded). */
-    unsigned background_sweepers = 1;
-};
-
 /**
  * Base class: owns the request/epoch plumbing; subclasses implement
  * one revocation epoch.
@@ -90,7 +79,7 @@ class Revoker
 {
   public:
     Revoker(sim::Scheduler &sched, vm::Mmu &mmu, kern::Kernel &kernel,
-            RevocationBitmap &bitmap, const RevokerOptions &opts);
+            RevocationBitmap &bitmap, const PagePolicy &policy);
     virtual ~Revoker() = default;
 
     /** Human-readable strategy name. */
@@ -282,7 +271,6 @@ class Revoker
     vm::Mmu &mmu_;
     kern::Kernel &kernel_;
     RevocationBitmap &bitmap_;
-    RevokerOptions opts_;
     SweepEngine sweep_;
 
   private:

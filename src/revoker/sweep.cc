@@ -87,9 +87,10 @@ SweepEngine::scanRegisters(sim::SimThread &t,
     }
 }
 
-bool
+void
 SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
-                         const PublishOptions &o, vm::PteContext ctx)
+                         bool clean, std::optional<unsigned> heal_gen,
+                         vm::PteContext ctx)
 {
     mmu_.addressSpace().notePtePublish(t, page_va, ctx);
 
@@ -97,26 +98,61 @@ SweepEngine::publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
     // capability stored during a lockless sweep makes the caller's
     // verdict stale (§4.2/§7.4). The re-check is uncharged: it stands
     // in for the PTE's hardware-kept capability-dirty state.
-    const bool clean =
-        o.clean && !mmu_.pageHasTags(vm::CleanCheckKey{}, page_va);
-    if (clean && o.clean_page_detection)
+    clean = clean && !mmu_.pageHasTags(vm::CleanCheckKey{}, page_va);
+    if (clean && policy_.clean_page_detection)
         p.cap_ever = false;
-    if (o.set_generation) {
-        if (clean && o.always_trap_clean) {
+    if (heal_gen) {
+        if (clean && policy_.always_trap_clean) {
             // §7.6: leave the page in the always-trap disposition; its
             // generation need not be maintained while it stays clean.
             p.cap_load_trap = true;
         } else {
-            p.clg = o.gen;
+            p.clg = *heal_gen;
             p.cap_load_trap = false;
         }
     }
     p.cap_dirty = false;
-    if (o.charge_and_shootdown) {
+    if (heal_gen) {
         t.accrue(mmu_.costs().pte_update);
         mmu_.shootdownPage(t, page_va);
     }
-    return clean;
+}
+
+bool
+SweepEngine::visitPage(sim::SimThread &t, Addr va, bool heal)
+{
+    vm::AddressSpace &as = mmu_.addressSpace();
+    sim::SimMutex &pmap = as.pmapLock();
+    // Read before the sweep: an epoch that opens mid-sweep must still
+    // find this page stale.
+    const unsigned gen = mmu_.currentGen();
+    auto wanted = [&](const vm::Pte &p) {
+        return p.valid && (!heal || p.clg != gen || p.cap_load_trap);
+    };
+
+    // First acquisition: skip a page that is unmapped or, when
+    // healing, already brought up to date by another visit.
+    pmap.lock(t);
+    vm::Pte *p = as.findPte(va);
+    const bool mapped = p != nullptr && p->valid;
+    const bool visit = mapped && wanted(*p);
+    pmap.unlock(t);
+    if (!visit)
+        return mapped;
+
+    // Sweep without the lock (a bitmap probe can itself fault).
+    bool clean = true;
+    if (p->cap_ever)
+        clean = sweepPage(t, va);
+
+    // Second acquisition: publish idempotently.
+    pmap.lock(t);
+    if (wanted(*p))
+        publishPage(t, *p, va, clean,
+                    heal ? std::optional<unsigned>(gen) : std::nullopt,
+                    vm::PteContext::kLocked);
+    pmap.unlock(t);
+    return true;
 }
 
 bool

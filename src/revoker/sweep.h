@@ -14,6 +14,7 @@
 #define CREV_REVOKER_SWEEP_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/types.h"
@@ -36,38 +37,33 @@ struct SweepStats
 };
 
 /**
- * Per-site knobs for SweepEngine::publishPage(). Each revocation
- * strategy publishes page dispositions with a different subset of the
- * full Reloaded behaviour; the options select exactly the writes (and
- * charges) the site performed before the choke point existed.
+ * What a publish does with a page that re-verifies clean: the
+ * machine's one page-disposition policy, fixed at construction.
  */
-struct PublishOptions
+struct PagePolicy
 {
-    unsigned gen = 0;     //!< generation to publish (set_generation)
-    bool clean = false;   //!< caller's (possibly stale) sweep verdict
-    /** Clear cap_ever when the page re-verifies clean. */
-    bool clean_page_detection = false;
-    /** §7.6: clean pages keep an always-trap disposition. */
+    /** Clear cap_ever, so sweeps skip the page until a capability
+     *  store sets it again. */
+    bool clean_page_detection = true;
+    /** §7.6: a healing publish leaves the page always-trap instead of
+     *  giving it the new generation. */
     bool always_trap_clean = false;
-    /** Refresh CLG / load-trap bits (epoch-healing sites). */
-    bool set_generation = true;
-    /** Charge the PTE update and shoot down the page's translations. */
-    bool charge_and_shootdown = true;
 };
 
 /** Shared page/register sweeping machinery. */
 class SweepEngine
 {
   public:
-    SweepEngine(vm::Mmu &mmu, RevocationBitmap &bitmap)
-        : mmu_(mmu), bitmap_(bitmap)
+    SweepEngine(vm::Mmu &mmu, RevocationBitmap &bitmap,
+                const PagePolicy &policy = {})
+        : mmu_(mmu), bitmap_(bitmap), policy_(policy)
     {
     }
 
     /**
      * Sweep the resident page at @p page_va on thread @p t. Returns
      * true if the page was found to contain no tagged capabilities
-     * (Reloaded's clean-page detection).
+     * (the verdict clean-page detection starts from).
      *
      * Each line is charged as one read; the tagged granules within it
      * are found from the frame's packed per-line tag nibble, and every
@@ -87,21 +83,43 @@ class SweepEngine
 
     /**
      * The single choke point through which every strategy publishes an
-     * in-place PTE disposition (CLG/trap refresh, cap-dirty clear,
-     * clean-page detection). Declares the publish to the address space
-     * (race-checker observation, or a hard locking assertion when no
-     * checker is attached), re-verifies cleanliness against live tags,
-     * and applies exactly the writes selected by @p o. Returns the
-     * re-verified clean verdict.
+     * in-place PTE disposition. Declares the publish to the address
+     * space (race-checker observation, or a hard locking assertion when
+     * no checker is attached), re-verifies the caller's @p clean
+     * verdict against live tags, applies the policy to a clean page and
+     * clears the capability-dirty bit.
+     *
+     * A healing publish (@p heal_gen set) also refreshes the page's
+     * load-barrier state to *heal_gen, or to always-trap, and pays for
+     * a PTE update and a TLB shootdown: TLBs cache the generation and
+     * trap bits. A dirty-bit clear alone needs no shootdown, because
+     * capability stores read cap_dirty from the live PTE.
      */
-    bool publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
-                     const PublishOptions &o, vm::PteContext ctx);
+    void publishPage(sim::SimThread &t, vm::Pte &p, Addr page_va,
+                     bool clean, std::optional<unsigned> heal_gen,
+                     vm::PteContext ctx);
+
+    /**
+     * One concurrent, idempotent page visit (§4.3), shared by the load
+     * barrier's fault handler and every background sweep. It reads the
+     * generation first; under the pmap lock it checks that the page is
+     * mapped and, when @p heal, stale; it sweeps without the lock (only
+     * a page that has ever held capabilities); and under a second
+     * acquisition it re-checks and publishes, healing the page to the
+     * generation read at the start. Publishing the generation current
+     * at the relock instead would mark the page swept for an epoch that
+     * opened mid-sweep, after the sweep had passed capabilities to
+     * objects that epoch revokes. Returns false if the page was not
+     * mapped at the first check.
+     */
+    bool visitPage(sim::SimThread &t, Addr va, bool heal);
 
     const SweepStats &stats() const { return stats_; }
 
   private:
     vm::Mmu &mmu_;
     RevocationBitmap &bitmap_;
+    const PagePolicy policy_;
     SweepStats stats_;
 };
 

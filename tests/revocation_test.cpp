@@ -304,6 +304,9 @@ TEST(Reloaded, FaultPublishesTheGenerationReadBeforeItsSweep)
     // sweep lasts long enough for the other thread to free the victim
     // and open an epoch inside it.
     constexpr Addr kSpread = 8 * 1024;
+    // Puts the free after the sweep's first probe and the flip before
+    // its relock; the trace check below fails if a cost-model change
+    // moves either out of the window.
     constexpr Cycles kFreeDelay = 10'000;
     cap::Capability victim;
     sim::SimThread *faulter = nullptr;

@@ -25,10 +25,14 @@ confirm every linted translation unit is actually part of the build:
   pte-publish           in-place writes of PTE revocation fields (clg,
                         cap_load_trap, cap_dirty, cap_ever) are
                         confined to the vm layer and the
-                        SweepEngine::publishPage choke point, which
-                        pairs them with a TLB shootdown (the
-                        stale-PTE-cache bug class); a file using them
-                        must also shoot down.
+                        SweepEngine::publishPage choke point, whose
+                        healing publishes pair the clg/cap_load_trap
+                        rewrite with a TLB shootdown: TLBs cache those
+                        two bits for the load barrier (the
+                        stale-PTE-cache bug class), while capability
+                        stores read cap_dirty and cap_ever from the
+                        live PTE, so clearing those needs none. A file
+                        using them must also shoot down.
 
 Two former rules — uncharged-access and shared-mutation — are retired.
 uncharged-access (a path allowlist) is now a type: the one uncharged
@@ -209,8 +213,9 @@ def rule_pte_publish(path, lines):
                 "pte-publish", path, i + 1,
                 "in-place write of Pte::%s outside the vm layer and "
                 "SweepEngine::publishPage: route it through "
-                "publishPage so a TLB shootdown is paired with the "
-                "mutation" % m.group(1))
+                "publishPage, which pairs every rewrite of the "
+                "TLB-cached generation and trap bits with a TLB "
+                "shootdown" % m.group(1))
         elif not file_invalidates:
             yield Violation(
                 "pte-publish", path, i + 1,

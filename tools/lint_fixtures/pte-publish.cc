@@ -15,8 +15,10 @@ publishWithoutInvalidation(Pte &p, unsigned gen)
 {
     // The stale-PTE-cache bug class: an in-place CLG/trap rewrite
     // outside SweepEngine::publishPage, with no TLB shootdown paired
-    // with it. A core holding a cached translation would keep
-    // trapping (or worse, not trap) on the stale generation.
+    // with it (publishPage's healing publishes pair one, because TLBs
+    // cache these two bits; the dirty bit is read from the live PTE).
+    // A core holding a cached translation would keep trapping (or
+    // worse, not trap) on the stale generation.
     p.clg = gen;
     p.cap_load_trap = false;
     p.cap_dirty = false;
