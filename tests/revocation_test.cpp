@@ -306,7 +306,7 @@ TEST(Reloaded, FaultPublishesTheGenerationReadBeforeItsSweep)
     constexpr Addr kSpread = 8 * 1024;
     // Puts the free after the sweep's first probe and the flip before
     // its relock; the trace check below fails if a cost-model change
-    // moves either out of the window.
+    // moves the flip out of the sweep.
     constexpr Cycles kFreeDelay = 10'000;
     cap::Capability victim;
     sim::SimThread *faulter = nullptr;
