@@ -388,6 +388,61 @@ TEST(Reloaded, FaultPublishesTheGenerationReadBeforeItsSweep)
     EXPECT_TRUE(hit) << "no epoch flip landed inside a fault's sweep";
 }
 
+/**
+ * §7.6: a page left in the always-trap disposition keeps no
+ * generation, so a capability stored to it after its clean visit
+ * makes it dirty, and the next epoch must sweep it. Skipping trap
+ * pages would let the capability outlive its object's epoch: once
+ * the address is reissued, the trapping load's sweep probes an
+ * already-unpainted bitmap and hands the stale capability out tagged.
+ */
+TEST(Reloaded, EpochSweepsATrapPageDirtiedAfterItsCleanVisit)
+{
+    MachineConfig cfg;
+    cfg.strategy = Strategy::kReloaded;
+    cfg.always_trap_clean = true;
+    cfg.policy.min_bytes = 1 << 20; // epochs only when drained
+    Machine m(cfg);
+
+    std::size_t audits = 0;
+    std::size_t violations = 0;
+    m.revokerOrNull()->setAuditHook([&](sim::SimThread &) {
+        ++audits;
+        for (const std::string &v : m.auditorOrNull()->findViolations()) {
+            ADD_FAILURE() << v;
+            ++violations;
+        }
+    });
+
+    m.spawnMutator("app", 1u << 3, [&](Mutator &ctx) {
+        const cap::Capability holder = ctx.malloc(2 * kPageSize);
+        const Addr page = roundUp(holder.base, kPageSize) - holder.base;
+        // Plain data only: the first epoch finds the page clean and
+        // leaves it always-trap.
+        ctx.store64(holder, page, 1);
+        ctx.free(ctx.malloc(64));
+        m.heap().drain(ctx.thread());
+        const vm::Pte *pte = m.addressSpace().findPte(holder.base + page);
+        ASSERT_NE(pte, nullptr);
+        ASSERT_TRUE(pte->cap_load_trap);
+
+        const cap::Capability victim = ctx.malloc(64);
+        ctx.storeCap(holder, page, victim);
+        ctx.free(victim);
+        m.heap().drain(ctx.thread());
+
+        const cap::Capability reissued = ctx.malloc(64);
+        ASSERT_EQ(reissued.base, victim.base)
+            << "the allocator did not reissue the freed object";
+        EXPECT_FALSE(ctx.loadCap(holder, page).tag)
+            << "a stale capability loaded after its object was reissued";
+    });
+
+    m.run();
+    EXPECT_GT(audits, 0u);
+    EXPECT_EQ(violations, 0u);
+}
+
 TEST(Reloaded, StwIsShortComparedToCornucopia)
 {
     // The headline claim, in miniature: Reloaded's stop-the-world
