@@ -28,14 +28,10 @@ constexpr auto kClassLut = [] {
 } // namespace
 
 SnmallocLite::SnmallocLite(kern::Kernel &kernel, vm::Mmu &mmu)
-    : kernel_(kernel), mmu_(mmu)
+    : kernel_(kernel), mmu_(mmu),
+      chunk_by_page_((vm::kHeapCeiling - vm::kHeapBase) / kPageSize),
+      live_bits_((vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize / 64)
 {
-    constexpr std::size_t kHeapPages = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kPageSize);
-    constexpr std::size_t kHeapGranules = static_cast<std::size_t>(
-        (vm::kHeapCeiling - vm::kHeapBase) / kGranuleSize);
-    chunk_by_page_.assign(kHeapPages, nullptr);
-    live_bits_.assign(kHeapGranules / 64, 0);
 }
 
 int

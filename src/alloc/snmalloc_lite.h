@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "base/zero_pages.h"
 #include "cap/capability.h"
 #include "kern/kernel.h"
 #include "sim/scheduler.h"
@@ -158,12 +159,13 @@ class SnmallocLite
     /**
      * Heap page -> owning chunk (DESIGN.md §14.4): chunks are
      * page-granular, non-overlapping, and never erased, so entries are
-     * never invalidated.
+     * never invalidated. Both tables span the whole heap window; only
+     * the pages a run writes are committed.
      */
-    std::vector<const ChunkMeta *> chunk_by_page_;
+    ZeroPages<const ChunkMeta *> chunk_by_page_;
     /** One bit per heap granule: set iff a live object starts there
      *  (object bases are 16-byte aligned inside the heap window). */
-    std::vector<std::uint64_t> live_bits_;
+    ZeroPages<std::uint64_t> live_bits_;
     std::size_t live_bytes_ = 0;
     AllocStats stats_;
 };

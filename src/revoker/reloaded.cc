@@ -69,8 +69,10 @@ void
 ReloadedRevoker::collectStalePages()
 {
     const unsigned gen = mmu_.currentGen();
+    // A §7.6 trap page keeps no generation: it needs a visit only
+    // once a capability store has dirtied it since its clean visit.
     work_ = collectPages([gen](const vm::Pte &p) {
-        return p.clg != gen && !p.cap_load_trap;
+        return p.cap_load_trap ? p.cap_dirty : p.clg != gen;
     });
     work_next_ = 0;
 }

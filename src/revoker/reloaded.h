@@ -83,7 +83,8 @@ class ReloadedRevoker : public Revoker
     /** Pop the next background work item; 0 when drained. */
     Addr nextWork();
 
-    /** Refill work_ with the pages still carrying a stale generation. */
+    /** Refill work_ with the pages still carrying a stale generation
+     *  and the §7.6 trap pages dirtied since their clean visit. */
     void collectStalePages();
 
     // Background work sharing (single-token execution makes plain

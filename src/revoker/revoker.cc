@@ -208,7 +208,7 @@ Revoker::runEpoch(sim::SimThread &self, bool emergency)
     const SweepStats before = sweep_.stats();
     kernel_.epoch().advance(kern::EpochKey{}, self); // odd: in progress
     if (revokes())
-        audit_set_ = bitmap_.painted();
+        audit_set_.copyFrom(bitmap_.painted());
 
     EpochTiming timing;
     if (emergency)

@@ -10,8 +10,48 @@
 namespace crev::revoker {
 
 ShadowSummary::ShadowSummary()
-    : l1_(kBlocks / 64, 0), block_counts_(kBlocks, 0), blocks_(kBlocks)
+    : block_counts_(kBlocks), words_(kBlocks * kWordsPerBlock)
 {
+}
+
+void
+ShadowSummary::copyFrom(const ShadowSummary &o)
+{
+    if (this == &o)
+        return;
+    // Both lists are ascending: clear the blocks only this side has,
+    // then copy the source's.
+    auto theirs = o.allocated_.begin();
+    for (const std::size_t b : allocated_) {
+        while (theirs != o.allocated_.end() && *theirs < b)
+            ++theirs;
+        if (theirs == o.allocated_.end() || *theirs != b) {
+            simd::fillWords(block(b), kWordsPerBlock, 0);
+            block_counts_[b] = 0;
+        }
+    }
+    for (const std::size_t b : o.allocated_) {
+        std::copy_n(o.block(b), kWordsPerBlock, block(b));
+        block_counts_[b] = o.block_counts_[b];
+    }
+    allocated_ = o.allocated_;
+    l1_ = o.l1_;
+    count_ = o.count_;
+}
+
+bool
+ShadowSummary::allocated(std::size_t b) const
+{
+    return std::binary_search(allocated_.begin(), allocated_.end(), b);
+}
+
+void
+ShadowSummary::allocate(std::size_t b)
+{
+    const auto at =
+        std::lower_bound(allocated_.begin(), allocated_.end(), b);
+    if (at == allocated_.end() || *at != b)
+        allocated_.insert(at, b);
 }
 
 void
@@ -28,15 +68,13 @@ ShadowSummary::setGranules(Addr g_from, Addr g_to, bool value)
             static_cast<std::size_t>(i / kGranulesPerBlock);
         const Addr block_end = std::min<Addr>(
             end, static_cast<Addr>(b + 1) * kGranulesPerBlock);
-        std::vector<std::uint64_t> &blk = blocks_[b];
-        if (blk.empty()) {
-            if (!value) {
-                // Clearing an untouched block: nothing to do.
-                i = block_end;
-                continue;
-            }
-            blk.assign(kWordsPerBlock, 0);
+        if (!value && !allocated(b)) {
+            // Clearing an untouched block: nothing to do.
+            i = block_end;
+            continue;
         }
+        allocate(b);
+        std::uint64_t *blk = block(b);
 
         // Per-block population delta: the partial edge words keep the
         // masked RMW, the interior full words go through the batch
@@ -109,9 +147,11 @@ ShadowSummary::checkConsistent() const
 {
     std::vector<std::string> out;
     std::uint64_t total = 0;
-    for (std::size_t b = 0; b < kBlocks; ++b) {
-        const std::uint64_t cnt = simd::popcountWords(
-            blocks_[b].data(), blocks_[b].size());
+    // A block outside the list has zero words, population and level-1
+    // bit, so it can add no violation.
+    for (const std::size_t b : allocated_) {
+        const std::uint64_t cnt =
+            simd::popcountWords(block(b), kWordsPerBlock);
         total += cnt;
         if (cnt != block_counts_[b]) {
             char buf[96];
@@ -145,12 +185,10 @@ ShadowSummary::checkConsistent() const
 void
 ShadowSummary::forEachSet(const std::function<void(Addr)> &fn) const
 {
-    for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (const std::size_t b : allocated_) {
         if (((l1_[b >> 6] >> (b & 63)) & 1) == 0)
             continue;
-        const std::vector<std::uint64_t> &blk = blocks_[b];
-        if (blk.empty())
-            continue;
+        const std::uint64_t *blk = block(b);
         for (std::size_t w = 0; w < kWordsPerBlock; ++w) {
             std::uint64_t word = blk[w];
             while (word != 0) {
@@ -168,17 +206,13 @@ ShadowSummary::forEachSet(const std::function<void(Addr)> &fn) const
 bool
 ShadowSummary::corruptBit(std::uint64_t entropy, Addr *granule_out)
 {
-    std::vector<std::size_t> allocated;
-    for (std::size_t b = 0; b < kBlocks; ++b)
-        if (!blocks_[b].empty())
-            allocated.push_back(b);
-    if (allocated.empty())
+    if (allocated_.empty())
         return false;
-    const std::size_t b = allocated[entropy % allocated.size()];
+    const std::size_t b = allocated_[entropy % allocated_.size()];
     const std::size_t w =
         static_cast<std::size_t>(entropy >> 20) % kWordsPerBlock;
     const unsigned bit = static_cast<unsigned>(entropy >> 40) % 64;
-    blocks_[b][w] ^= std::uint64_t{1} << bit;
+    block(b)[w] ^= std::uint64_t{1} << bit;
     *granule_out = kGranuleFloor +
                    static_cast<Addr>(b) * kGranulesPerBlock +
                    static_cast<Addr>(w) * 64 + bit;
@@ -189,9 +223,9 @@ std::vector<std::size_t>
 ShadowSummary::inconsistentBlocks() const
 {
     std::vector<std::size_t> out;
-    for (std::size_t b = 0; b < kBlocks; ++b) {
-        const std::uint64_t cnt = simd::popcountWords(
-            blocks_[b].data(), blocks_[b].size());
+    for (const std::size_t b : allocated_) {
+        const std::uint64_t cnt =
+            simd::popcountWords(block(b), kWordsPerBlock);
         const bool l1 = ((l1_[b >> 6] >> (b & 63)) & 1) != 0;
         if (cnt != block_counts_[b] || l1 != (cnt != 0))
             out.push_back(b);
@@ -204,9 +238,8 @@ ShadowSummary::rebuildBlock(std::size_t b,
                             const std::function<bool(Addr)> &painted)
 {
     CREV_ASSERT(b < kBlocks);
-    std::vector<std::uint64_t> &blk = blocks_[b];
-    if (blk.empty())
-        blk.assign(kWordsPerBlock, 0);
+    allocate(b);
+    std::uint64_t *blk = block(b);
     const Addr base = kGranuleFloor +
                       static_cast<Addr>(b) * kGranulesPerBlock;
     for (std::size_t w = 0; w < kWordsPerBlock; ++w) {
@@ -218,7 +251,7 @@ ShadowSummary::rebuildBlock(std::size_t b,
         blk[w] = word;
     }
     const std::uint64_t pop =
-        simd::popcountWords(blk.data(), kWordsPerBlock);
+        simd::popcountWords(blk, kWordsPerBlock);
     count_ = count_ - block_counts_[b] + pop;
     block_counts_[b] = static_cast<std::uint32_t>(pop);
     if (pop != 0)

@@ -6,10 +6,17 @@
  * of granule base addresses, making the probe self-check and every
  * probeQuiet a hash lookup on the sweep's hottest path. This class
  * replaces it with the hierarchy PoisonCap argues for: a dense level-0
- * bitmap (one bit per 16-byte heap granule, in lazily allocated
- * 4096-granule blocks) under a level-1 "any bit set in this block"
- * bitmap. A membership test is at most two word probes, and one when
- * the granule's block is clean.
+ * bitmap (one bit per 16-byte heap granule, in 4096-granule blocks
+ * allocated on first paint) under a level-1 "any bit set in this
+ * block" bitmap. A membership test is at most two word probes, and
+ * one when the granule's block is clean.
+ *
+ * The level-0 words span the whole heap window in zero pages
+ * (base/zero_pages.h), indexed by block, so only the blocks a run
+ * paints cost host memory. An ascending list of allocated blocks
+ * bounds every whole-structure pass — the self-checks, the chaos
+ * site draw, and the copy the revoker snapshots each epoch
+ * (DESIGN.md §12.1) — by the blocks in use, not by the window.
  *
  * The structure is pure host state — updates happen at exactly the
  * points the old mirror updated (inside the same NoYield windows), so
@@ -21,12 +28,14 @@
 #ifndef CREV_REVOKER_SHADOW_SUMMARY_H_
 #define CREV_REVOKER_SHADOW_SUMMARY_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "base/types.h"
+#include "base/zero_pages.h"
 #include "vm/address_space.h"
 
 namespace crev::revoker {
@@ -40,13 +49,23 @@ class ShadowSummary
     /** Number of granules the heap can hold. */
     static constexpr Addr kGranuleCount =
         (vm::kHeapCeiling - vm::kHeapBase) >> kGranuleBits;
-    /** Level-0 words per lazily-allocated block (512 bytes each). */
+    /** Level-0 words per block (512 bytes each). */
     static constexpr std::size_t kWordsPerBlock = 64;
     static constexpr std::size_t kGranulesPerBlock = kWordsPerBlock * 64;
     static constexpr std::size_t kBlocks =
         kGranuleCount / kGranulesPerBlock;
 
     ShadowSummary();
+    ShadowSummary(const ShadowSummary &) = delete;
+    ShadowSummary &operator=(const ShadowSummary &) = delete;
+
+    /**
+     * Become a copy of @p o. Costs the blocks either side has
+     * allocated: the source's are copied, this side's others are
+     * cleared. A named call rather than operator=, so crev_analyze's
+     * call graph sees the writes (DESIGN.md §16).
+     */
+    void copyFrom(const ShadowSummary &o);
 
     /**
      * Whether the granule containing @p addr is painted. Addresses
@@ -63,8 +82,7 @@ class ShadowSummary
             static_cast<std::size_t>(i / kGranulesPerBlock);
         if (((l1_[b >> 6] >> (b & 63)) & 1) == 0)
             return false;
-        const std::vector<std::uint64_t> &blk = blocks_[b];
-        return ((blk[(i / 64) % kWordsPerBlock] >> (i & 63)) & 1) != 0;
+        return ((words_[i / 64] >> (i & 63)) & 1) != 0;
     }
 
     /**
@@ -125,12 +143,29 @@ class ShadowSummary
                       const std::function<bool(Addr)> &painted);
 
   private:
+    /** Whether block @p b has been allocated. */
+    bool allocated(std::size_t b) const;
+    /** Add block @p b to the allocated list (no-op if present). */
+    void allocate(std::size_t b);
+    /** Block @p b's level-0 words. */
+    std::uint64_t *block(std::size_t b)
+    {
+        return &words_[b * kWordsPerBlock];
+    }
+    const std::uint64_t *block(std::size_t b) const
+    {
+        return &words_[b * kWordsPerBlock];
+    }
+
     /** Level-1: bit b set iff block b has any level-0 bit set. */
-    std::vector<std::uint64_t> l1_;
+    std::array<std::uint64_t, kBlocks / 64> l1_{};
     /** Per-block set-bit population (drives level-1 clearing). */
-    std::vector<std::uint32_t> block_counts_;
-    /** Level-0 blocks; empty vector = never allocated (all clear). */
-    std::vector<std::vector<std::uint64_t>> blocks_;
+    ZeroPages<std::uint32_t> block_counts_;
+    /** Level-0 words, block after block over the heap window. */
+    ZeroPages<std::uint64_t> words_;
+    /** Blocks ever painted or rebuilt, ascending; every other block's
+     *  words, population and level-1 bit are zero. */
+    std::vector<std::size_t> allocated_;
     std::uint64_t count_ = 0;
 };
 

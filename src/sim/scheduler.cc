@@ -1,5 +1,8 @@
 #include "sim/scheduler.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <limits>
 
@@ -36,9 +39,26 @@ namespace {
 
 constexpr Cycles kInfinity = std::numeric_limits<Cycles>::max();
 
-/** Fiber stack size. Bodies are ordinary workload code; the generous
- *  size costs only address space (pages commit on first touch). */
+/** Usable fiber stack size. Bodies are ordinary workload code; the
+ *  generous size costs only address space (pages commit on first
+ *  touch). */
 constexpr std::size_t kFiberStackBytes = std::size_t{4} << 20;
+
+/** The inaccessible host page below each fiber stack: an overflow
+ *  faults instead of running into other host memory. */
+std::size_t
+stackGuardBytes()
+{
+    static const auto bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    return bytes;
+}
+
+/** The lowest usable byte of a fiber stack (just above its guard). */
+char *
+stackBottom(ZeroPages<char> &stack)
+{
+    return stack.data() + stackGuardBytes();
+}
 
 } // namespace
 
@@ -175,7 +195,7 @@ Scheduler::switchFiber(ucontext_t *from, SimThread *to,
     void *fake_stack = nullptr;
     __sanitizer_start_switch_fiber(
         last ? nullptr : &fake_stack,
-        to != nullptr ? to->fiber_stack_.get() : driver_stack_,
+        to != nullptr ? stackBottom(to->fiber_stack_) : driver_stack_,
         to != nullptr ? kFiberStackBytes : driver_stack_size_);
 #endif
 #if defined(CREV_TSAN)
@@ -222,9 +242,11 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
         att_.checker->onThreadSpawn(
             current_ != nullptr ? static_cast<int>(current_->id_) : -1,
             id);
-    t->fiber_stack_ = std::make_unique<char[]>(kFiberStackBytes);
+    t->fiber_stack_ = ZeroPages<char>(stackGuardBytes() + kFiberStackBytes);
+    CREV_ASSERT(mprotect(t->fiber_stack_.data(), stackGuardBytes(),
+                         PROT_NONE) == 0);
     CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
-    t->fiber_ctx_.uc_stack.ss_sp = t->fiber_stack_.get();
+    t->fiber_ctx_.uc_stack.ss_sp = stackBottom(t->fiber_stack_);
     t->fiber_ctx_.uc_stack.ss_size = kFiberStackBytes;
     t->fiber_ctx_.uc_link = nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(t);

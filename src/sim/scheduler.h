@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "base/zero_pages.h"
 #include "cap/capability.h"
 #include "sim/cost_model.h"
 
@@ -206,7 +207,8 @@ class SimThread
 
     std::vector<cap::Capability> regs_;
     ucontext_t fiber_ctx_{};
-    std::unique_ptr<char[]> fiber_stack_;
+    /** Guard page, then the usable stack (DESIGN.md §14.2). */
+    ZeroPages<char> fiber_stack_;
     /** TSan's context for this fiber (null outside TSan builds). */
     void *tsan_fiber_ = nullptr;
 };

@@ -65,7 +65,7 @@ _ON_HOOK = re.compile(r"on[A-Z]\w*\Z")
 def mutation_re(member):
     """Mutation of @p member: assignment / compound assignment /
     increment (optionally through an index chain, so summary words
-    like blocks_[b][w] ^= ... count) or a container-mutating call."""
+    like words_[i] ^= ... count) or a container-mutating call."""
     m = re.escape(member)
     mutators = (r"push_back|pop_back|emplace_back|emplace|insert|"
                 r"erase|clear|resize|assign|swap")
@@ -84,8 +84,10 @@ SHARED_STATE = [
      "the heap page-table slots (domains: pte-publish/pte-teardown)"),
     (mutation_re("newly_quarantined_"), "newly_quarantined_", "vm",
      "the unmap->reap hand-off queue (domain: quarantine)"),
-    (mutation_re("blocks_"), "blocks_", "revoker",
+    (mutation_re("words_"), "words_", "revoker",
      "the shadow-summary level-0 words (domain: shadow)"),
+    (mutation_re("allocated_"), "allocated_", "revoker",
+     "the shadow-summary allocated-block list (domain: shadow)"),
     (mutation_re("l1_"), "l1_", "revoker",
      "the shadow-summary level-1 bitmap (domain: shadow)"),
     (mutation_re("block_counts_"), "block_counts_", "revoker",

@@ -11,6 +11,12 @@
 # bench/, a std::function invoker goes with its callable); everything
 # else (the C++ library, libc, main) is "other".
 #
+# gprof samples only the executable's own code, so time spent in libc
+# (memset, malloc), in the kernel (page faults) and in swapcontext is
+# missing from its total. Each figure's wall and CPU seconds are
+# therefore printed next to the total sampled self time, and the gap
+# between CPU seconds and that total as "outside profiled code".
+#
 # Only the flat profile is used: fiber switches garble gprof's call
 # graph.
 #
@@ -33,9 +39,25 @@ mkdir -p "$out"
 for fig in "${figs[@]}"; do
     mkdir -p "$out/$fig"
     echo "profile: running $fig" >&2
-    # gmon.out is written to the working directory at exit.
-    (cd "$out/$fig" &&
-        CREV_BENCH_THREADS=1 "$root/build/profile/bench/$fig" >stdout.txt)
+    # gmon.out is written to the working directory at exit; times.txt
+    # gets the run's wall and CPU (user + system) seconds.
+    CREV_BENCH_THREADS=1 python3 - "$out/$fig" \
+        "$root/build/profile/bench/$fig" <<'RUN'
+import os
+import resource
+import subprocess
+import sys
+import time
+
+run_dir, exe = sys.argv[1:]
+start = time.monotonic()
+with open(os.path.join(run_dir, "stdout.txt"), "w") as stdout:
+    subprocess.run([exe], cwd=run_dir, stdout=stdout, check=True)
+wall = time.monotonic() - start
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+with open(os.path.join(run_dir, "times.txt"), "w") as f:
+    f.write("%.3f %.3f\n" % (wall, usage.ru_utime + usage.ru_stime))
+RUN
     gprof -b -p "$root/build/profile/bench/$fig" "$out/$fig/gmon.out" \
         >"$out/$fig/flat.txt"
 done
@@ -72,7 +94,10 @@ def module(name):
 
 
 shares = {}
+times = {}
 for fig in figs:
+    with open(os.path.join(out, fig, "times.txt")) as f:
+        times[fig] = tuple(float(x) for x in f.read().split())
     self_s = {}
     with open(os.path.join(out, fig, "flat.txt")) as f:
         for line in f:
@@ -95,4 +120,10 @@ for m in mods:
         "%.1f" % shares[f][0].get(m, 0.0) for f in figs)))
 print("| total self s | %s |" % " | ".join(
     "%.2f" % shares[f][1] for f in figs))
+print("| wall s | %s |" % " | ".join("%.2f" % times[f][0] for f in figs))
+print("| cpu s | %s |" % " | ".join("%.2f" % times[f][1] for f in figs))
+print("| outside profiled code s | %s |" % " | ".join(
+    "%.2f (%.0f%% of cpu)" % (times[f][1] - shares[f][1],
+                              100.0 * (times[f][1] - shares[f][1]) /
+                              (times[f][1] or 1.0)) for f in figs))
 EOF
