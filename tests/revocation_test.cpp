@@ -401,6 +401,7 @@ TEST(Reloaded, EpochSweepsATrapPageDirtiedAfterItsCleanVisit)
     MachineConfig cfg;
     cfg.strategy = Strategy::kReloaded;
     cfg.always_trap_clean = true;
+    cfg.oracle = true;
     cfg.policy.min_bytes = 1 << 20; // epochs only when drained
     Machine m(cfg);
 
@@ -441,6 +442,7 @@ TEST(Reloaded, EpochSweepsATrapPageDirtiedAfterItsCleanVisit)
     m.run();
     EXPECT_GT(audits, 0u);
     EXPECT_EQ(violations, 0u);
+    EXPECT_EQ(m.metrics().oracle_violations, 0u);
 }
 
 TEST(Reloaded, StwIsShortComparedToCornucopia)
