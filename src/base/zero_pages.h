@@ -5,11 +5,11 @@
  * Several host structures are sized by the simulated address window,
  * not by the run: a table entry per heap page or granule, a bitmap
  * block per 4096 granules, a fiber stack deep enough for any workload
- * body. A zero-filled std::vector or `new T[]()` writes every byte up
- * front, so each machine paid for the whole window before its first
- * simulated cycle. ZeroPages maps the array as anonymous private
- * memory without a swap reservation instead: it reads as zero, and
- * the kernel commits a page only when it is first written.
+ * body. A zero-filled std::vector or `new T[]()` would write every
+ * byte up front, making each machine pay for the whole window before
+ * its first simulated cycle. ZeroPages maps the array as anonymous
+ * private memory without a swap reservation instead: it reads as
+ * zero, and the kernel commits a page only when it is first written.
  */
 
 #ifndef CREV_BASE_ZERO_PAGES_H_

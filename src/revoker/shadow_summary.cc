@@ -17,8 +17,6 @@ ShadowSummary::ShadowSummary()
 void
 ShadowSummary::copyFrom(const ShadowSummary &o)
 {
-    if (this == &o)
-        return;
     // Both lists are ascending: clear the blocks only this side has,
     // then copy the source's.
     auto theirs = o.allocated_.begin();
