@@ -73,8 +73,6 @@ class ZeroPages
     T &operator[](std::size_t i) { return data_[i]; }
     const T &operator[](std::size_t i) const { return data_[i]; }
     T *data() { return data_; }
-    const T *data() const { return data_; }
-    std::size_t size() const { return count_; }
 
   private:
     T *data_ = nullptr;
