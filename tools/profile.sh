@@ -15,7 +15,10 @@
 # (memset, malloc), in the kernel (page faults) and in swapcontext is
 # missing from its total. Each figure's wall and CPU seconds are
 # therefore printed next to the total sampled self time, and the gap
-# between CPU seconds and that total as "outside profiled code".
+# between CPU seconds and that total as "outside profiled code". In
+# this instrumented build the gap also holds gprof's own mcount calls
+# (in libc), so compare the CPU seconds with an uninstrumented run
+# before blaming libc or the kernel.
 #
 # Only the flat profile is used: fiber switches garble gprof's call
 # graph.
