@@ -4,13 +4,18 @@
  * ordering, core contention, sleep, blocking, stop-the-world
  * semantics (including STW hiding inside idle time), the
  * synchronisation primitives, events landing on quantum boundaries,
- * the widest core mask, construct-and-drop teardown, and the host
- * threads a default machine starts.
+ * the widest core mask, construct-and-drop teardown, the host
+ * threads a default machine starts, and the fiber stacks themselves
+ * (ABI alignment on first entry, an exception escaping a body, the
+ * guard page).
  */
 
 #include <gtest/gtest.h>
 
+#include <csignal>
+#include <cstdint>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -534,6 +539,107 @@ TEST(HostThreads, DefaultMachineStartsNoHostThreads)
     EXPECT_GT(m.metrics().epochs.size(), 0u);
     EXPECT_EQ(during, before);
     EXPECT_EQ(hostThreadCount(), before);
+}
+
+// ---------------------------------------------------------------- //
+// Fiber stacks (DESIGN.md §14.2)
+// ---------------------------------------------------------------- //
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/** Whether an `alignas(16)` local of a fresh frame really sits on a
+ *  16-byte boundary. The compiler assumes the SysV ABI's alignment at
+ *  every call, so the address goes through a volatile to keep it from
+ *  folding the check to true. */
+[[gnu::noinline]] bool
+frameIsAbiAligned()
+{
+    alignas(16) unsigned char local[16] = {};
+    void *volatile where = local;
+    return (reinterpret_cast<std::uintptr_t>(where) & 15u) == 0;
+}
+
+TEST(Fiber, FirstEntryHasAbiStackAlignment)
+{
+    // A fiber's first frame is built by spawn, not by a call, so a
+    // wrong initial stack pointer shows only here: each body checks
+    // its first callee's frame before doing anything else.
+    Scheduler s(2, testCosts());
+    std::vector<int> aligned(4, -1);
+    for (unsigned i = 0; i < aligned.size(); ++i)
+        s.spawn("t" + std::to_string(i), 1u << (i % 2),
+                [&aligned, i](SimThread &t) {
+                    aligned[i] = frameIsAbiAligned() ? 1 : 0;
+                    t.accrue(1000);
+                });
+    s.run();
+    EXPECT_EQ(aligned, std::vector<int>(4, 1));
+}
+
+TEST(Fiber, ExceptionEscapingABodyEndsOnlyItsThread)
+{
+    // fiberMain catches what escapes a body: the thread ends as if a
+    // signal killed it, and the others, including one sharing its
+    // core, run to completion.
+    Scheduler s(2, testCosts());
+    bool after_throw = false;
+    std::vector<Cycles> ends;
+    SimThread *thrower = s.spawn("thrower", 1, [&](SimThread &t) {
+        t.accrue(25'000);
+        throw std::runtime_error("simulated fault");
+        after_throw = true;
+    });
+    for (unsigned i = 0; i < 3; ++i)
+        s.spawn("w" + std::to_string(i), i == 0 ? 1u : 2u,
+                [&](SimThread &t) {
+                    for (int k = 0; k < 10; ++k)
+                        t.accrue(10'000);
+                    ends.push_back(t.now());
+                });
+    s.run();
+    EXPECT_FALSE(after_throw);
+    EXPECT_TRUE(s.finished(*thrower));
+    EXPECT_EQ(ends.size(), 3u);
+    for (const auto &tp : s.threads())
+        EXPECT_TRUE(s.finished(*tp));
+}
+
+/** Non-tail recursion: every frame stays live, so the stack only
+ *  grows. */
+[[gnu::noinline]] std::uint64_t
+recurseForever(std::uint64_t depth)
+{
+    volatile unsigned char pad[256];
+    pad[depth % sizeof(pad)] = static_cast<unsigned char>(depth);
+    if (depth == UINT64_MAX)
+        return pad[0];
+    return recurseForever(depth + 1) + pad[depth % sizeof(pad)];
+}
+
+TEST(Fiber, UnboundedRecursionDiesOnTheGuardPage)
+{
+    // The PROT_NONE page below each fiber stack turns an overflow into
+    // SIGSEGV instead of a write into neighbouring host memory.
+    if (kSanitized)
+        GTEST_SKIP() << "ASan and TSan catch the overflow themselves";
+    EXPECT_EXIT(
+        {
+            Scheduler s(1, testCosts());
+            s.spawn("deep", 1,
+                    [](SimThread &) { (void)recurseForever(0); });
+            s.run();
+        },
+        ::testing::KilledBySignal(SIGSEGV), "");
 }
 
 } // namespace
