@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths:
  * capability compression, bitmap painting, page sweeping, cache
- * accesses, address translation, capability loads, and the simulated
- * allocator. These measure *host* performance of the simulator
+ * accesses, address translation, capability loads, the fiber
+ * switch, and the simulated allocator. These measure *host* performance of the simulator
  * itself (how fast experiments run), complementing the figure/table
  * binaries which measure *simulated* behaviour.
  */
@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bench_runner.h"
@@ -19,6 +20,7 @@
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "mem/cache.h"
+#include "sim/scheduler.h"
 #include "vm/mmu.h"
 #include "workload/spec.h"
 
@@ -180,6 +182,40 @@ BM_LoadCap(benchmark::State &state)
     state.counters["host_ns_per_access"] = ns;
 }
 BENCHMARK(BM_LoadCap)->Iterations(1);
+
+void
+BM_FiberSwitch(benchmark::State &state)
+{
+    // Host cost of one token handoff between two simulated threads on
+    // one core: each accrues a cycle and yields, so every yield picks
+    // the other thread and switches stacks. A switch is the whole
+    // handoff (the scheduler's pick and the stack switch).
+    constexpr std::uint64_t kRounds = 1u << 20;
+    sim::Scheduler s(1, sim::CostModel{});
+    std::uint64_t switches = 0;
+    const sim::SimThread *last = nullptr;
+    for (int i = 0; i < 2; ++i)
+        s.spawn("t" + std::to_string(i), 1, [&](sim::SimThread &t) {
+            last = &t;
+            for (std::uint64_t r = 0; r < kRounds; ++r) {
+                t.accrueNoYield(1);
+                t.yieldNow();
+                if (last != &t)
+                    ++switches;
+                last = &t;
+            }
+        });
+    const auto start = std::chrono::steady_clock::now();
+    s.run();
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(switches);
+    state.counters["host_ns_per_switch"] =
+        elapsed.count() / static_cast<double>(switches);
+    state.counters["switches"] = static_cast<double>(switches);
+}
+BENCHMARK(BM_FiberSwitch)->Iterations(1);
 
 void
 BM_SimulatedMallocFree(benchmark::State &state)

@@ -27,11 +27,102 @@
 #endif
 #endif
 #if defined(CREV_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CREV_TSAN)
 #include <sanitizer/tsan_interface.h>
 #endif
+
+// The fiber switch (DESIGN.md §14.2). It saves the general-purpose
+// registers the SysV ABI makes callee-saved (rbx, rbp, r12-r15) on the
+// outgoing stack and keeps rsp in the fiber's slot; the return address
+// is already on the stack. The ABI also makes the MXCSR and x87
+// control words callee-saved, and a libc context switch also restores
+// the signal mask. The switch carries none of them: all fibers run on
+// one host thread and nothing in src/ or bench/ changes them, so every
+// fiber sees the same values (crev_lint's fiber-state rule keeps it
+// so). It does not maintain a CET shadow stack, so scheduler.cc is
+// built without CET markings and no binary linking it asks for one
+// (src/sim/CMakeLists.txt).
+#if !defined(__x86_64__) || defined(__ILP32__) || defined(_WIN32)
+#error "fiber switch: x86-64 SysV hosts only (DESIGN.md §14.2)"
+#endif
+
+extern "C" {
+/** Push the callee-saved registers, store rsp to @p save_sp, load
+ *  @p load_sp, pop the registers saved there and return into that
+ *  stack. */
+void crev_sim_fiber_switch(void **save_sp, void *load_sp);
+/** A new fiber's first return target: calls r12 with rbx as its
+ *  argument on a 16-byte-aligned stack and never returns. */
+void crev_sim_fiber_entry();
+}
+
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl crev_sim_fiber_switch
+    .hidden crev_sim_fiber_switch
+    .type crev_sim_fiber_switch, @function
+crev_sim_fiber_switch:
+    .cfi_startproc
+    pushq %rbp
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbp, 0
+    pushq %rbx
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbx, 0
+    pushq %r12
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r12, 0
+    pushq %r13
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r13, 0
+    pushq %r14
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r14, 0
+    pushq %r15
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r15, 0
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    popq %r15
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r15
+    popq %r14
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r14
+    popq %r13
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r13
+    popq %r12
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r12
+    popq %rbx
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbx
+    popq %rbp
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbp
+    ret
+    .cfi_endproc
+    .size crev_sim_fiber_switch, .-crev_sim_fiber_switch
+
+    .p2align 4
+    .globl crev_sim_fiber_entry
+    .hidden crev_sim_fiber_entry
+    .type crev_sim_fiber_entry, @function
+crev_sim_fiber_entry:
+    .cfi_startproc
+    .cfi_undefined %rip
+    movq %rbx, %rdi
+    call *%r12
+    ud2
+    .cfi_endproc
+    .size crev_sim_fiber_entry, .-crev_sim_fiber_entry
+    .popsection
+)");
 
 namespace crev::sim {
 
@@ -60,18 +151,21 @@ stackBottom(ZeroPages<char> &stack)
     return stack.data() + stackGuardBytes();
 }
 
+/** crev_sim_fiber_switch's frame, lowest address first: what its
+ *  pops and its return consume. */
+struct SwitchFrame
+{
+    void *r15, *r14, *r13, *r12, *rbx, *rbp;
+    void *ret;
+};
+
 } // namespace
 
 namespace detail {
 
 void
-fiberTrampoline(unsigned hi, unsigned lo)
+fiberTrampoline(SimThread *t)
 {
-    // makecontext passes only ints; the SimThread pointer travels as
-    // two 32-bit halves.
-    auto *t = reinterpret_cast<SimThread *>(
-        (static_cast<std::uintptr_t>(hi) << 32) |
-        static_cast<std::uintptr_t>(lo));
     t->fiberMain();
 }
 
@@ -157,7 +251,7 @@ SimThread::fiberMain()
     sched_.core_free_at_[core_] = clock_;
     sched_.current_ = nullptr;
     // Return control to the run() driver, which picks the successor.
-    sched_.switchFiber(&fiber_ctx_, nullptr, true);
+    sched_.switchFiber(&fiber_sp_, nullptr, true);
     panic("finished fiber resumed");
 }
 
@@ -178,6 +272,15 @@ Scheduler::~Scheduler()
 {
     // Fibers that never ran (a scheduler built but not run) need no
     // teardown: their stacks are freed with their SimThreads.
+#if defined(CREV_ASAN)
+    // ASan keeps a region's shadow across munmap, and frames that
+    // never returned (a finished fiber's last switch) leave their
+    // redzones poisoned: clear them so a later mapping at the same
+    // address starts clean.
+    for (auto &t : threads_)
+        ASAN_UNPOISON_MEMORY_REGION(stackBottom(t->fiber_stack_),
+                                    kFiberStackBytes);
+#endif
 #if defined(CREV_TSAN)
     for (auto &t : threads_)
         __tsan_destroy_fiber(t->tsan_fiber_);
@@ -185,10 +288,10 @@ Scheduler::~Scheduler()
 }
 
 void
-Scheduler::switchFiber(ucontext_t *from, SimThread *to,
+Scheduler::switchFiber(void **from, SimThread *to,
                        [[maybe_unused]] bool last)
 {
-    ucontext_t *to_ctx = to != nullptr ? &to->fiber_ctx_ : &sched_ctx_;
+    void *to_sp = to != nullptr ? to->fiber_sp_ : sched_sp_;
 #if defined(CREV_ASAN)
     // A finished fiber passes no fake-stack slot, so ASan frees its
     // fake stack; the driver's bounds were learned by finishSwitch.
@@ -202,7 +305,7 @@ Scheduler::switchFiber(ucontext_t *from, SimThread *to,
     __tsan_switch_to_fiber(to != nullptr ? to->tsan_fiber_ : tsan_driver_,
                            0);
 #endif
-    swapcontext(from, to_ctx);
+    crev_sim_fiber_switch(from, to_sp);
 #if defined(CREV_ASAN)
     finishSwitch(fake_stack);
 #endif
@@ -245,15 +348,18 @@ Scheduler::spawn(std::string name, std::uint32_t core_mask,
     t->fiber_stack_ = ZeroPages<char>(stackGuardBytes() + kFiberStackBytes);
     CREV_ASSERT(mprotect(t->fiber_stack_.data(), stackGuardBytes(),
                          PROT_NONE) == 0);
-    CREV_ASSERT(getcontext(&t->fiber_ctx_) == 0);
-    t->fiber_ctx_.uc_stack.ss_sp = stackBottom(t->fiber_stack_);
-    t->fiber_ctx_.uc_stack.ss_size = kFiberStackBytes;
-    t->fiber_ctx_.uc_link = nullptr;
-    const auto p = reinterpret_cast<std::uintptr_t>(t);
-    makecontext(&t->fiber_ctx_,
-                reinterpret_cast<void (*)()>(detail::fiberTrampoline), 2,
-                static_cast<unsigned>(p >> 32),
-                static_cast<unsigned>(p & 0xFFFFFFFFu));
+    // The first switch into the fiber pops this frame and returns
+    // into the entry thunk, which calls the trampoline (r12) on the
+    // thread (rbx). The frame ends 16 bytes below the stack top, so
+    // the thunk runs with rsp 16-byte aligned, as at a call site, and
+    // the zeroed rbp ends a frame-pointer walk there.
+    char *top = stackBottom(t->fiber_stack_) + kFiberStackBytes;
+    auto *frame = reinterpret_cast<SwitchFrame *>(top - 16) - 1;
+    *frame = SwitchFrame{};
+    frame->r12 = reinterpret_cast<void *>(&detail::fiberTrampoline);
+    frame->rbx = t;
+    frame->ret = reinterpret_cast<void *>(&crev_sim_fiber_entry);
+    t->fiber_sp_ = frame;
 #if defined(CREV_TSAN)
     t->tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -453,7 +559,7 @@ Scheduler::handoff(SimThread &self, ThreadStatus new_status)
         grant(next);
     else
         current_ = nullptr;
-    switchFiber(&self.fiber_ctx_, next, false);
+    switchFiber(&self.fiber_sp_, next, false);
 }
 
 void
@@ -581,7 +687,7 @@ Scheduler::run()
         // Fibers hand off among themselves without returning here;
         // control comes back (with current_ == nullptr) only when a
         // fiber finishes or none is runnable.
-        switchFiber(&sched_ctx_, next, false);
+        switchFiber(&sched_sp_, next, false);
     }
 }
 

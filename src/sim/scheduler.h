@@ -11,13 +11,15 @@
  * race-free, yet workload bodies are written as ordinary sequential
  * C++.
  *
- * Simulated threads run as ucontext fibers on the host thread that
- * calls run(), so a token handoff is a user-space stack switch and one
- * simulated machine needs one host thread. Cross-core wakes apply at
- * the instant they are posted, in call order. Under ASan and TSan the
- * stack switches are announced to the sanitizer through its fiber API
- * (DESIGN.md §14.2), so the sanitizer jobs check the same execution
- * path as every release run.
+ * Simulated threads run as fibers on the host thread that calls run(),
+ * so a token handoff is a user-space stack switch and one simulated
+ * machine needs one host thread. The scheduler owns that switch: a
+ * few instructions that swap the callee-saved registers and the stack
+ * pointer, with no system call (x86-64 SysV only; DESIGN.md §14.2).
+ * Cross-core wakes apply at the instant they are posted, in call
+ * order. Under ASan and TSan the stack switches are announced to the
+ * sanitizer through its fiber API, so the sanitizer jobs check the
+ * same execution path as every release run.
  *
  * The scheduler also provides the stop-the-world service used by the
  * revokers: parked threads' clocks are advanced to the STW end time,
@@ -28,8 +30,6 @@
 
 #ifndef CREV_SIM_SCHEDULER_H_
 #define CREV_SIM_SCHEDULER_H_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <cstdint>
@@ -60,6 +60,7 @@ namespace crev::sim {
 
 class FaultInjector;
 class Scheduler;
+class SimThread;
 
 /**
  * The machine's attachments, each null when off: the three off-clock
@@ -78,8 +79,8 @@ struct Attachments
 };
 
 namespace detail {
-/** makecontext entry thunk (internal). */
-void fiberTrampoline(unsigned hi, unsigned lo);
+/** A fiber's first call, made by the entry thunk (internal). */
+void fiberTrampoline(SimThread *t);
 } // namespace detail
 
 /** Lifecycle states of a simulated thread. */
@@ -173,7 +174,7 @@ class SimThread
 
   private:
     friend class Scheduler;
-    friend void detail::fiberTrampoline(unsigned hi, unsigned lo);
+    friend void detail::fiberTrampoline(SimThread *t);
 
     SimThread(Scheduler &sched, unsigned id, std::string name,
               std::uint32_t core_mask, bool daemon,
@@ -206,7 +207,9 @@ class SimThread
     double quantum_scale_ = 1.0;
 
     std::vector<cap::Capability> regs_;
-    ucontext_t fiber_ctx_{};
+    /** Saved stack pointer while parked (the switch's frame is on
+     *  top of it). */
+    void *fiber_sp_ = nullptr;
     /** Guard page, then the usable stack (DESIGN.md §14.2). */
     ZeroPages<char> fiber_stack_;
     /** TSan's context for this fiber (null outside TSan builds). */
@@ -336,14 +339,15 @@ class Scheduler
      * driver), announcing the switch to ASan/TSan. @p last marks a
      * finished fiber's final exit, whose stack never resumes.
      */
-    void switchFiber(ucontext_t *from, SimThread *to, bool last);
+    void switchFiber(void **from, SimThread *to, bool last);
     /** Complete a switch on the resumed stack (ASan bookkeeping). */
     void finishSwitch(void *fake_stack);
 
     const unsigned num_cores_;
     const CostModel cm_;
-    /** The run() driver's context, resumed when no fiber is runnable. */
-    ucontext_t sched_ctx_{};
+    /** The run() driver's saved stack pointer, resumed when no fiber
+     *  is runnable. */
+    void *sched_sp_ = nullptr;
     /** The driver's stack bounds (learned on the first switch) and
      *  TSan context (taken in run()); used only under the sanitizers. */
     const void *driver_stack_ = nullptr;

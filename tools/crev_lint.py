@@ -33,6 +33,20 @@ confirm every linted translation unit is actually part of the build:
                         stores read cap_dirty and cap_ever from the
                         live PTE, so clearing those needs none. A file
                         using them must also shoot down.
+  fiber-state           nothing in src/ or bench/ changes host state
+                        that the scheduler's fiber switch does not
+                        carry (DESIGN.md section 14.2): no ucontext
+                        (<ucontext.h>, get/make/swap/setcontext), no
+                        floating-point control write (fesetround,
+                        fesetenv, feupdateenv, feholdexcept,
+                        feenableexcept, fedisableexcept, _mm_setcsr,
+                        _MM_SET_*, and the ldmxcsr and fldcw
+                        instructions, also inside asm strings) and no
+                        signal-mask change (sigprocmask,
+                        pthread_sigmask). The switch saves only the
+                        callee-saved general-purpose registers, so
+                        each of these would leak from one simulated
+                        thread into the next.
 
 Two former rules — uncharged-access and shared-mutation — are retired.
 uncharged-access (a path allowlist) is now a type: the one uncharged
@@ -224,8 +238,44 @@ def rule_pte_publish(path, lines):
                 "stale-PTE-cache bug class" % m.group(1))
 
 
+_LEAKS = ("the fiber switch does not save it, so it would leak into "
+          "the next simulated thread (DESIGN.md section 14.2)")
+FIBER_STATE_PATTERNS = [
+    (re.compile(r"#\s*include\s*<(?:sys/)?ucontext\.h>|\bucontext_t\b|"
+                r"\b(?:get|make|swap|set)context\s*\("),
+     "ucontext: fibers switch only through the scheduler's own switch, "
+     "whose frame no ucontext call understands (DESIGN.md section "
+     "14.2)"),
+    (re.compile(r"\b(?:fesetround|fesetenv|feupdateenv|feholdexcept|"
+                r"feenableexcept|fedisableexcept|_mm_setcsr)\s*\(|"
+                r"\b_MM_SET_\w+"),
+     "floating-point control write: " + _LEAKS),
+    (re.compile(r"\b(?:sigprocmask|pthread_sigmask)\s*\("),
+     "signal-mask change: " + _LEAKS),
+]
+# Instructions live in asm strings, which read_files blanks, so this
+# one matches the file's raw lines.
+FIBER_STATE_ASM = re.compile(r"\b(?:ldmxcsr|fldcw)\b")
+
+
+def rule_fiber_state(path, lines):
+    if not (in_dir(path, "src") or in_dir(path, "bench")):
+        return
+    with open(path, "r", encoding="utf-8") as f:
+        raw = f.read().splitlines()
+    for i, line in enumerate(lines):
+        if exempt(lines, i, "fiber-state"):
+            continue
+        found = [msg for pat, msg in FIBER_STATE_PATTERNS
+                 if pat.search(line)]
+        if FIBER_STATE_ASM.search(raw[i]):
+            found.append("MXCSR or x87 control-word load: " + _LEAKS)
+        for msg in found:
+            yield Violation("fiber-state", path, i + 1, msg)
+
+
 RULES = ("host-nondeterminism", "unordered-iteration", "raw-threading",
-         "pte-publish")
+         "pte-publish", "fiber-state")
 
 # Waiver key -> the rule it suppresses. The retired shared-mutation and
 # uncharged keys are deliberately absent: a surviving tag for them is
@@ -238,6 +288,7 @@ WAIVER_RULES = {
     "unordered": "unordered-iteration",
     "threading": "raw-threading",
     "pte-publish": "pte-publish",
+    "fiber-state": "fiber-state",
 }
 
 
@@ -278,6 +329,7 @@ def lint_lines(lines_by_path):
         violations += list(rule_unordered_iteration(p, lines, names))
         violations += list(rule_raw_threading(p, lines))
         violations += list(rule_pte_publish(p, lines))
+        violations += list(rule_fiber_state(p, lines))
     return violations
 
 

@@ -8,12 +8,14 @@
 # figure, the share of gprof's flat-profile self time that falls in
 # each src/<module>. Symbols are mapped by their crev::<ns>:: prefix
 # (crev:: itself and crev::simd:: are src/base, crev::benchutil:: is
-# bench/, a std::function invoker goes with its callable); everything
-# else (the C++ library, libc, main) is "other".
+# bench/, a std::function invoker goes with its callable, and the
+# fiber switch's asm symbols, crev_sim_*, are src/sim); everything else
+# (the C++ library, libc, main) is "other".
 #
 # gprof samples only the executable's own code, so time spent in libc
-# (memset, malloc), in the kernel (page faults) and in swapcontext is
-# missing from its total. Each figure's wall and CPU seconds are
+# (memset, malloc) and in the kernel (page faults) is missing from its
+# total. The fiber switch is the executable's own code and makes no
+# system call, so its time is sampled like any other function's. Each figure's wall and CPU seconds are
 # therefore printed next to the total sampled self time, and the gap
 # between CPU seconds and that total as "outside profiled code". In
 # this instrumented build the gap also holds gprof's own mcount calls
@@ -86,6 +88,8 @@ def module(name):
     m = FUNCTION.match(name)
     if m:
         name = m.group(1)
+    if name.startswith("crev_sim_"):
+        return "src/sim"
     if not name.startswith("crev::"):
         return "other"
     ns = name[len("crev::"):].split("::", 1)[0]
