@@ -28,7 +28,6 @@
 #endif
 #if defined(CREV_ASAN)
 #include <sanitizer/asan_interface.h>
-#include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(CREV_TSAN)
 #include <sanitizer/tsan_interface.h>

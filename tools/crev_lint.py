@@ -44,9 +44,10 @@ confirm every linted translation unit is actually part of the build:
                         instructions, also inside asm strings) and no
                         signal-mask change (sigprocmask,
                         pthread_sigmask). The switch saves only the
-                        callee-saved general-purpose registers, so
-                        each of these would leak from one simulated
-                        thread into the next.
+                        callee-saved general-purpose registers, so an
+                        FP-control or signal-mask change would leak
+                        from one simulated thread into the next, and a
+                        ucontext call cannot read the switch's frames.
 
 Two former rules — uncharged-access and shared-mutation — are retired.
 uncharged-access (a path allowlist) is now a type: the one uncharged
