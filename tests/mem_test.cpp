@@ -460,5 +460,161 @@ TEST(MemorySystem, InvalidateFrameLeavesNeighbourFrameCached)
     EXPECT_EQ(ms.totalCounters().bus_reads, before.bus_reads + 2);
 }
 
+/**
+ * Reference for the memory-system differential test: per-core L1
+ * LruModels in front of a shared LLC LruModel. A line that misses its
+ * L1 first writes the L1's dirty victim into the LLC, then fills from
+ * the LLC, and from DRAM if that misses too.
+ */
+class TwoLevelModel
+{
+  public:
+    TwoLevelModel(unsigned num_cores, const CacheConfig &l1,
+                  const CacheConfig &llc, const MemLatency &lat)
+        : counters(num_cores), llc_(llc.size_bytes, llc.assoc), lat_(lat)
+    {
+        for (unsigned c = 0; c < num_cores; ++c)
+            l1_.emplace_back(l1.size_bytes, l1.assoc);
+    }
+
+    Cycles
+    access(unsigned core, Addr paddr, std::size_t len, bool write)
+    {
+        Cycles total = 0;
+        for (Addr line = paddr >> kLineBits;
+             line <= (paddr + len - 1) >> kLineBits; ++line)
+            total += accessLine(core, line << kLineBits, write);
+        return total;
+    }
+
+    void
+    invalidateFrame(Addr pfn)
+    {
+        for (auto &l1 : l1_)
+            l1.invalidateFrame(pfn);
+        llc_.invalidateFrame(pfn);
+    }
+
+    std::vector<MemCounters> counters;
+    std::uint64_t llc_hits = 0;
+    std::uint64_t l1_writebacks = 0;
+
+  private:
+    Cycles
+    accessLine(unsigned core, Addr addr, bool write)
+    {
+        MemCounters &ctr = counters[core];
+        ++ctr.accesses;
+        const CacheResult l1r = l1_[core].access(addr, write);
+        if (l1r.hit)
+            return lat_.l1_hit;
+        ++ctr.l1_misses;
+        if (l1r.evicted_dirty) {
+            ++l1_writebacks;
+            const CacheResult wb = llc_.access(l1r.victim_line, true);
+            ctr.bus_reads += !wb.hit;
+            ctr.bus_writes += wb.evicted_dirty;
+        }
+        const CacheResult r = llc_.access(addr, false);
+        if (r.hit) {
+            ++llc_hits;
+            return lat_.l1_hit + lat_.llc_hit;
+        }
+        ++ctr.bus_reads;
+        ctr.bus_writes += r.evicted_dirty;
+        return lat_.l1_hit + lat_.llc_hit + lat_.dram;
+    }
+
+    std::vector<LruModel> l1_;
+    LruModel llc_;
+    MemLatency lat_;
+};
+
+/**
+ * Drive a four-core MemorySystem and the two-level reference with the
+ * same stream: 1-256-byte accesses (some crossing lines), about a third
+ * of them writes, whole-page line-by-line reads like a sweep's, and
+ * frame invalidations, over frames at low pfns and above kHighPfn. The
+ * heap is 1.5x the LLC, so every level hits, misses and evicts dirty
+ * lines.
+ */
+void
+checkAgainstTwoLevelModel(const CacheConfig &l1, const CacheConfig &llc,
+                          std::uint64_t seed)
+{
+    constexpr unsigned kCores = 4;
+    const MemLatency lat{3, 11, 97};
+    MemorySystem ms(kCores, l1, llc, lat);
+    TwoLevelModel model(kCores, l1, llc, lat);
+    Rng rng(seed);
+
+    const Addr half = std::max<Addr>(4, llc.size_bytes * 3 / 4 / kPageSize);
+    auto pickPfn = [&] {
+        const Addr i = rng.below(2 * half);
+        return i < half ? 3 + i : kHighPfn + (i - half);
+    };
+    std::vector<Addr> recent(32, 3 << kPageBits);
+    for (int i = 0; i < 60'000; ++i) {
+        const std::uint64_t op = rng.below(200);
+        if (op < 2) {
+            const Addr pfn = pickPfn();
+            ms.invalidateFrame(pfn);
+            model.invalidateFrame(pfn);
+            continue;
+        }
+        const unsigned core = static_cast<unsigned>(rng.below(kCores));
+        if (op < 4) {
+            const Addr base = pickPfn() << kPageBits;
+            for (Addr off = 0; off < kPageSize; off += kLineSize)
+                ASSERT_EQ(ms.access(core, base + off, kLineSize, false),
+                          model.access(core, base + off, kLineSize, false))
+                    << "op " << i << " sweep line " << off / kLineSize;
+            continue;
+        }
+        Addr addr;
+        if (op < 100) {
+            addr = recent[rng.below(recent.size())] + rng.below(64);
+        } else {
+            addr = (pickPfn() << kPageBits) + rng.below(kPageSize);
+            recent[rng.below(recent.size())] = addr;
+        }
+        const std::size_t len = 1 + rng.below(256);
+        const bool write = rng.below(3) == 0;
+        ASSERT_EQ(ms.access(core, addr, len, write),
+                  model.access(core, addr, len, write))
+            << "op " << i << " core " << core << " addr 0x" << std::hex
+            << addr << std::dec << " len " << len << " write " << write;
+    }
+
+    std::uint64_t bus_writes = 0;
+    for (unsigned c = 0; c < kCores; ++c) {
+        const MemCounters &got = ms.counters(c);
+        const MemCounters &want = model.counters[c];
+        EXPECT_EQ(got.accesses, want.accesses) << "core " << c;
+        EXPECT_EQ(got.l1_misses, want.l1_misses) << "core " << c;
+        EXPECT_EQ(got.bus_reads, want.bus_reads) << "core " << c;
+        EXPECT_EQ(got.bus_writes, want.bus_writes) << "core " << c;
+        EXPECT_GT(want.l1_misses, 0u) << "core " << c;
+        EXPECT_LT(want.l1_misses, want.accesses) << "core " << c;
+        bus_writes += want.bus_writes;
+    }
+    EXPECT_GT(model.llc_hits, 0u);
+    EXPECT_GT(model.l1_writebacks, 0u);
+    EXPECT_GT(bus_writes, 0u);
+}
+
+TEST(MemorySystem, MatchesTwoLevelLruModel)
+{
+    // The default machine's geometry.
+    checkAgainstTwoLevelModel(CacheConfig{32 * 1024, 4},
+                              CacheConfig{1024 * 1024, 8}, 71);
+    // pgbench's smaller caches.
+    checkAgainstTwoLevelModel(CacheConfig{16 * 1024, 4},
+                              CacheConfig{128 * 1024, 8}, 83);
+    // The unit-test geometry above: 2-way L1, 4-way LLC.
+    checkAgainstTwoLevelModel(CacheConfig{1024, 2}, CacheConfig{4096, 4},
+                              97);
+}
+
 } // namespace
 } // namespace crev::mem
