@@ -48,22 +48,46 @@ class Cache
 
     /**
      * Access the line containing @p addr; allocates on miss, evicting
-     * the set's least recently used line. Inline so MemorySystem's
-     * per-line loop compiles to one frame.
+     * the set's least recently used line. Dispatches on the way count
+     * to accessWays<4>, accessWays<8> or the generic accessWays<0>.
      * @param write marks the line dirty.
      */
     CacheResult
     access(Addr addr, bool write)
     {
+        switch (assoc_) {
+        case 4:
+            return accessWays<4>(addr, write);
+        case 8:
+            return accessWays<8>(addr, write);
+        default:
+            return accessWays<0>(addr, write);
+        }
+    }
+
+    /**
+     * access() for a cache of @p kWays ways, or of any associativity
+     * when @p kWays is 0. A fixed way count unrolls the scan and the
+     * recency shifts; MemorySystem's line walk inlines this directly
+     * once it knows the geometry (DESIGN.md §9.1).
+     */
+    template <unsigned kWays>
+    [[gnu::always_inline]] CacheResult
+    accessWays(Addr addr, bool write)
+    {
+        CREV_ASSERT(kWays == 0 || kWays == assoc_);
+        const unsigned ways = kWays ? kWays : assoc_;
         const Addr line_addr = addr >> kLineBits;
         const Addr key = keyOf(line_addr);
-        std::uint32_t *set = &entries_[setStart(line_addr)];
+        std::uint32_t *set = &entries_[setStart(line_addr, ways)];
 
         CacheResult res;
-        for (unsigned w = 0; w < assoc_; ++w) {
+#pragma GCC unroll 8
+        for (unsigned w = 0; w < ways; ++w) {
             const std::uint32_t e = set[w];
             if ((e & ~kDirty) == key) {
                 // Rotate the way to the front.
+#pragma GCC unroll 8
                 for (unsigned i = w; i > 0; --i)
                     set[i] = set[i - 1];
                 set[0] = e | static_cast<std::uint32_t>(write);
@@ -76,12 +100,13 @@ class Cache
         ++misses_;
         // The last way is the least recent, or invalid (0, clean) when
         // the set is not full.
-        const std::uint32_t victim = set[assoc_ - 1];
+        const std::uint32_t victim = set[ways - 1];
         if (victim & kDirty) {
             res.evicted_dirty = true;
             res.victim_line = lineOf(victim, line_addr) << kLineBits;
         }
-        for (unsigned i = assoc_ - 1; i > 0; --i)
+#pragma GCC unroll 8
+        for (unsigned i = ways - 1; i > 0; --i)
             set[i] = set[i - 1];
         CREV_ASSERT(key <= UINT32_MAX);
         set[0] = static_cast<std::uint32_t>(key) |
@@ -123,12 +148,12 @@ class Cache
                (line_addr & (num_sets_ - 1));
     }
 
-    /** Index in entries_ of the first way of @p line_addr's set. */
+    /** Index in entries_ of the first way of @p line_addr's set, in a
+     *  cache of @p ways ways. */
     std::size_t
-    setStart(Addr line_addr) const
+    setStart(Addr line_addr, unsigned ways) const
     {
-        return static_cast<std::size_t>(line_addr & (num_sets_ - 1)) *
-               assoc_;
+        return static_cast<std::size_t>(line_addr & (num_sets_ - 1)) * ways;
     }
 
     unsigned assoc_;

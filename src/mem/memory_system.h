@@ -8,7 +8,9 @@
  * paper's system-mode pmcstat bus-access counters used as a proxy for
  * DRAM traffic (figs. 4 and 6). Every access walks each line it touches
  * through the requesting core's L1 and then the LLC; a dirty L1 victim
- * is written into the LLC before the missing line is filled.
+ * is written into the LLC before the missing line is filled. The walk is
+ * compiled for the machine's 4-way L1 and 8-way LLC, and a generic twin
+ * serves any other geometry (DESIGN.md §9.1).
  */
 
 #ifndef CREV_MEM_MEMORY_SYSTEM_H_
@@ -73,11 +75,22 @@ class MemorySystem
     unsigned numCores() const { return static_cast<unsigned>(l1_.size()); }
 
   private:
+    /**
+     * access()'s line loop for an L1 of @p kL1Ways and an LLC of
+     * @p kLlcWays ways, or of any geometry when both are 0.
+     */
+    template <unsigned kL1Ways, unsigned kLlcWays>
+    Cycles walk(unsigned core, Addr paddr, std::size_t len, bool write);
+
     /** One line through the core's L1 and the shared LLC. */
-    Cycles accessLine(unsigned core, Addr line_paddr, bool write);
+    template <unsigned kL1Ways, unsigned kLlcWays>
+    Cycles accessLine(Cache &l1, MemCounters &ctr, Addr line_paddr,
+                      bool write);
 
     std::vector<Cache> l1_;
     Cache llc_;
+    /** The geometry is the machine's: 4-way L1s and an 8-way LLC. */
+    bool machine_geometry_;
     MemLatency lat_;
     std::vector<MemCounters> counters_;
 };
