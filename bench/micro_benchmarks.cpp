@@ -2,10 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths:
  * capability compression, bitmap painting, page sweeping, cache
- * accesses, address translation, capability loads, the fiber
- * switch, and the simulated allocator. These measure *host* performance of the simulator
- * itself (how fast experiments run), complementing the figure/table
- * binaries which measure *simulated* behaviour.
+ * accesses, the memory hierarchy's line walk, address translation,
+ * capability loads, the fiber switch, and the simulated allocator. These
+ * measure *host* performance of the simulator itself (how fast
+ * experiments run), complementing the figure/table binaries which
+ * measure *simulated* behaviour.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +21,7 @@
 #include "core/machine.h"
 #include "core/mutator.h"
 #include "mem/cache.h"
+#include "mem/memory_system.h"
 #include "sim/scheduler.h"
 #include "vm/mmu.h"
 #include "workload/spec.h"
@@ -128,6 +130,62 @@ BM_CacheAccessLlc(benchmark::State &state)
     cacheAccess(state, mem::CacheConfig{1 << 20, 8}, 8 << 20);
 }
 BENCHMARK(BM_CacheAccessLlc)->Iterations(1);
+
+/**
+ * Host cost per line of MemorySystem::access on traffic shaped like a
+ * revoking run, at pgbench's 16 KiB/4-way L1 and 128 KiB/8-way LLC:
+ * core 2 reads the heap's pages whole, one 64-byte line per access,
+ * while core 3 makes 8-, 16- and 256-byte accesses anywhere in the
+ * 1 MiB heap, about a third of them writes. The two streams alternate
+ * and are drawn before the timed loop.
+ */
+void
+BM_MemorySystemSweepStream(benchmark::State &state)
+{
+    struct Op
+    {
+        Addr paddr;
+        std::uint32_t len;
+        std::uint8_t core;
+        bool write;
+    };
+    constexpr std::uint64_t kOps = 1u << 20;
+    constexpr Addr kHeapBytes = 1 << 20;
+    constexpr Addr kHeapBase = Addr{64} << kPageBits;
+    constexpr std::uint32_t kAppLens[] = {8, 16, 256};
+    Rng rng(3);
+    std::vector<Op> ops(kOps);
+    Addr sweep_line = 0;
+    for (std::uint64_t i = 0; i < kOps; ++i) {
+        if (i % 2 == 0) {
+            ops[i] = Op{kHeapBase + sweep_line * kLineSize, kLineSize, 2,
+                        false};
+            sweep_line = (sweep_line + 1) % (kHeapBytes / kLineSize);
+        } else {
+            const Addr off = rng.below(kHeapBytes - 256) & ~Addr{7};
+            ops[i] = Op{kHeapBase + off, kAppLens[rng.below(3)], 3,
+                        rng.below(3) == 0};
+        }
+    }
+    mem::MemorySystem ms(4, mem::CacheConfig{16 * 1024, 4},
+                         mem::CacheConfig{128 * 1024, 8},
+                         mem::MemLatency{});
+    const double ns_per_op = hostNsPerCall(kOps, [&](std::uint64_t i) {
+        const Op &op = ops[i];
+        benchmark::DoNotOptimize(
+            ms.access(op.core, op.paddr, op.len, op.write));
+    });
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ns_per_op);
+    const mem::MemCounters total = ms.totalCounters();
+    state.counters["host_ns_per_line"] =
+        ns_per_op * static_cast<double>(kOps) /
+        static_cast<double>(total.accesses);
+    state.counters["l1_miss_ratio"] =
+        static_cast<double>(total.l1_misses) /
+        static_cast<double>(total.accesses);
+}
+BENCHMARK(BM_MemorySystemSweepStream)->Iterations(1);
 
 void
 BM_Translate(benchmark::State &state)
