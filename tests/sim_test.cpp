@@ -494,6 +494,54 @@ TEST(Scheduler, NoYieldSpanningQuantumBoundary)
                               {"b", 24'350}}));
 }
 
+TEST(Scheduler, ParkInsideNoYieldPanics)
+{
+    // A NoYield window models an atomic section: the thread may not
+    // park inside it. yieldNow stays a no-op there; a sleep or a
+    // contended lock is a bug and panics.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    {
+        Scheduler s(1, testCosts());
+        Cycles after = 0;
+        s.spawn("t", 1, [&](SimThread &t) {
+            SimThread::NoYield guard(t);
+            t.accrue(100);
+            t.yieldNow();
+            after = t.now();
+        });
+        s.run();
+        EXPECT_EQ(after, 100u);
+    }
+    EXPECT_DEATH(
+        {
+            Scheduler s(1, testCosts());
+            s.spawn("t", 1, [](SimThread &t) {
+                SimThread::NoYield guard(t);
+                t.sleepUntil(t.now() + 1'000);
+            });
+            s.run();
+        },
+        "assertion failed");
+    EXPECT_DEATH(
+        {
+            Scheduler s(2, testCosts());
+            SimMutex m;
+            s.spawn("holder", 1u << 0, [&](SimThread &t) {
+                m.lock(t);
+                t.sleep(1'000);
+                m.unlock(t);
+            });
+            s.spawn("waiter", 1u << 1, [&](SimThread &t) {
+                t.sleep(100); // the holder has the lock by now
+                SimThread::NoYield guard(t);
+                m.lock(t);
+                m.unlock(t);
+            });
+            s.run();
+        },
+        "assertion failed");
+}
+
 /** Host threads of this process (Linux: one /proc/self/task entry
  *  per thread). */
 std::size_t
