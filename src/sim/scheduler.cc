@@ -532,6 +532,11 @@ Scheduler::grant(SimThread *t)
 void
 Scheduler::handoff(SimThread &self, ThreadStatus new_status)
 {
+    // A thread may not park inside a NoYield window (DESIGN.md §16):
+    // the run-time half of crev_analyze's noyield-reach, covering the
+    // calls its call graph cannot resolve.
+    CREV_ASSERT(new_status == ThreadStatus::kReady ||
+                self.noyield_depth_ == 0);
     self.status_ = new_status;
     ++self.heartbeats_;
     self.last_beat_at_ = self.clock_;
