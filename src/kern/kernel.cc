@@ -44,13 +44,14 @@ Kernel::sysMunmap(sim::SimThread &t, Addr base, Addr length)
     if (quiesce_)
         quiesce_(t);
     vm::AddressSpace &as = mmu_.addressSpace();
-    as.unmap(t, base, roundUp(length, kPageSize));
+    as.unmap(vm::MappingKey{}, t, base, roundUp(length, kPageSize));
     // Unmapped translations must not linger in any TLB.
     for (Addr va = base; va < base + length; va += kPageSize)
         mmu_.shootdownPage(t, va);
     mmu_.purgeFreedFrames();
 
-    for (vm::Reservation *r : as.takeNewlyQuarantined(t)) {
+    for (vm::Reservation *r :
+         as.takeNewlyQuarantined(vm::MappingKey{}, t)) {
         // Paint the entire reservation so the sweep revokes every
         // capability referencing it, then schedule its release for
         // after a full revocation epoch (§6.2 part 2).
@@ -79,7 +80,8 @@ Kernel::reapQuarantinedMappings(sim::SimThread &t)
         if (epoch_.value() >= it->release_target) {
             if (clear_)
                 clear_(t, it->reservation->base, it->reservation->length);
-            mmu_.addressSpace().release(t, it->reservation);
+            mmu_.addressSpace().release(vm::MappingKey{}, t,
+                                         it->reservation);
             it = quarantined_mappings_.erase(it);
             ++released;
         } else {

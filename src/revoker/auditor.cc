@@ -118,8 +118,9 @@ Auditor::repairSummaries(sim::SimThread *self)
         if (managed && !recovery->attempt(*self, tk))
             break;
         for (std::size_t b : bad)
-            painted.rebuildBlock(
-                b, [this](Addr g) { return groundTruthPainted(g); });
+            painted.rebuildBlock(SummaryKey{}, b, [this](Addr g) {
+                return groundTruthPainted(g);
+            });
         ++summary_repairs_;
         bad = painted.inconsistentBlocks();
         if (bad.empty()) {
@@ -151,7 +152,7 @@ Auditor::check(sim::SimThread *self)
         if (injector->corruptSummaryWord(*self, &entropy)) {
             Addr granule = 0;
             revoker_.bitmap().mutableSummaryForRepair().corruptBit(
-                entropy, &granule);
+                SummaryKey{}, entropy, &granule);
         }
     }
     repairSummaries(self);

@@ -24,7 +24,7 @@ RevocationBitmap::setRange(sim::SimThread &t, Addr base, Addr len,
     // yield between them), or a concurrent probe's self-check would
     // observe them out of sync.
     auto mirror = [&](Addr from, Addr to) {
-        painted_.setGranules(from, to, value);
+        painted_.setGranules(SummaryKey{}, from, to, value);
     };
 
     // Partial leading/trailing bytes need an atomic RMW (a real

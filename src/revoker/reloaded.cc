@@ -153,7 +153,7 @@ ReloadedRevoker::runPhases(sim::SimThread &self, EpochTiming &timing)
     // registers and kernel hoards.
     {
         StwWindow stw(self, timing.stw_duration);
-        mmu_.flipAllCoreGens(self);
+        mmu_.flipAllCoreGens(self, stw.world());
         scanRegistersAndHoards(self);
     }
 

@@ -70,7 +70,14 @@ Revoker::StwWindow::StwWindow(sim::SimThread &self, Cycles &stw)
 
 Revoker::StwWindow::StwWindow(sim::SimThread &self, Cycles *stw,
                               bool entry_delay)
-    : self_(self)
+    : world_(delayEntry(self, entry_delay))
+{
+    if (stw != nullptr)
+        scan_.emplace(self, trace::Phase::kStwScan, stw);
+}
+
+sim::SimThread &
+Revoker::StwWindow::delayEntry(sim::SimThread &self, bool entry_delay)
 {
     sim::FaultInjector *inj = self.scheduler().injector();
     if (entry_delay && inj != nullptr) {
@@ -80,15 +87,7 @@ Revoker::StwWindow::StwWindow(sim::SimThread &self, Cycles *stw,
         if (delay > 0)
             self.accrue(delay);
     }
-    self.scheduler().stopTheWorld(self);
-    if (stw != nullptr)
-        scan_.emplace(self, trace::Phase::kStwScan, stw);
-}
-
-Revoker::StwWindow::~StwWindow()
-{
-    scan_.reset(); // the bracket closes before the world resumes
-    self_.scheduler().resumeWorld(self_);
+    return self;
 }
 
 void
@@ -113,7 +112,7 @@ Revoker::oracle() const
 void
 Revoker::onDequarantine(Addr base, Addr len)
 {
-    audit_set_.clearRange(base, len);
+    audit_set_.clearRange(SummaryKey{}, base, len);
     if (check::SafetyOracle *o = oracle())
         o->clearRange(base, len);
 }
@@ -208,7 +207,7 @@ Revoker::runEpoch(sim::SimThread &self, bool emergency)
     const SweepStats before = sweep_.stats();
     kernel_.epoch().advance(kern::EpochKey{}, self); // odd: in progress
     if (revokes())
-        audit_set_.copyFrom(bitmap_.painted());
+        audit_set_.copyFrom(SummaryKey{}, bitmap_.painted());
 
     EpochTiming timing;
     if (emergency)

@@ -232,15 +232,22 @@ class Revoker
     {
       public:
         StwWindow(sim::SimThread &self, Cycles &stw);
-        ~StwWindow();
         StwWindow(const StwWindow &) = delete;
+
+        /** The proof that the world is stopped. */
+        const sim::StoppedWorld &world() const { return world_; }
 
       private:
         friend class Revoker;
         /** With a null @p stw nothing is recorded or bracketed. */
         StwWindow(sim::SimThread &self, Cycles *stw, bool entry_delay);
 
-        sim::SimThread &self_;
+        /** Apply the injected entry delay, if any; returns @p self. */
+        static sim::SimThread &delayEntry(sim::SimThread &self,
+                                          bool entry_delay);
+
+        sim::StoppedWorld world_;
+        /** Declared after world_, so the bracket closes first. */
         std::optional<PhaseBracket> scan_;
     };
 

@@ -15,7 +15,7 @@ ShadowSummary::ShadowSummary()
 }
 
 void
-ShadowSummary::copyFrom(const ShadowSummary &o)
+ShadowSummary::copyFrom(SummaryKey, const ShadowSummary &o)
 {
     // Both lists are ascending: clear the blocks only this side has,
     // then copy the source's.
@@ -53,7 +53,7 @@ ShadowSummary::allocate(std::size_t b)
 }
 
 void
-ShadowSummary::setGranules(Addr g_from, Addr g_to, bool value)
+ShadowSummary::setGranules(SummaryKey, Addr g_from, Addr g_to, bool value)
 {
     CREV_ASSERT(g_from <= g_to);
     CREV_ASSERT(g_from >= kGranuleFloor);
@@ -132,11 +132,11 @@ ShadowSummary::setGranules(Addr g_from, Addr g_to, bool value)
 }
 
 void
-ShadowSummary::clearRange(Addr base, Addr len)
+ShadowSummary::clearRange(SummaryKey key, Addr base, Addr len)
 {
     if (len == 0)
         return;
-    setGranules(base >> kGranuleBits,
+    setGranules(key, base >> kGranuleBits,
                 (base + len + kGranuleSize - 1) >> kGranuleBits, false);
 }
 
@@ -202,7 +202,8 @@ ShadowSummary::forEachSet(const std::function<void(Addr)> &fn) const
 }
 
 bool
-ShadowSummary::corruptBit(std::uint64_t entropy, Addr *granule_out)
+ShadowSummary::corruptBit(SummaryKey, std::uint64_t entropy,
+                          Addr *granule_out)
 {
     if (allocated_.empty())
         return false;
@@ -232,7 +233,7 @@ ShadowSummary::inconsistentBlocks() const
 }
 
 void
-ShadowSummary::rebuildBlock(std::size_t b,
+ShadowSummary::rebuildBlock(SummaryKey, std::size_t b,
                             const std::function<bool(Addr)> &painted)
 {
     CREV_ASSERT(b < kBlocks);

@@ -40,6 +40,25 @@
 
 namespace crev::revoker {
 
+class Auditor;
+class RevocationBitmap;
+class Revoker;
+
+/**
+ * Permission to mutate a ShadowSummary: only the revocation bitmap
+ * (paints and clears, inside the NoYield window that keeps the mirror
+ * atomic with the simulated shadow bytes), the Revoker base (its
+ * per-epoch audit set) and the Auditor (chaos corruption and repair)
+ * can make one. Friendship is not inherited, so a strategy cannot.
+ */
+class SummaryKey
+{
+    friend class Auditor;
+    friend class RevocationBitmap;
+    friend class Revoker;
+    SummaryKey() = default;
+};
+
 /** Two-level bitmap over the heap's granules (host-side only). */
 class ShadowSummary
 {
@@ -62,10 +81,10 @@ class ShadowSummary
     /**
      * Become a copy of @p o. Costs the blocks either side has
      * allocated: the source's are copied, this side's others are
-     * cleared. A named call rather than operator=, so crev_analyze's
-     * call graph sees the writes (DESIGN.md §16).
+     * cleared. A named call rather than operator=, so it can demand
+     * a key.
      */
-    void copyFrom(const ShadowSummary &o);
+    void copyFrom(SummaryKey, const ShadowSummary &o);
 
     /**
      * Whether the granule containing @p addr is painted. Addresses
@@ -90,13 +109,13 @@ class ShadowSummary
      * the index space the bitmap's byte RMW already works in. Must lie
      * within the heap.
      */
-    void setGranules(Addr g_from, Addr g_to, bool value);
+    void setGranules(SummaryKey, Addr g_from, Addr g_to, bool value);
 
     /**
      * Clear every granule overlapping [base, base+len) (dequarantine;
      * ends need not be aligned).
      */
-    void clearRange(Addr base, Addr len);
+    void clearRange(SummaryKey, Addr base, Addr len);
 
     /** Total painted granules (maintained incrementally). */
     std::uint64_t count() const { return count_; }
@@ -125,7 +144,8 @@ class ShadowSummary
      * ever been allocated; otherwise the flipped granule's absolute
      * index is written to @p granule_out.
      */
-    bool corruptBit(std::uint64_t entropy, Addr *granule_out);
+    bool corruptBit(SummaryKey, std::uint64_t entropy,
+                    Addr *granule_out);
 
     /**
      * Block indices whose maintained summaries disagree with their
@@ -139,7 +159,7 @@ class ShadowSummary
      * simulated shadow bytes) — and restore the maintained
      * population, level-1 bit, and running total.
      */
-    void rebuildBlock(std::size_t b,
+    void rebuildBlock(SummaryKey, std::size_t b,
                       const std::function<bool(Addr)> &painted);
 
   private:

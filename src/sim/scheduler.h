@@ -22,10 +22,11 @@
  * same execution path as every release run.
  *
  * The scheduler also provides the stop-the-world service used by the
- * revokers: parked threads' clocks are advanced to the STW end time,
- * while threads sleeping past the window are unaffected — reproducing
- * the paper's observation that STW phases can hide inside idle time
- * (§5.2 Discussion).
+ * revokers, through the scoped StoppedWorld only: parked threads'
+ * clocks are advanced to the STW end time, while threads sleeping
+ * past the window are unaffected — reproducing the paper's
+ * observation that STW phases can hide inside idle time (§5.2
+ * Discussion).
  */
 
 #ifndef CREV_SIM_SCHEDULER_H_
@@ -265,16 +266,6 @@ class Scheduler
      */
     bool finished(const SimThread &t) const;
 
-    /**
-     * Begin a stop-the-world phase on behalf of @p self. Returns the
-     * STW begin time; the caller performs its world-stopped work
-     * (accruing cycles) and then calls resumeWorld().
-     */
-    Cycles stopTheWorld(SimThread &self);
-
-    /** End the stop-the-world phase; parked threads resume at stw end. */
-    void resumeWorld(SimThread &self);
-
     /** All threads ever spawned (the revoker scans register files). */
     const std::vector<std::unique_ptr<SimThread>> &threads() const
     {
@@ -324,6 +315,17 @@ class Scheduler
 
   private:
     friend class SimThread;
+    friend class StoppedWorld;
+
+    /**
+     * Begin a stop-the-world phase on behalf of @p self. Returns the
+     * STW begin time. Only StoppedWorld calls this pair, so every
+     * stopped world is resumed and holds a proof of itself.
+     */
+    Cycles stopTheWorld(SimThread &self);
+    /** End the stop-the-world phase; parked threads resume at stw end. */
+    void resumeWorld(SimThread &self);
+
     /** Pick the next thread to grant; nullptr if none runnable. */
     SimThread *chooseNext();
     /** Grant the token to @p t (scheduler loop side). */
@@ -370,6 +372,32 @@ class Scheduler
     // Per-core timeline: when the core's last slice ended and who ran.
     std::vector<Cycles> core_free_at_;
     std::vector<SimThread *> core_last_thread_;
+};
+
+/**
+ * One stop-the-world phase, scoped: construction stops the world on
+ * behalf of @p self (the caller then does its world-stopped work,
+ * accruing cycles), destruction resumes it. It is the only way to
+ * stop the world, so a reference to one proves the world is stopped:
+ * the load-generation flip demands it (paper §4.1, DESIGN.md §16).
+ */
+class StoppedWorld
+{
+  public:
+    explicit StoppedWorld(SimThread &self) : self_(self)
+    {
+        begin_ = self.scheduler().stopTheWorld(self);
+    }
+    ~StoppedWorld() { self_.scheduler().resumeWorld(self_); }
+    StoppedWorld(const StoppedWorld &) = delete;
+    StoppedWorld &operator=(const StoppedWorld &) = delete;
+
+    /** The instant the world stopped. */
+    Cycles begin() const { return begin_; }
+
+  private:
+    SimThread &self_;
+    Cycles begin_ = 0;
 };
 
 } // namespace crev::sim

@@ -101,7 +101,7 @@ AddressSpace::canReserve(Addr length) const
 }
 
 void
-AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
+AddressSpace::unmap(MappingKey, sim::SimThread &t, Addr base, Addr length)
 {
     CREV_ASSERT(pageOffset(base) == 0);
     Reservation *r = reservationFor(base);
@@ -141,7 +141,7 @@ AddressSpace::unmap(sim::SimThread &t, Addr base, Addr length)
 }
 
 std::vector<Reservation *>
-AddressSpace::takeNewlyQuarantined(sim::SimThread &t)
+AddressSpace::takeNewlyQuarantined(MappingKey, sim::SimThread &t)
 {
     std::vector<Reservation *> out;
     // The hand-off is only legal outside a revocation epoch (the
@@ -154,7 +154,7 @@ AddressSpace::takeNewlyQuarantined(sim::SimThread &t)
 }
 
 void
-AddressSpace::release(sim::SimThread &t, Reservation *r)
+AddressSpace::release(MappingKey, sim::SimThread &t, Reservation *r)
 {
     CREV_ASSERT(r->state == ReservationState::kQuarantined);
     r->state = ReservationState::kFreed;

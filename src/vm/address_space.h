@@ -28,7 +28,24 @@
 #include "sim/sync.h"
 #include "vm/pte.h"
 
+namespace crev::kern {
+class Kernel;
+} // namespace crev::kern
+
 namespace crev::vm {
+
+/**
+ * Permission to tear down mappings: unmap a range, take the
+ * reservations it quarantined, release a revoked one. Only
+ * kern::Kernel can make a key. Its munmap path runs behind the
+ * quiesce barrier that excludes it from revocation sweeps (paper
+ * §4.3), and its reap path runs at epoch completion (§6.2).
+ */
+class MappingKey
+{
+    friend class kern::Kernel;
+    MappingKey() = default;
+};
 
 /** Lifecycle of a reservation. */
 enum class ReservationState {
@@ -101,13 +118,14 @@ class AddressSpace
      * transitions to kQuarantined and is reported via
      * takeNewlyQuarantined() for the revoker to process.
      */
-    void unmap(sim::SimThread &t, Addr base, Addr length);
+    void unmap(MappingKey, sim::SimThread &t, Addr base, Addr length);
 
     /** Reservations that became quarantined since the last call. */
-    std::vector<Reservation *> takeNewlyQuarantined(sim::SimThread &t);
+    std::vector<Reservation *> takeNewlyQuarantined(MappingKey,
+                                                    sim::SimThread &t);
 
     /** Release a revoked reservation (kernel layer, post-epoch). */
-    void release(sim::SimThread &t, Reservation *r);
+    void release(MappingKey, sim::SimThread &t, Reservation *r);
 
     /** The reservation containing @p va, or nullptr. */
     Reservation *reservationFor(Addr va);

@@ -38,7 +38,7 @@ Mmu::coreGen(unsigned core) const
 }
 
 void
-Mmu::flipAllCoreGens(sim::SimThread &t)
+Mmu::flipAllCoreGens(sim::SimThread &t, const sim::StoppedWorld &)
 {
     if (auto *c = t.scheduler().checker())
         c->onGenFlip(t.id(), t.now());
@@ -47,7 +47,7 @@ Mmu::flipAllCoreGens(sim::SimThread &t)
         g = gen_;
     // Generation checks are made against TLB-resident PTE copies; the
     // flip takes effect immediately on all cores (they are already
-    // synchronised: this happens inside the STW window).
+    // synchronised: the caller holds the stopped world).
     t.accrueNoYield(cm_.pte_update);
 }
 

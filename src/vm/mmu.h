@@ -145,8 +145,11 @@ class Mmu
     void setLoadFilter(LoadFilter f) { filter_ = std::move(f); }
     /** Current per-core generation bit. */
     unsigned coreGen(unsigned core) const;
-    /** Flip every core's generation register (STW entry). */
-    void flipAllCoreGens(sim::SimThread &t);
+    /**
+     * Flip every core's generation register. Only while the world is
+     * stopped (§4.1): the flip takes effect on every core at once.
+     */
+    void flipAllCoreGens(sim::SimThread &t, const sim::StoppedWorld &);
     /** The generation new PTEs should carry to be "current". */
     unsigned currentGen() const { return gen_; }
 

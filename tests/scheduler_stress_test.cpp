@@ -90,9 +90,10 @@ TEST(SchedulerStress, RepeatedStwCycles)
     s.spawn("revoker", 1u << 1, [&](SimThread &t) {
         for (int i = 0; i < 50; ++i) {
             t.accrue(2'000);
-            s.stopTheWorld(t);
-            t.accrue(5'000);
-            s.resumeWorld(t);
+            {
+                StoppedWorld world(t);
+                t.accrue(5'000);
+            }
             ++stw_rounds;
         }
         done = true;
@@ -232,10 +233,12 @@ TEST(SchedulerStress, StwExcludesMultipleMutators)
     }
     s.spawn("revoker", 1u << 3, [&](SimThread &t) {
         t.accrue(50'000);
-        stw_begin = s.stopTheWorld(t);
-        t.accrue(400'000);
-        stw_end = t.now();
-        s.resumeWorld(t);
+        {
+            StoppedWorld world(t);
+            stw_begin = world.begin();
+            t.accrue(400'000);
+            stw_end = t.now();
+        }
         t.accrue(50'000);
         done = true;
     });

@@ -165,10 +165,11 @@ TEST(Scheduler, StopTheWorldParksRunnableThreads)
     });
     s.spawn("revoker", 1u << 1, [&](SimThread &t) {
         t.accrue(2'000);
-        s.stopTheWorld(t);
-        t.accrue(100'000); // world-stopped work
-        stw_end = t.now();
-        s.resumeWorld(t);
+        {
+            StoppedWorld world(t);
+            t.accrue(100'000); // world-stopped work
+            stw_end = t.now();
+        }
         stw_done = true;
     });
     s.run();
@@ -189,9 +190,8 @@ TEST(Scheduler, StwHidesInsideSleep)
     });
     s.spawn("revoker", 1u << 1, [&](SimThread &t) {
         t.accrue(1'000);
-        s.stopTheWorld(t);
+        StoppedWorld world(t);
         t.accrue(50'000);
-        s.resumeWorld(t);
     });
     s.run();
     EXPECT_EQ(sleeper_resume, 1'000'000u);
@@ -209,10 +209,9 @@ TEST(Scheduler, StwDelaysOverlappingSleeper)
     });
     s.spawn("revoker", 1u << 1, [&](SimThread &t) {
         t.sleepUntil(400'000);
-        s.stopTheWorld(t);
+        StoppedWorld world(t);
         t.accrue(300'000);
         stw_end = t.now();
-        s.resumeWorld(t);
     });
     s.run();
     EXPECT_GE(stw_end, 700'000u);
@@ -425,9 +424,12 @@ TEST(Scheduler, StwStraddlingQuantumBoundary)
     });
     s.spawn("revoker", 1u << 1, [&](SimThread &t) {
         t.accrue(6'000); // mid-quantum
-        const Cycles begin = s.stopTheWorld(t);
-        t.accrue(8'000); // window crosses the 10'000 boundary
-        s.resumeWorld(t);
+        Cycles begin = 0;
+        {
+            StoppedWorld world(t);
+            begin = world.begin();
+            t.accrue(8'000); // window crosses the 10'000 boundary
+        }
         stw_done = true;
         ev.push_back({"stw", begin});
         ev.push_back({"stw-end", t.now()});

@@ -14,6 +14,8 @@
 #include "kern/kernel.h"
 #include "mem/memory_system.h"
 #include "mem/phys_mem.h"
+#include "revoker/bitmap.h"
+#include "revoker/paint_only.h"
 #include "sim/scheduler.h"
 #include "vm/address_space.h"
 #include "vm/fault.h"
@@ -44,6 +46,15 @@ struct VmHarness
         sched.run();
     }
 
+    /** Flip the load generations inside a stopped world, as the
+     *  Reloaded revoker's stop-the-world phase does. */
+    void
+    flipGens(sim::SimThread &t)
+    {
+        sim::StoppedWorld world(t);
+        mmu.flipAllCoreGens(t, world);
+    }
+
     /** Whether the granule at @p va is tagged right now, read straight
      *  from the page table and physical memory (no cost). */
     bool
@@ -59,6 +70,47 @@ struct VmHarness
     sim::Scheduler sched;
     AddressSpace as;
     Mmu mmu;
+    /** Mappings are torn down only through the kernel, the one holder
+     *  of a MappingKey. */
+    kern::Kernel kernel{mmu, sched.costs()};
+};
+
+/**
+ * The harness plus a paint-only revoker daemon on core 1, so a
+ * quarantined reservation can be released at the end of an epoch,
+ * and a record of the reservations the kernel quarantines (it paints
+ * each one once, as it takes it).
+ */
+struct EpochHarness : VmHarness
+{
+    EpochHarness()
+    {
+        kernel.setShadowHooks(
+            [this](sim::SimThread &, Addr base, Addr) {
+                quarantined.push_back(base);
+            },
+            [](sim::SimThread &, Addr, Addr) {});
+        sched.spawn(
+            "revoker", 1u << 1,
+            [this](sim::SimThread &self) { revoker.daemonBody(self); },
+            /*daemon=*/true);
+    }
+
+    /** Run one revocation epoch to completion: it releases every
+     *  reservation quarantined before the call. */
+    void
+    reap(sim::SimThread &t)
+    {
+        revoker.requestEpoch(t);
+        revoker.waitForEpochCounter(
+            t, kernel.epoch().dequarantineTarget(kernel.epoch().value()));
+    }
+
+    revoker::RevocationBitmap bitmap{mmu};
+    revoker::PaintOnlyRevoker revoker{sched, mmu, kernel, bitmap,
+                                      revoker::PagePolicy{}};
+    /** Base of each reservation taken into mapping quarantine. */
+    std::vector<Addr> quarantined;
 };
 
 TEST(AddressSpace, ReservePadsToRepresentability)
@@ -96,7 +148,7 @@ TEST(AddressSpace, DemandZeroThenResident)
 
 TEST(AddressSpace, UnmapCreatesGuardsAndQuarantinesReservation)
 {
-    VmHarness h;
+    EpochHarness h;
     h.onThread([&](sim::SimThread &t) {
         AddressSpace &as = h.as;
         const Addr base = as.reserve(kPageSize * 2);
@@ -104,19 +156,19 @@ TEST(AddressSpace, UnmapCreatesGuardsAndQuarantinesReservation)
         as.makeResident(base + kPageSize);
         EXPECT_EQ(h.pm.framesInUse(), 2u);
 
-        as.unmap(t, base, kPageSize);
+        h.kernel.sysMunmap(t, base, kPageSize);
         EXPECT_EQ(as.classify(base, false, false), FaultKind::kGuard);
         EXPECT_EQ(h.pm.framesInUse(), 1u);
-        EXPECT_TRUE(as.takeNewlyQuarantined(t).empty());
+        EXPECT_TRUE(h.quarantined.empty());
 
-        as.unmap(t, base + kPageSize, kPageSize);
-        auto quarantined = as.takeNewlyQuarantined(t);
-        ASSERT_EQ(quarantined.size(), 1u);
-        EXPECT_EQ(quarantined[0]->state,
-                  ReservationState::kQuarantined);
+        h.kernel.sysMunmap(t, base + kPageSize, kPageSize);
+        ASSERT_EQ(h.quarantined, std::vector<Addr>{base});
+        Reservation *r = as.reservationFor(base);
+        EXPECT_EQ(r->state, ReservationState::kQuarantined);
 
         // Released reservations' VA is never recycled.
-        as.release(t, quarantined[0]);
+        h.reap(t);
+        EXPECT_EQ(r->state, ReservationState::kFreed);
         const Addr base2 = as.reserve(kPageSize);
         EXPECT_GT(base2, base);
     });
@@ -168,7 +220,7 @@ TEST(AddressSpace, AlignmentGapIsNotMapped)
 
 TEST(AddressSpace, ReleasedReservationIsGuardedAndUnwalked)
 {
-    VmHarness h;
+    EpochHarness h;
     h.onThread([&](sim::SimThread &t) {
         AddressSpace &as = h.as;
         const Addr keep = as.reserve(kPageSize);
@@ -178,10 +230,11 @@ TEST(AddressSpace, ReleasedReservationIsGuardedAndUnwalked)
             as.makeResident(base + i * kPageSize);
         const Reservation r = *as.reservationFor(base);
 
-        as.unmap(t, base, kPageSize * 3);
-        auto quarantined = as.takeNewlyQuarantined(t);
-        ASSERT_EQ(quarantined.size(), 1u);
-        as.release(t, quarantined[0]);
+        h.kernel.sysMunmap(t, base, kPageSize * 3);
+        ASSERT_EQ(h.quarantined, std::vector<Addr>{base});
+        h.reap(t);
+        EXPECT_EQ(as.reservationFor(base)->state,
+                  ReservationState::kFreed);
 
         for (Addr va = r.base; va < r.base + r.length; va += kPageSize) {
             EXPECT_EQ(as.classify(va, false, false), FaultKind::kGuard);
@@ -295,7 +348,7 @@ TEST(Mmu, GuardTouchThrows)
     VmHarness h;
     h.onThread([&](sim::SimThread &t) {
         const Addr base = h.as.reserve(kPageSize);
-        h.as.unmap(t, base, kPageSize);
+        h.kernel.sysMunmap(t, base, kPageSize);
         EXPECT_THROW(h.mmu.loadU64(t, base), MemoryFault);
     });
 }
@@ -379,7 +432,7 @@ TEST(Mmu, LoadBarrierTrapsOnStaleGenerationOnly)
         EXPECT_EQ(faults, 0);
 
         // Flip generations: next tagged load traps once, then heals.
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
         h.mmu.loadCap(t, base);
@@ -397,7 +450,7 @@ TEST(Mmu, UntaggedLoadNeverTraps)
     h.onThread([&](sim::SimThread &t) {
         const Addr base = h.as.reserve(kPageSize);
         h.mmu.storeU64(t, base, 99);
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
         // Capability-width load of untagged data: no trap.
         const cap::Capability c = h.mmu.loadCap(t, base);
         EXPECT_FALSE(c.tag);
@@ -411,7 +464,7 @@ TEST(Mmu, NewPagesAdoptCurrentGeneration)
         FAIL() << "fresh pages must not trap";
     });
     h.onThread([&](sim::SimThread &t) {
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
         const Addr base = h.as.reserve(kPageSize);
         const cap::Capability c =
             cap::Capability::root(base, base + 64);
@@ -431,7 +484,7 @@ TEST(Mmu, KernelPathsBypassBarrierAndDirtyTracking)
         const cap::Capability c =
             cap::Capability::root(base, base + 64);
         h.mmu.storeCap(t, base, c);
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
 
         const cap::Capability k = h.mmu.kernelLoadCap(t, base);
         EXPECT_TRUE(k.tag);
@@ -470,7 +523,7 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
 
         // Epoch open: generations flip via in-place PTE mutation.
         // The next load MUST observe the stale CLG and trap.
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 1);
 
@@ -480,7 +533,7 @@ TEST(Mmu, PteCacheInvalidatedAcrossEpochFlip)
         EXPECT_EQ(faults, 1);
 
         // A second flip re-arms the same page.
-        h.mmu.flipAllCoreGens(t);
+        h.flipGens(t);
         h.mmu.loadCap(t, base);
         EXPECT_EQ(faults, 2);
         EXPECT_EQ(h.mmu.stats().load_barrier_faults, 2u);
