@@ -1,6 +1,6 @@
-// Analyze fixture: every violation below is waived with an
-// `analyze: <rule>-ok` annotation, so the file must be CLEAN under
-// `crev_analyze --self-test` with at least one waiver used per pass.
+// Analyze fixture: the violation below is waived with an
+// `analyze: noyield-reach-ok` annotation, so the file must be CLEAN
+// under `crev_analyze --self-test` with the waiver used.
 // Not compiled -- input for the self-test only.
 
 namespace wvfix {
@@ -25,21 +25,6 @@ struct NoYield
 {
     explicit NoYield(SimThread &t);
 };
-
-struct Mmu
-{
-    unsigned gen_ = 0;
-
-    void flipGen();
-};
-
-// Single-writer: flipped only during construction, before any second
-// thread exists.
-void
-Mmu::flipGen() // analyze: lock-evidence-ok (fixture: init-time only)
-{
-    gen_ ^= 1u;
-}
 
 struct Waiter
 {

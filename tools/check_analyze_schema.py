@@ -7,7 +7,7 @@ Checks the deterministic report emitted by `crev_analyze --report`
   - top level is an object with exactly the keys tool / version /
     rules / findings / waivers_used / stats;
   - "tool" is "crev_analyze" and "version" a non-empty string;
-  - "rules" is the two analysis passes, in pass order;
+  - "rules" is the one analysis pass, noyield-reach;
   - every finding carries string rule/function/file/message, a
     positive integer line, a non-empty callpath of strings, a rule
     drawn from "rules", and a forward-slash relative file path;
@@ -15,8 +15,8 @@ Checks the deterministic report emitted by `crev_analyze --report`
     the report is byte-deterministic;
   - "waivers_used" is a sorted list of strings;
   - "stats" holds non-negative integers for files / functions /
-    edges / roots / unresolved_call_sites / findings, and
-    stats.findings equals len(findings);
+    edges / unresolved_call_sites / findings, and stats.findings
+    equals len(findings);
   - nothing host-dependent: no timestamp-like keys, no absolute
     paths.
 
@@ -27,11 +27,11 @@ Usage: check_analyze_schema.py REPORT.json
 import json
 import sys
 
-EXPECTED_RULES = ["noyield-reach", "lock-evidence"]
+EXPECTED_RULES = ["noyield-reach"]
 TOP_KEYS = {"tool", "version", "rules", "findings", "waivers_used",
             "stats"}
-STAT_KEYS = {"files", "functions", "edges", "roots",
-             "unresolved_call_sites", "findings"}
+STAT_KEYS = {"files", "functions", "edges", "unresolved_call_sites",
+             "findings"}
 FORBIDDEN_KEY_WORDS = ("time", "date", "host")
 
 

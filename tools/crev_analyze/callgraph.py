@@ -18,8 +18,8 @@ Resolution policy (best effort, documented in DESIGN.md section 16):
     window spanning the rest of the enclosing brace scope.
   * Names with no extracted definition (std::, members, function
     pointers, std::function fields, macros) are dropped and counted;
-    indirect calls therefore produce no edges, which is why functions
-    invoked only through them surface as call-graph roots.
+    indirect calls therefore produce no edges. Calls inside a
+    constructor's member-initializer arguments are not scanned.
 """
 
 from collections import namedtuple
@@ -112,7 +112,6 @@ class Graph:
         self.nodes = {}       # qname -> merged node dict (see driver)
         self.by_name = {}     # last segment -> sorted [qname]
         self.edges = {}       # qname -> {callee_qname: first line}
-        self.indegree = {}    # qname -> int
         self.dropped = 0      # call sites with no resolution
 
     def add_node(self, qname):
@@ -121,7 +120,6 @@ class Graph:
         self.nodes[qname] = None
         self.by_name.setdefault(qname.split("::")[-1], []).append(qname)
         self.edges[qname] = {}
-        self.indegree[qname] = 0
 
     def finalize_names(self):
         for lst in self.by_name.values():
@@ -153,13 +151,7 @@ class Graph:
         for q in callees:
             if q not in self.edges[caller]:
                 self.edges[caller][q] = site.line
-                self.indegree[q] += 1
         return callees
-
-    def roots(self):
-        """Zero-in-edge nodes: thread bodies, public entry points,
-        and anything reached only through indirect calls."""
-        return sorted(q for q, d in self.indegree.items() if d == 0)
 
     def sorted_callees(self, qname):
         return sorted(self.edges.get(qname, ()))
@@ -194,35 +186,3 @@ class Graph:
                         nxt.append(c)
             queue = nxt
         return None
-
-    def exposed_from_roots(self, protects):
-        """BFS from every root, refusing to expand nodes for which
-        `protects` holds. Returns {qname: parent} for every node
-        reachable along at least one unprotected path (protected
-        nodes themselves appear, marking where propagation stopped,
-        but their callees do not inherit exposure through them)."""
-        parent = {}
-        queue = []
-        for r in self.roots():
-            parent[r] = None
-            queue.append(r)
-        while queue:
-            nxt = []
-            for q in queue:
-                if protects(q):
-                    continue
-                for c in self.sorted_callees(q):
-                    if c in parent:
-                        continue
-                    parent[c] = q
-                    nxt.append(c)
-            queue = nxt
-        return parent
-
-    @staticmethod
-    def path_to(parent, qname):
-        path = [qname]
-        while parent.get(path[-1]) is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path

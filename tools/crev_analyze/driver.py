@@ -19,7 +19,7 @@ from . import VERSION
 from .cpptok import tokenize
 from .extract import extract_file
 from .callgraph import Graph, body_sites
-from .facts import make_facts, is_observer_file
+from .facts import is_observer_file
 from .passes import ALL_PASSES, RULES
 from .report import build_report, render_report, write_report
 
@@ -74,17 +74,11 @@ class Context:
                                 self.repo_root, self.fixture_dir)
 
 
-def _empty_facts():
-    return {"layer": None, "evidence": [], "mutations": []}
-
-
 def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
     """Build the call graph over @p paths and run all passes.
     Returns (ctx, findings)."""
     ctx = Context(repo_root, fixture_dir)
     classes = {"NoYield"}
-    tokens_by_path = {}
-    lines_by_path = {}
     per_file_funcs = []
     for p in sorted(paths):
         with open(p, "r", encoding="utf-8") as f:
@@ -93,21 +87,17 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
         funcs, cls = extract_file(toks, p)
         classes |= cls
         ctx.annotations[p] = ann
-        tokens_by_path[p] = toks
-        lines_by_path[p] = text.split("\n")
-        per_file_funcs.append((p, funcs))
+        per_file_funcs.append((toks, funcs))
 
     # Merge definitions onto one node per qualified name (overloads
-    # collapse; facts union — the documented over-approximation).
-    for p, funcs in per_file_funcs:
+    # collapse; call sites union — the documented over-approximation).
+    for toks, funcs in per_file_funcs:
         for fn in funcs:
-            sites, windows = body_sites(tokens_by_path[p], fn, classes)
-            facts = make_facts(fn, tokens_by_path[p], sites, windows,
-                               lines_by_path[p], repo_root, fixture_dir)
+            sites, windows = body_sites(toks, fn, classes)
             node = ctx.nodes.get(fn.qname)
             if node is None:
                 node = {"fn": fn, "sites": [], "windows": [],
-                        "window_calls": [], "facts": _empty_facts()}
+                        "window_calls": []}
                 ctx.nodes[fn.qname] = node
                 ctx.graph.add_node(fn.qname)
             woff = len(node["windows"])
@@ -116,10 +106,6 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
                 if s.window is not None:
                     s = s._replace(window=s.window + woff)
                 node["sites"].append(s)
-            for key in ("evidence", "mutations"):
-                node["facts"][key].extend(facts[key])
-            if node["facts"]["layer"] is None:
-                node["facts"]["layer"] = facts["layer"]
 
     ctx.graph.finalize_names()
     for qname in sorted(ctx.nodes):
@@ -137,7 +123,6 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
         "files": len(paths),
         "functions": len(ctx.nodes),
         "edges": sum(len(e) for e in ctx.graph.edges.values()),
-        "roots": len(ctx.graph.roots()),
         "unresolved_call_sites": ctx.graph.dropped,
         "findings": len(findings),
     }
@@ -145,9 +130,9 @@ def analyze(paths, repo_root=REPO_ROOT, fixture_dir=FIXTURE_DIR):
 
 
 def tree_files():
-    """Analysis covers src/ only: bench/ and tests/ are excluded so
-    that public entry points surface as call-graph roots rather than
-    importing every unit test as a spurious mutation path."""
+    """Analysis covers src/ only, the simulator's own NoYield
+    windows: tests open windows on purpose (sim_test parks inside one
+    to check the scheduler's run-time assert)."""
     paths = []
     for root, _dirs, files in os.walk(os.path.join(REPO_ROOT, "src")):
         for f in sorted(files):

@@ -1,9 +1,9 @@
-"""The two interprocedural passes (DESIGN.md section 16).
+"""The interprocedural pass (DESIGN.md section 16).
 
-Each pass takes the analysis context built by driver.py — the call
-graph, the per-function facts, and the waiver table — and yields
-Finding records. All iteration is over sorted keys and BFS with
-sorted adjacency, so the findings (and hence the JSON report) are
+A pass takes the analysis context built by driver.py — the call
+graph, its NoYield windows, and the waiver table — and yields Finding
+records. All iteration is over sorted keys and BFS with sorted
+adjacency, so the findings (and hence the JSON report) are
 byte-deterministic.
 """
 
@@ -14,12 +14,8 @@ from . import facts as F
 Finding = namedtuple(
     "Finding", ["rule", "function", "file", "line", "callpath", "message"])
 
-RULES = ("noyield-reach", "lock-evidence")
+RULES = ("noyield-reach",)
 
-
-# ---------------------------------------------------------------------
-# Pass 1: no-yield reachability.
-# ---------------------------------------------------------------------
 
 def pass_noyield_reach(ctx):
     """No function invoked inside a NoYield window may transitively
@@ -80,60 +76,6 @@ def pass_noyield_reach(ctx):
     return findings
 
 
-# ---------------------------------------------------------------------
-# Pass 2: lock-evidence propagation.
-# ---------------------------------------------------------------------
-
-def pass_lock_evidence(ctx):
-    """A shared-state mutation is clean if every call path from a
-    root (thread body, public entry point, indirect-call target)
-    passes through synchronisation evidence — the interprocedural
-    replacement for crev_lint's retired in-function heuristic."""
-    findings = []
-    graph = ctx.graph
-
-    def protects(q):
-        node = ctx.nodes[q]
-        return (bool(node["facts"]["evidence"])
-                or ctx.is_observer(q)
-                or ctx.fn_waived("lock-evidence", q))
-
-    exposed = graph.exposed_from_roots(protects)
-
-    for qname in sorted(ctx.nodes):
-        node = ctx.nodes[qname]
-        muts = node["facts"]["mutations"]
-        if not muts:
-            continue
-        if protects(qname):
-            continue
-        if qname not in exposed:
-            continue  # every inbound path passes through evidence
-        path = graph.path_to(exposed, qname)
-        reported = set()
-        for member, what, line in muts:
-            if member in reported:
-                continue
-            if ctx.line_waived("lock-evidence", node["fn"].file, line):
-                continue
-            reported.add(member)
-            findings.append(Finding(
-                rule="lock-evidence",
-                function=qname,
-                file=ctx.relpath(node["fn"].file),
-                line=line,
-                callpath=path,
-                message="mutation of %s with no synchronisation "
-                        "evidence on the call path shown "
-                        "(assertHeld/heldBy, stopTheWorld/stwOwnedBy, "
-                        "or an on* race-checker hook): register the "
-                        "domain somewhere on the path or waive with "
-                        "the single-writer argument" % what,
-            ))
-    return findings
-
-
 ALL_PASSES = (
     ("noyield-reach", pass_noyield_reach),
-    ("lock-evidence", pass_lock_evidence),
 )

@@ -49,14 +49,16 @@ confirm every linted translation unit is actually part of the build:
                         from one simulated thread into the next, and a
                         ucontext call cannot read the switch's frames.
 
-Two former rules — uncharged-access and shared-mutation — are retired.
-uncharged-access (a path allowlist) is now a type: the one uncharged
-read of simulated memory, Mmu::peekByte, takes a vm::ObserverKey that
-only the Auditor can construct. shared-mutation (evidence in the same
-function, with a choke-file exemption) is superseded by the
-interprocedural lock-evidence pass of tools/crev_analyze (DESIGN.md
-section 16), which proves the invariant over call paths instead of
-lines.
+Two former rules — uncharged-access and shared-mutation — are retired;
+both are now types, not passes. uncharged-access (a path allowlist):
+the one uncharged read of simulated memory, Mmu::peekByte, takes a
+vm::ObserverKey that only the Auditor can construct. shared-mutation
+(evidence in the same function, with a choke-file exemption): each
+function that mutates shared revocation state takes a proof object
+that only the code setting up its discipline can make — a
+sim::StoppedWorld for the generation flip, a vm::MappingKey for
+mapping teardown, a revoker::SummaryKey for the shadow summary
+(DESIGN.md section 16).
 
 Exemptions are explicit and greppable: a line (or its predecessor)
 carrying `lint: <rule>-ok` is skipped for that rule, so every waiver
@@ -281,8 +283,7 @@ RULES = ("host-nondeterminism", "unordered-iteration", "raw-threading",
 # Waiver key -> the rule it suppresses. The retired shared-mutation and
 # uncharged keys are deliberately absent: a surviving tag for them is
 # reported as stale so nothing keeps "documenting" a rule that no
-# longer runs (the invariants moved to tools/crev_analyze and to the
-# ObserverKey type).
+# longer runs (both invariants are now types).
 WAIVER_TAG = re.compile(r"lint:\s*([a-z][a-z0-9-]*)-ok")
 WAIVER_RULES = {
     "nondet": "host-nondeterminism",

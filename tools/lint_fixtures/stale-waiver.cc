@@ -16,7 +16,7 @@ struct Waivers
     // lint: threading-ok (fixture: violation was since removed)
     int plain_counter_ = 0;
 
-    // Retired: shared-mutation moved to crev_analyze lock-evidence.
+    // Retired: shared-mutation is now a set of proof types.
     // lint: shared-mutation-ok (fixture: rule no longer exists)
     unsigned gen_ = 0;
 };
