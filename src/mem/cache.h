@@ -91,13 +91,11 @@ class Cache
                 for (unsigned i = w; i > 0; --i)
                     set[i] = set[i - 1];
                 set[0] = e | static_cast<std::uint32_t>(write);
-                ++hits_;
                 res.hit = true;
                 return res;
             }
         }
 
-        ++misses_;
         // The last way is the least recent, or invalid (0, clean) when
         // the set is not full.
         const std::uint32_t victim = set[ways - 1];
@@ -122,9 +120,6 @@ class Cache
 
     /** Whether the line containing @p addr is resident. */
     bool contains(Addr addr) const;
-
-    std::uint64_t hits() const { return hits_; }
-    std::uint64_t misses() const { return misses_; }
 
   private:
     static constexpr std::uint32_t kDirty = 1;
@@ -165,8 +160,6 @@ class Cache
      * invalid ways sit at its tail.
      */
     std::vector<std::uint32_t> entries_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
 
 } // namespace crev::mem
