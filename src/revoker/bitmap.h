@@ -50,10 +50,11 @@ class RevocationBitmap
     const ShadowSummary &painted() const { return painted_; }
 
     /**
-     * Mutable mirror access for the Auditor's fault-domain paths
-     * only: chaos corruption (ShadowSummary::corruptBit) and the
-     * ground-truth rebuild (ShadowSummary::rebuildBlock). Simulation
-     * paths keep using paint()/clear().
+     * Mutable mirror access for the Auditor's fault-domain paths:
+     * chaos corruption (ShadowSummary::corruptBit) and the
+     * ground-truth rebuild (ShadowSummary::rebuildBlock). Both take a
+     * SummaryKey, which no simulation path can make; those keep using
+     * paint()/clear().
      */
     ShadowSummary &mutableSummaryForRepair() { return painted_; }
 
